@@ -63,16 +63,12 @@ from .natural_extension import (
     step_T_inv,
 )
 from .numeric import (
-    Comparison,
     DecimalSpec,
     IntervalReal,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
     RealSpec,
-    compare,
-    compare_specs,
-    eval_interval,
     make_decimal,
     parse_real,
     quadratic_or_rational,

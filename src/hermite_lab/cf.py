@@ -1,9 +1,10 @@
 """Continued-fraction engine for the reduced input x0 = |theta - nearest(theta)|.
 
-Expansion runs through a per-kind session: exact Euclid remainders for
-rationals, exact field arithmetic for quadratic irrationals, and lockstep
-Euclid on both window endpoints for decimals (a quotient is emitted only
-when every real consistent with the declared precision shares it).
+Expansion runs through one of two sessions: exact field arithmetic for
+quadratic irrationals, and lockstep Euclid on both window endpoints for
+decimals and rationals, a rational being the zero-width window (a quotient
+is emitted only when every real consistent with the declared precision
+shares it).
 """
 
 from __future__ import annotations
@@ -103,45 +104,8 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
 # expansion sessions
 
 
-class _RationalSession:
-    """Euclid on the exact fraction; tails are the remainder ratios."""
-
-    kind = "rational"
-
-    def __init__(self, value: Fraction):
-        self.tn = value.numerator
-        self.td = value.denominator
-        self.count = 0
-        self.terminated = False
-        self.exhausted = False
-
-    def advance(self):
-        if self.tn == 0:
-            self.terminated = True
-            return None
-        a, r = divmod(self.td, self.tn)
-        self.tn, self.td = r, self.tn
-        self.count += 1
-        return a
-
-    def tail_gt(self, num: int, den: int):
-        return self.tn * den > self.td * num
-
-    def tail_float_bounds(self):
-        x = float_ratio(self.tn, self.td)
-        return max(0.0, x - 1e-12), x + 1e-12
-
-    def tail_fraction(self) -> Fraction:
-        return Fraction(self.tn, self.td)
-
-    def tail_interval(self, bits: int) -> IntervalReal:
-        return IntervalReal.from_fraction(self.tail_fraction(), bits)
-
-
 class _QuadraticSession:
     """Exact arithmetic in Q(sqrt(d)); the expansion never terminates."""
-
-    kind = "quadratic"
 
     def __init__(self, value: QuadraticReal):
         self.tail = value
@@ -176,13 +140,15 @@ class _QuadraticSession:
         return self.tail.to_interval(bits)
 
 
-class _DecimalSession:
-    """Lockstep Euclid on both window endpoints; emits only shared quotients."""
+class _WindowSession:
+    """Lockstep Euclid on both window endpoints; emits only shared quotients.
 
-    kind = "decimal"
+    A rational is the zero-width window (value, value).  Both remainders
+    reaching 0 on the same step means the expansion terminated; one alone,
+    or differing quotients, means the window is exhausted.
+    """
 
-    def __init__(self, spec: DecimalSpec):
-        lo, hi = spec.window_lo, spec.window_hi
+    def __init__(self, lo: Fraction, hi: Fraction):
         self.an, self.ad = lo.numerator, lo.denominator
         self.bn, self.bd = hi.numerator, hi.denominator
         self.count = 0
@@ -193,7 +159,10 @@ class _DecimalSession:
         if self.exhausted:
             return None
         if self.an == 0 or self.bn == 0:
-            self.exhausted = True
+            if self.an == self.bn:
+                self.terminated = True
+            else:
+                self.exhausted = True
             return None
         qa, ra = divmod(self.ad, self.an)
         qb, rb = divmod(self.bd, self.bn)
@@ -242,7 +211,7 @@ class _DecimalSession:
         return IntervalReal.enclose(lo, hi, bits)
 
 
-ExpansionSession = _RationalSession | _QuadraticSession | _DecimalSession
+ExpansionSession = _WindowSession | _QuadraticSession
 
 
 def _validate_x0(spec: RealSpec) -> None:
@@ -260,10 +229,10 @@ def expansion(x0: RealSpec) -> ExpansionSession:
     """Fresh certified expansion session for a reduced input."""
     _validate_x0(x0)
     if isinstance(x0, RationalSpec):
-        return _RationalSession(x0.value)
+        return _WindowSession(x0.value, x0.value)
     if isinstance(x0, QuadraticSpec):
         return _QuadraticSession(x0.value)
-    return _DecimalSession(x0)
+    return _WindowSession(x0.window_lo, x0.window_hi)
 
 
 def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:

@@ -176,18 +176,6 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-_CSV_COLUMNS = [
-    "theta_id",
-    "n",
-    "decided",
-    "hermite_count",
-    "proportion",
-    "levy_rate",
-    "hermite_growth",
-    "undecided",
-]
-
-
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         sample_count=args.samples,
@@ -196,6 +184,9 @@ def _cmd_experiment(args) -> int:
         precision_bits=args.precision_bits,
         workers=args.workers,
     )
+    out_json = Path(args.out)
+    if not out_json.parent.is_dir():
+        raise ValueError(f"output directory does not exist: {out_json.parent}")
     report = run_experiment(cfg)
     payload = report.as_dict(include_reports=True)
     for summary in payload["statistics"].values():
@@ -205,22 +196,18 @@ def _cmd_experiment(args) -> int:
         for key in ("proportion", "levy_rate", "hermite_growth"):
             if row[key] is not None:
                 row[key] = _f15(row[key])
-    out_json = Path(args.out)
+    columns = list(payload["per_theta"][0])
+    rows = [list(row.values()) for row in payload["per_theta"]]
     out_csv = out_json.with_suffix(".csv")
     out_json.write_text(json.dumps(payload, indent=2) + "\n")
     with out_csv.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in payload["per_theta"]:
-            writer.writerow([row[c] for c in _CSV_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows(rows)
     results = dict(payload)
     del results["per_theta"]
     results["out_json"] = str(out_json)
     results["out_csv"] = str(out_csv)
-    csv_rows = (
-        _CSV_COLUMNS,
-        [[row[c] for c in _CSV_COLUMNS] for row in payload["per_theta"]],
-    )
     _emit(
         _record(
             "experiment",
@@ -233,7 +220,7 @@ def _cmd_experiment(args) -> int:
             results,
         ),
         args.format,
-        csv_rows,
+        (columns, rows),
     )
     return EXIT_OK
 

@@ -60,9 +60,6 @@ class HermiteFlags:
     def undecided_count(self) -> int:
         return sum(1 for f in self.flags if f is None)
 
-    def true_indices(self) -> list[int]:
-        return [k for k, f in enumerate(self.flags) if f is True]
-
 
 @dataclass(frozen=True)
 class EnvelopeBreakpoint:
@@ -274,24 +271,20 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
     return HermiteFlags(theta, tuple(flags), "envelope")
 
 
+def _envelope_transitions(seq: Sequence[MinimalVector]) -> list[tuple]:
+    """Exact (tau, left, right) hand-overs of the envelope at the first theta value."""
+    value = _theta_values_for_lines(seq[0].theta)[0]
+    return _lower_envelope(_line_data(seq, value))[1]
+
+
 def envelope_breakpoints(seq: Sequence[MinimalVector]) -> list[EnvelopeBreakpoint]:
     """Hand-over points of the envelope, as s = t^2 = sqrt(tau)."""
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
-    theta = seq[0].theta
-    value = _theta_values_for_lines(theta)[0]
-    _, transitions = _lower_envelope(_line_data(seq, value))
     return [
         EnvelopeBreakpoint(math.sqrt(_to_float(tau)), left, right)
-        for tau, left, right in transitions
+        for tau, left, right in _envelope_transitions(seq)
     ]
-
-
-def _envelope_transition_taus(seq) -> list:
-    theta = seq[0].theta
-    value = _theta_values_for_lines(theta)[0]
-    _, transitions = _lower_envelope(_line_data(seq, value))
-    return [tau for tau, _, _ in transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +376,7 @@ def flags_via_delta_scan(
     if len(seq) < 3:
         raise InsufficientSequence("fewer than 3 minimal vectors exist")
     envelope = flags_via_envelope(seq)
-    taus = _envelope_transition_taus(seq)
+    taus = [tau for tau, _, _ in _envelope_transitions(seq)]
     if delta_grid is None:
         grid = default_delta_grid(taus)
     else:

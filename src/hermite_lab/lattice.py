@@ -79,15 +79,6 @@ class MinimalVector:
             return -1
         raise AmbiguousComparison("sign of p - q*theta undecided at declared precision")
 
-    def v1_interval(self, bits: int = 128) -> IntervalReal:
-        exact = self.v1_exact()
-        if isinstance(exact, Fraction):
-            return IntervalReal.from_fraction(exact, bits)
-        if isinstance(exact, QuadraticReal):
-            return exact.to_interval(bits)
-        lo, hi = self.v1_window()
-        return IntervalReal.hull(lo, hi)
-
     def is_zero_v1(self) -> bool:
         if isinstance(self.theta, RationalSpec):
             return self.p * self.theta.value.denominator == self.q * self.theta.value.numerator
@@ -205,12 +196,6 @@ def is_minimal_bruteforce(theta: RealSpec, p: int, q: int) -> bool:
 
 def _abs_ratio_floor(u: MinimalVector, v: MinimalVector) -> int:
     """floor(|u1| / |v1|), certified."""
-    if isinstance(u.theta, RationalSpec):
-        V = u.theta.value.denominator
-        U = u.theta.value.numerator
-        nu = abs(u.p * V - u.q * U)
-        nv = abs(v.p * V - v.q * U)
-        return nu // nv
     if isinstance(u.theta, QuadraticSpec):
         return math.floor(abs(u.v1_exact()) / abs(v.v1_exact()))
     lo_u, hi_u = u.v1_window()

@@ -190,10 +190,10 @@ def mu_measure_V(abs_tol: float) -> float:
     """mu(V) by one-dimensional quadrature of the exact inner integral.
 
     Converges to 1 - ln3/(2 ln2) = 0.20751874963942...; the requested
-    absolute tolerance must be at least 1e-12.
+    absolute tolerance must be finite and at least 1e-12.
     """
-    if abs_tol < 1e-12:
-        raise ValueError("abs_tol must be >= 1e-12")
+    if not math.isfinite(abs_tol) or abs_tol < 1e-12:
+        raise ValueError("abs_tol must be a finite number >= 1e-12")
     a, b = 0.0, 1.0
     fa, fb = _inner_slice(a), _inner_slice(b)
     fm = _inner_slice(0.5)

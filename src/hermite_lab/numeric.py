@@ -2,44 +2,24 @@
 
 Rationals are plain ``fractions.Fraction``.  Quadratic irrationals carry the
 normal form (a + b*sqrt(d))/c with exact sign, floor and field arithmetic.
-``IntervalReal`` is a certified enclosure with dyadic endpoints; comparisons
-on overlapping intervals return ``UNDECIDED`` and callers refine by doubling
-precision up to a global cap.
+``IntervalReal`` is a certified enclosure with dyadic endpoints.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import (
-    AmbiguousComparison,
-    InvalidQuadratic,
-    ParseError,
-    PrecisionExceedsInput,
-)
+from .errors import InvalidQuadratic, ParseError
 
 DEFAULT_EVAL_BITS = 64
 DEFAULT_DECIMAL_BITS = 256
-_DEFAULT_MAX_BITS = 16384
+_EXACT_LABEL_BITS = 16384
 _SQUAREFREE_TRIAL_BOUND = 100_000
-
-
-def max_precision_bits() -> int:
-    """Global refinement cap; override with env var HERMITE_LAB_MAX_BITS."""
-    raw = os.environ.get("HERMITE_LAB_MAX_BITS")
-    if raw is None or raw == "":
-        return _DEFAULT_MAX_BITS
-    value = int(raw)
-    if value < 64:
-        raise ValueError("HERMITE_LAB_MAX_BITS must be >= 64")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +83,6 @@ def _is_dyadic(value: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-class Comparison(Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    UNDECIDED = "undecided"
-
-
 @dataclass(frozen=True)
 class IntervalReal:
     """Certified enclosure [lo, hi] with dyadic endpoints.
@@ -154,7 +127,7 @@ class IntervalReal:
         """Largest b with hi - lo <= 2**(1-b) * max(1, |lo|)."""
         width = hi - lo
         if width == 0:
-            return _DEFAULT_MAX_BITS
+            return _EXACT_LABEL_BITS
         scale = max(1, abs(lo))
         ratio = scale / width
         bits = max(1, ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2)
@@ -177,7 +150,7 @@ class IntervalReal:
         if lo > hi:
             lo, hi = hi, lo
         if lo == hi and _is_dyadic(lo):
-            return cls(lo, lo, _DEFAULT_MAX_BITS)
+            return cls(lo, lo, _EXACT_LABEL_BITS)
         bits = cls._width_label(lo, hi)
         guard = bits + 8
         lo_r, hi_r = _round_down(lo, guard), _round_up(hi, guard)
@@ -189,72 +162,15 @@ class IntervalReal:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __contains__(self, value) -> bool:
         value = Fraction(value)
         return self.lo <= value <= self.hi
-
-    def contains_interval(self, other: "IntervalReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def to_float(self) -> float:
         mid = (self.lo + self.hi) / 2
         return float_ratio(abs(mid.numerator), mid.denominator) * (
             -1 if mid < 0 else 1
         )
-
-    def float_bounds(self) -> tuple[float, float]:
-        slop = 1e-15 * max(1.0, abs(self.to_float())) + 1e-300
-        lo = float_ratio(abs(self.lo.numerator), self.lo.denominator) * (
-            -1 if self.lo < 0 else 1
-        )
-        hi = float_ratio(abs(self.hi.numerator), self.hi.denominator) * (
-            -1 if self.hi < 0 else 1
-        )
-        return lo - slop, hi + slop
-
-    # arithmetic (exact on dyadic endpoints, precision label recomputed) --
-
-    def __neg__(self) -> "IntervalReal":
-        return IntervalReal.hull(-self.hi, -self.lo)
-
-    def __add__(self, other):
-        if isinstance(other, IntervalReal):
-            return IntervalReal.hull(self.lo + other.lo, self.hi + other.hi)
-        other = Fraction(other)
-        return IntervalReal.hull(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, IntervalReal):
-            return IntervalReal.hull(self.lo - other.hi, self.hi - other.lo)
-        other = Fraction(other)
-        return IntervalReal.hull(self.lo - other, self.hi - other)
-
-    def __rsub__(self, other):
-        other = Fraction(other)
-        return IntervalReal.hull(other - self.hi, other - self.lo)
-
-    def scale(self, k: int | Fraction) -> "IntervalReal":
-        k = Fraction(k)
-        if k >= 0:
-            return IntervalReal.hull(self.lo * k, self.hi * k)
-        return IntervalReal.hull(self.hi * k, self.lo * k)
-
-
-def compare(a: IntervalReal, b: IntervalReal) -> Comparison:
-    """Certified comparison; EQUAL only for identical point intervals."""
-    if a.hi < b.lo:
-        return Comparison.LESS
-    if a.lo > b.hi:
-        return Comparison.GREATER
-    if a.is_point and b.is_point and a.lo == b.lo:
-        return Comparison.EQUAL
-    return Comparison.UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -567,83 +483,3 @@ def spec_is_integer(spec: RealSpec) -> bool:
     if isinstance(spec, (RationalSpec, DecimalSpec)):
         return spec.value.denominator == 1
     return False
-
-
-def eval_interval(spec: RealSpec, bits: int) -> IntervalReal:
-    """Certified interval containing the spec's value, relative width <= 2**(1-bits)."""
-    if bits < 16:
-        raise ValueError("bits must be >= 16")
-    if isinstance(spec, RationalSpec):
-        return IntervalReal.from_fraction(spec.value, bits)
-    if isinstance(spec, QuadraticSpec):
-        return spec.value.to_interval(bits)
-    if isinstance(spec, DecimalSpec):
-        if bits > spec.declared_bits:
-            raise PrecisionExceedsInput(
-                f"requested {bits} bits from a {spec.declared_bits}-bit decimal"
-            )
-        return IntervalReal.enclose(spec.window_lo, spec.window_hi, bits)
-    raise TypeError(f"not a RealSpec: {spec!r}")
-
-
-def compare_specs(a: RealSpec, b: RealSpec, start_bits: int = DEFAULT_EVAL_BITS) -> Comparison:
-    """Refining comparison of two specs; AmbiguousComparison at the global cap."""
-    exact_a = _exact_value(a)
-    exact_b = _exact_value(b)
-    if exact_a is not None and exact_b is not None:
-        if isinstance(exact_a, Fraction) and isinstance(exact_b, Fraction):
-            return _cmp_to_comparison(exact_a, exact_b, (exact_a == exact_b))
-        if isinstance(exact_a, QuadraticReal) and isinstance(exact_b, QuadraticReal):
-            if exact_a.d == exact_b.d:
-                if exact_a == exact_b:
-                    return Comparison.EQUAL
-                return Comparison.LESS if exact_a < exact_b else Comparison.GREATER
-        else:
-            quad, frac, flip = (
-                (exact_a, exact_b, False)
-                if isinstance(exact_a, QuadraticReal)
-                else (exact_b, exact_a, True)
-            )
-            less = quad < frac
-            if flip:
-                less = not less
-            return Comparison.LESS if less else Comparison.GREATER
-    bits = start_bits
-    cap = max_precision_bits()
-    while True:
-        try:
-            ia = eval_interval(a, bits)
-            ib = eval_interval(b, bits)
-        except PrecisionExceedsInput:
-            ia = eval_interval(a, min(bits, _declared(a)))
-            ib = eval_interval(b, min(bits, _declared(b)))
-            result = compare(ia, ib)
-            if result is Comparison.UNDECIDED:
-                raise AmbiguousComparison(
-                    "inputs too shallow to separate"
-                ) from None
-            return result
-        result = compare(ia, ib)
-        if result is not Comparison.UNDECIDED:
-            return result
-        if bits >= cap:
-            raise AmbiguousComparison(f"undecided at the {cap}-bit cap")
-        bits = min(2 * bits, cap)
-
-
-def _declared(spec: RealSpec) -> int:
-    return spec.declared_bits if isinstance(spec, DecimalSpec) else max_precision_bits()
-
-
-def _exact_value(spec: RealSpec):
-    if isinstance(spec, RationalSpec):
-        return spec.value
-    if isinstance(spec, QuadraticSpec):
-        return spec.value
-    return None
-
-
-def _cmp_to_comparison(a, b, equal: bool) -> Comparison:
-    if equal:
-        return Comparison.EQUAL
-    return Comparison.LESS if a < b else Comparison.GREATER

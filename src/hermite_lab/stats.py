@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError("depth_n must be >= 10")
         if self.precision_bits is not None and self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
     @property
     def effective_bits(self) -> int:

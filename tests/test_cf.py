@@ -26,6 +26,7 @@ from hermite_lab import (
     tail_value,
 )
 from hermite_lab.cf import expansion
+from hermite_lab.hermite import criterion_scan
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
@@ -255,4 +256,85 @@ class TestTailValue:
                 if a is None:
                     break
                 value = 1 / value - a if value else value
-                assert Fraction(session.tn, session.td) == value
+                assert session.tail_fraction_bounds() == (value, value)
+
+
+def _euclid(x: Fraction) -> list[int]:
+    """Plain Euclid on the fraction x in (0, 1)."""
+    num, den = x.numerator, x.denominator
+    quotients = []
+    while num:
+        a, r = divmod(den, num)
+        quotients.append(a)
+        num, den = r, num
+    return quotients
+
+
+def _exact_flags(x: Fraction, count: int) -> list[bool]:
+    """First `count` criterion flags of the rational x0 = x.
+
+    Flag m is false iff the tail after m - 1 quotients exceeds (2y+1)/(y+2),
+    y = q_{m-2}/q_{m-1}; cross-multiplied to stay in integers.
+    """
+    flags = [True]
+    q_prev, q_cur = 0, 1
+    num, den = x.numerator, x.denominator
+    while len(flags) < count:
+        flags.append(num * (q_prev + 2 * q_cur) <= den * (2 * q_prev + q_cur))
+        if num == 0:
+            break
+        a, r = divmod(den, num)
+        num, den = r, num
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return flags
+
+
+class TestWindowEngine:
+    """Rationals and decimals share one Euclid engine on a window [lo, hi]."""
+
+    def test_rational_is_plain_euclid(self):
+        for spec in random_rational_specs(300, 10**12, seed=21):
+            _, x0, _ = reduce_theta(spec)
+            session = expansion(x0)
+            quotients = []
+            while True:
+                a = session.advance()
+                if a is None:
+                    break
+                quotients.append(a)
+            assert quotients == _euclid(x0.value)
+            assert session.terminated and not session.exhausted
+
+    def test_certified_window_agrees_with_every_point(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            bits = rng.randint(64, 200)
+            digits = bits * 30103 // 100000 + 1
+            ulp = Fraction(1, 1 << bits)
+            while True:
+                value = Fraction(rng.randrange(1, 10**digits // 2), 10**digits)
+                if value + ulp <= Fraction(1, 2):
+                    break
+            spec = make_decimal(value, bits)
+            lo, hi = spec.window_lo, spec.window_hi
+            inside = lo + (hi - lo) * Fraction(rng.randrange(1, 1 << 32), 1 << 32)
+            pq = cf_expand(spec, 1000)
+            quotients = pq.quotients
+            flags = criterion_scan(spec, 1000)[0].flags
+            assert quotients and not pq.terminated
+            assert any(f is not None for f in flags[2:])
+            for point in (lo, hi, inside):
+                exact_flags = _exact_flags(point, len(flags))
+                assert tuple(_euclid(point)[: len(quotients)]) == quotients
+                assert len(exact_flags) == len(flags)
+                for k, flag in enumerate(flags):
+                    if flag is not None:
+                        assert flag == exact_flags[k], (spec, point, k)
+
+    def test_one_endpoint_reaching_zero_exhausts_the_window(self):
+        # 3/10 = [0; 3, 3]: the lower endpoint terminates while the upper
+        # one, 2**-64 above it, still shares both quotients
+        session = expansion(parse_real("0.3@64"))
+        quotients = [session.advance(), session.advance(), session.advance()]
+        assert quotients == [3, 3, None]
+        assert session.exhausted and not session.terminated

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from hermite_lab import cli
 
@@ -146,6 +147,14 @@ class TestMeasure:
         mantissa = match.group(1).replace(".", "").lstrip("0")
         assert len(mantissa) <= 15
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_2(self, capsys, tol):
+        code = cli.main(["measure", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestExperiment:
     def test_files_and_record(self, capsys, tmp_path):
@@ -179,6 +188,30 @@ class TestExperiment:
             "undecided",
         ]
         assert len(rows) == 4
+
+    def test_missing_out_directory_exit_2(self, capsys, monkeypatch, tmp_path):
+        def must_not_run(cfg):
+            raise AssertionError("experiment ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "missing" / "run.json"
+        code = cli.main(
+            ["experiment", "--samples", "2", "--depth", "60", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):
+        out = tmp_path / "run.json"
+        argv = ["experiment", "--samples", "2", "--depth", "60", "--out", str(out)]
+        code = cli.main(argv + ["--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_reproducible_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -179,8 +179,9 @@ class TestMeasureV:
         assert _inner_slice(0.0) == 0.5
 
     def test_tolerance_guard(self):
-        with pytest.raises(ValueError):
-            mu_measure_V(1e-13)
+        for tol in (1e-13, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mu_measure_V(tol)
 
     def test_monte_carlo_cross_check(self):
         rng = random.Random(1234)

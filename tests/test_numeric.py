@@ -1,4 +1,4 @@
-"""Parsing, interval evaluation, certified comparison."""
+"""Parsing, quadratic field arithmetic, certified enclosures."""
 
 from __future__ import annotations
 
@@ -9,24 +9,17 @@ import pytest
 from helpers import quad_bounds, random_quadratic_specs
 
 from hermite_lab import (
-    AmbiguousComparison,
-    Comparison,
     DecimalSpec,
     IntervalReal,
     InvalidQuadratic,
     ParseError,
-    PrecisionExceedsInput,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
-    compare,
-    compare_specs,
-    eval_interval,
-    make_decimal,
     parse_real,
     spec_text,
 )
-from hermite_lab.numeric import max_precision_bits, quadratic_or_rational
+from hermite_lab.numeric import quadratic_or_rational
 
 
 class TestParse:
@@ -108,95 +101,46 @@ class TestQuadraticReal:
 
 
 class TestEvalInterval:
+    """Certified enclosures: IntervalReal.from_fraction and QuadraticReal.to_interval."""
+
     def test_dyadic_rational_is_exact(self):
-        box = eval_interval(RationalSpec(Fraction(1, 2)), 64)
+        box = IntervalReal.from_fraction(Fraction(1, 2), 64)
         assert box.lo == box.hi == Fraction(1, 2)
 
     def test_non_dyadic_rational_one_ulp(self):
-        box = eval_interval(RationalSpec(Fraction(1, 3)), 64)
+        box = IntervalReal.from_fraction(Fraction(1, 3), 64)
         assert Fraction(1, 3) in box
         assert box.width <= Fraction(1, 2**64)
 
     def test_quadratic_contains_true_value(self):
-        spec = parse_real("(-3+1*sqrt(21))/6")
-        box = eval_interval(spec, 64)
+        box = QuadraticReal(-3, 1, 6, 21).to_interval(64)
         lo, hi = quad_bounds(-3, 1, 6, 21)  # much tighter independent enclosure
         assert box.lo <= lo and hi <= box.hi
         assert box.width <= Fraction(2) ** (1 - 64) * max(1, abs(box.lo))
 
-    def test_decimal_window(self):
-        spec = make_decimal(Fraction(1, 4), 256)
-        box = eval_interval(spec, 128)
-        assert Fraction(1, 4) in box
-
-    def test_precision_exceeds_input(self):
-        spec = make_decimal(Fraction(1, 4), 256)
-        with pytest.raises(PrecisionExceedsInput):
-            eval_interval(spec, 512)
-
     def test_nesting(self):
-        specs = [
-            RationalSpec(Fraction(22, 7)),
-            parse_real("(-3+1*sqrt(21))/6"),
-            parse_real("(1+1*sqrt(5))/2"),
+        values = [
+            Fraction(22, 7),
+            parse_real("(-3+1*sqrt(21))/6").value,
+            parse_real("(1+1*sqrt(5))/2").value,
         ]
-        for spec in specs:
-            coarse = eval_interval(spec, 32)
-            fine = eval_interval(spec, 128)
+        for value in values:
+            if isinstance(value, Fraction):
+                coarse = IntervalReal.from_fraction(value, 32)
+                fine = IntervalReal.from_fraction(value, 128)
+            else:
+                coarse = value.to_interval(32)
+                fine = value.to_interval(128)
             assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
 class TestCompare:
-    def box(self, lo, hi, bits=16):
-        return IntervalReal.enclose(Fraction(lo), Fraction(hi), bits)
-
-    def test_less(self):
-        assert compare(self.box("0.1", "0.2"), self.box("0.3", "0.4")) is Comparison.LESS
-
-    def test_equal_points_only(self):
-        p = IntervalReal.point(Fraction(1, 2))
-        assert compare(p, p) is Comparison.EQUAL
-
-    def test_undecided_overlap(self):
-        a = self.box("0.1", "0.35")
-        b = self.box("0.3", "0.4")
-        assert compare(a, b) is Comparison.UNDECIDED
-
-    def test_antisymmetry(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            vals = sorted(Fraction(rng.randint(0, 1000), 1000) for _ in range(4))
-            rng.shuffle(vals)
-            a = self.box(min(vals[0], vals[1]), max(vals[0], vals[1]))
-            b = self.box(min(vals[2], vals[3]), max(vals[2], vals[3]))
-            ab, ba = compare(a, b), compare(b, a)
-            if ab is Comparison.LESS:
-                assert ba is Comparison.GREATER
-            if ab is Comparison.GREATER:
-                assert ba is Comparison.LESS
-            if ab is Comparison.EQUAL:
-                assert ba is Comparison.EQUAL
-
     def test_quadratic_sign_always_decided(self):
-        # sign of an exact quadratic against 0 never stays undecided
+        # the sign of an exact quadratic is never undecided, and it agrees
+        # with an independent enclosure
         for spec in random_quadratic_specs(50, seed=3):
-            result = compare_specs(spec, RationalSpec(Fraction(0)))
-            assert result in (Comparison.LESS, Comparison.GREATER)
-
-    def test_decimal_overlap_is_ambiguous(self):
-        a = make_decimal(Fraction(1, 3), 64)
-        b = RationalSpec(Fraction(1, 3))
-        with pytest.raises(AmbiguousComparison):
-            compare_specs(a, b)
-
-    def test_decimal_separated_decides(self):
-        a = make_decimal(Fraction(1, 3), 64)
-        b = RationalSpec(Fraction(1, 2))
-        assert compare_specs(a, b) is Comparison.LESS
-
-
-def test_max_precision_env_override(monkeypatch):
-    monkeypatch.setenv("HERMITE_LAB_MAX_BITS", "4096")
-    assert max_precision_bits() == 4096
-    monkeypatch.delenv("HERMITE_LAB_MAX_BITS")
-    assert max_precision_bits() == 16384
+            x = spec.value
+            sign = x.sign()
+            lo, hi = quad_bounds(x.a, x.b, x.c, x.d)
+            assert sign != 0
+            assert (lo > 0) if sign > 0 else (hi < 0)

@@ -125,6 +125,8 @@ class TestExperiment:
             ExperimentConfig(sample_count=1, depth_n=5)
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, precision_bits=32)
+        with pytest.raises(ValueError):
+            ExperimentConfig(sample_count=1, workers=0)
 
     def test_auto_precision_covers_depth(self):
         assert auto_precision_bits(5000) > 5000 * 3.43
