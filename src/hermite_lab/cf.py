@@ -1,10 +1,12 @@
 """Continued-fraction engine for the reduced input x0 = |theta - nearest(theta)|.
 
 Expansion runs through one of two sessions: exact field arithmetic for
-quadratic irrationals, and lockstep Euclid on both window endpoints for
-decimals and rationals, a rational being the zero-width window (a quotient
-is emitted only when every real consistent with the declared precision
-shares it).
+quadratic irrationals, and lockstep Euclid on both endpoints of a window for
+decimals and rationals, a rational being the zero-width window.  A quotient
+is emitted only when every real in the window shares it.  Long windows
+advance in Lehmer batches: quotients are certified on a small window of
+leading bits that contains both endpoints, and the long remainders take the
+batch's cosequence in one step.
 """
 
 from __future__ import annotations
@@ -140,12 +142,46 @@ class _QuadraticSession:
         return self.tail.to_interval(bits)
 
 
+# A batch starts from the leading _HEAD_BITS of each endpoint and stops once
+# a small-window denominator is down to _CUT_BITS: the window's tails are then
+# still within about 2**(_HEAD_BITS - 2*_CUT_BITS) = 2**-48 of each other, far
+# below the float prefilter's 1e-12 margin, so reading them instead of the
+# exact tails leaves almost no flag to the exact fallback.
+_HEAD_BITS = 256
+_CUT_BITS = 152
+_FLOAT_HEAD_BITS = 128
+
+
+def _head_ratio(n: int, d: int) -> float:
+    """Float n/d from the leading _FLOAT_HEAD_BITS of d, for 0 <= n <= d.
+
+    Truncation adds at most 2**-126 to the float division's rounding error.
+    """
+    s = max(0, d.bit_length() - _FLOAT_HEAD_BITS)
+    return (n >> s) / (d >> s)
+
+
+def _head_bounds(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Small fractions strictly below and above n/d, from d's leading _HEAD_BITS."""
+    s = d.bit_length() - _HEAD_BITS
+    n, d = n >> s, d >> s
+    return (n, d + 1), (n + 1, d)
+
+
 class _WindowSession:
     """Lockstep Euclid on both window endpoints; emits only shared quotients.
 
     A rational is the zero-width window (value, value).  Both remainders
     reaching 0 on the same step means the expansion terminated; one alone,
     or differing quotients, means the window is exhausted.
+
+    Long endpoints advance in Lehmer batches.  The leading bits of both give
+    a small window that contains them, and lockstep Euclid on that window in
+    small ints queues quotients that hold for every real inside it, both true
+    endpoints included.  The long remainders are brought to the current
+    position by the batch's cosequence only when the batch runs out or an
+    exact comparison needs them; meanwhile the float prefilter reads the
+    small window's tails, which bound the true ones.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -154,8 +190,21 @@ class _WindowSession:
         self.count = 0
         self.terminated = False
         self.exhausted = False
+        # quotients of the current batch, the small window before each of
+        # them and after the last, and how many have been emitted: the long
+        # remainders above lag the current position by that many
+        self._batch: list[int] = []
+        self._windows: list[tuple[int, int, int, int]] = []
+        self._used = 0
 
     def advance(self):
+        if self._batch:
+            if self._used < len(self._batch):
+                a = self._batch[self._used]
+                self._used += 1
+                self.count += 1
+                return a
+            self._sync()
         if self.exhausted:
             return None
         if self.an == 0 or self.bn == 0:
@@ -164,6 +213,8 @@ class _WindowSession:
             else:
                 self.exhausted = True
             return None
+        if self.ad >> _HEAD_BITS and self.bd >> _HEAD_BITS and self._start_batch():
+            return self.advance()
         qa, ra = divmod(self.ad, self.an)
         qb, rb = divmod(self.bd, self.bn)
         if qa != qb:
@@ -174,12 +225,53 @@ class _WindowSession:
         self.count += 1
         return qa
 
+    def _start_batch(self) -> bool:
+        """Queue the quotients that the leading bits of both endpoints certify.
+
+        Needs both denominators longer than _HEAD_BITS.
+        """
+        (ln, ld), (un, ud) = _head_bounds(self.an, self.ad)
+        (ln2, ld2), (un2, ud2) = _head_bounds(self.bn, self.bd)
+        if ln2 * ld < ln * ld2:
+            ln, ld = ln2, ld2
+        if un2 * ud > un * ud2:
+            un, ud = un2, ud2
+        batch = []
+        windows = [(ln, ld, un, ud)]
+        while ln and un and min(ld, ud).bit_length() > _CUT_BITS:
+            qa, ra = divmod(ld, ln)
+            qb, rb = divmod(ud, un)
+            if qa != qb:
+                break
+            ln, ld, un, ud = ra, ln, rb, un
+            batch.append(qa)
+            windows.append((ln, ld, un, ud))
+        self._batch, self._windows = batch, windows
+        return bool(batch)
+
+    def _sync(self):
+        """Bring the long remainders to the current position; drop the batch.
+
+        After quotients a_1..a_j with convergents p_k/q_k, Euclid's
+        remainders are |q_j n - p_j d| and |q_{j-1} n - p_{j-1} d|.
+        """
+        if self._used:
+            p0, p1, q0, q1 = 1, 0, 0, 1
+            for a in self._batch[: self._used]:
+                p0, p1 = p1, a * p1 + p0
+                q0, q1 = q1, a * q1 + q0
+            an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
+            self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
+            self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
+        self._batch, self._windows, self._used = [], [], 0
+
     def _endpoint_cmp(self, n, d, num, den):
         lhs = n * den
         rhs = d * num
         return (lhs > rhs) - (lhs < rhs)
 
     def tail_gt(self, num: int, den: int):
+        self._sync()
         s1 = self._endpoint_cmp(self.an, self.ad, num, den)
         s2 = self._endpoint_cmp(self.bn, self.bd, num, den)
         if s1 > 0 and s2 > 0:
@@ -189,12 +281,16 @@ class _WindowSession:
         return None
 
     def tail_float_bounds(self):
-        x1 = float_ratio(self.an, self.ad)
-        x2 = float_ratio(self.bn, self.bd)
+        if self._batch:
+            an, ad, bn, bd = self._windows[self._used]
+            x1, x2 = an / ad, bn / bd
+        else:
+            x1, x2 = _head_ratio(self.an, self.ad), _head_ratio(self.bn, self.bd)
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
         return max(0.0, lo - 1e-12), hi + 1e-12
 
     def tail_fraction_bounds(self) -> tuple[Fraction, Fraction]:
+        self._sync()
         t1 = Fraction(self.an, self.ad)
         t2 = Fraction(self.bn, self.bd)
         return (t1, t2) if t1 <= t2 else (t2, t1)

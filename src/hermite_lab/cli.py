@@ -229,8 +229,15 @@ def _cmd_experiment(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with the one line `error: <message>`, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermite-lab",
         description="Minimal vectors, Hermite best approximations, Gauss-map statistics",
     )

@@ -27,7 +27,12 @@ _SQUAREFREE_TRIAL_BOUND = 100_000
 
 
 def squarefree_split(d: int) -> tuple[int, int]:
-    """Write d = f**2 * d0 with d0 square-free (trial division to 1e5)."""
+    """Write d = f**2 * d0 with d0 square-free (trial division to 1e5).
+
+    Raises InvalidQuadratic when trial division stops at the bound with a
+    cofactor above 1e10 that is not a perfect square: it may still hide the
+    square of a prime above 1e5.
+    """
     f = 1
     p = 2
     while p * p <= d and p <= _SQUAREFREE_TRIAL_BOUND:
@@ -39,6 +44,11 @@ def squarefree_split(d: int) -> tuple[int, int]:
     if r * r == d:
         f *= r
         d = 1
+    elif p * p <= d:
+        raise InvalidQuadratic(
+            "radicand has a factor above 1e10 that trial division to "
+            f"{_SQUAREFREE_TRIAL_BOUND} cannot certify square-free"
+        )
     return f, d
 
 

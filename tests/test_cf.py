@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -270,13 +271,14 @@ def _euclid(x: Fraction) -> list[int]:
     return quotients
 
 
-def _exact_flags(x: Fraction, count: int) -> list[bool]:
-    """First `count` criterion flags of the rational x0 = x.
+def _exact_flags(x: Fraction, count: int) -> tuple[list[bool], list[int]]:
+    """First `count` criterion flags of the rational x0 = x, and the
+    quotients read on the way.
 
     Flag m is false iff the tail after m - 1 quotients exceeds (2y+1)/(y+2),
     y = q_{m-2}/q_{m-1}; cross-multiplied to stay in integers.
     """
-    flags = [True]
+    flags, quotients = [True], []
     q_prev, q_cur = 0, 1
     num, den = x.numerator, x.denominator
     while len(flags) < count:
@@ -284,52 +286,152 @@ def _exact_flags(x: Fraction, count: int) -> list[bool]:
         if num == 0:
             break
         a, r = divmod(den, num)
+        quotients.append(a)
         num, den = r, num
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return flags
+    return flags, quotients
+
+
+def _lockstep(lo: Fraction, hi: Fraction):
+    """Unbatched lockstep Euclid on both endpoints, one divmod pair a step.
+
+    Returns the shared quotients, the remainder pairs (an, ad, bn, bd) at
+    every index, and whether both remainders reached 0 on the same step.
+    """
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    quotients, states = [], [(an, ad, bn, bd)]
+    while an and bn:
+        qa, ra = divmod(ad, an)
+        qb, rb = divmod(bd, bn)
+        if qa != qb:
+            break
+        an, ad, bn, bd = ra, an, rb, bn
+        quotients.append(qa)
+        states.append((an, ad, bn, bd))
+    return quotients, states, an == bn == 0
+
+
+def _assert_plain_euclid(specs) -> None:
+    for spec in specs:
+        _, x0, _ = reduce_theta(spec)
+        session = expansion(x0)
+        quotients = []
+        while True:
+            a = session.advance()
+            if a is None:
+                break
+            quotients.append(a)
+        assert quotients == _euclid(x0.value)
+        assert session.terminated and not session.exhausted
+
+
+def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
+    """Every certified quotient and decided flag holds at lo, hi and inside.
+
+    `draw_bits(rng)` gives each window's declared precision.
+    """
+    for _ in range(count):
+        bits = draw_bits(rng)
+        digits = bits * 30103 // 100000 + 1
+        ulp = Fraction(1, 1 << bits)
+        while True:
+            value = Fraction(rng.randrange(1, 10**digits // 2), 10**digits)
+            if value + ulp <= Fraction(1, 2):
+                break
+        spec = make_decimal(value, bits)
+        lo, hi = spec.window_lo, spec.window_hi
+        inside = lo + (hi - lo) * Fraction(rng.randrange(1, 1 << 32), 1 << 32)
+        depth = max(1000, bits)
+        pq = cf_expand(spec, depth)
+        quotients = pq.quotients
+        flags = criterion_scan(spec, depth)[0].flags
+        assert quotients and not pq.terminated
+        assert len(flags) == len(quotients) + 2
+        assert any(f is not None for f in flags[2:])
+        for point in (lo, hi, inside):
+            exact_flags, exact_quotients = _exact_flags(point, len(flags))
+            assert tuple(exact_quotients[: len(quotients)]) == quotients
+            assert len(exact_flags) == len(flags)
+            for k, flag in enumerate(flags):
+                if flag is not None:
+                    assert flag == exact_flags[k], (spec, point, k)
 
 
 class TestWindowEngine:
     """Rationals and decimals share one Euclid engine on a window [lo, hi]."""
 
     def test_rational_is_plain_euclid(self):
-        for spec in random_rational_specs(300, 10**12, seed=21):
-            _, x0, _ = reduce_theta(spec)
-            session = expansion(x0)
-            quotients = []
-            while True:
-                a = session.advance()
-                if a is None:
-                    break
-                quotients.append(a)
-            assert quotients == _euclid(x0.value)
-            assert session.terminated and not session.exhausted
+        _assert_plain_euclid(random_rational_specs(300, 10**12, seed=21))
+
+    def test_long_rational_is_plain_euclid(self):
+        # denominators past _HEAD_BITS: the expansion runs in batches
+        rng = random.Random(23)
+        specs = []
+        for _ in range(60):
+            den = rng.getrandbits(rng.randint(300, 5000)) | 1
+            specs.append(RationalSpec(Fraction(rng.randrange(1, den), den)))
+        _assert_plain_euclid(specs)
+
+    def test_rational_next_to_a_quotient_boundary_is_plain_euclid(self):
+        # x = p/q +- delta, delta about 2**-256 x: a quotient boundary (p/q)
+        # lies within the truncation error of the 256-bit batch window, so
+        # a window that fails to contain x certifies a wrong quotient
+        rng = random.Random(27)
+        specs = []
+        for _ in range(300):
+            q = rng.randint(10**8, 10**9)
+            p = rng.randint(1, q // 2 - 1)
+            scale = rng.randrange(1 << 267, 1 << 268)
+            delta = Fraction(p * rng.randrange(1, 1 << 12), q * scale)
+            specs.append(RationalSpec(Fraction(p, q) + rng.choice((-1, 1)) * delta))
+        _assert_plain_euclid(specs)
 
     def test_certified_window_agrees_with_every_point(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            bits = rng.randint(64, 200)
-            digits = bits * 30103 // 100000 + 1
-            ulp = Fraction(1, 1 << bits)
-            while True:
-                value = Fraction(rng.randrange(1, 10**digits // 2), 10**digits)
-                if value + ulp <= Fraction(1, 2):
-                    break
-            spec = make_decimal(value, bits)
-            lo, hi = spec.window_lo, spec.window_hi
-            inside = lo + (hi - lo) * Fraction(rng.randrange(1, 1 << 32), 1 << 32)
-            pq = cf_expand(spec, 1000)
-            quotients = pq.quotients
-            flags = criterion_scan(spec, 1000)[0].flags
-            assert quotients and not pq.terminated
-            assert any(f is not None for f in flags[2:])
-            for point in (lo, hi, inside):
-                exact_flags = _exact_flags(point, len(flags))
-                assert tuple(_euclid(point)[: len(quotients)]) == quotients
-                assert len(exact_flags) == len(flags)
-                for k, flag in enumerate(flags):
-                    if flag is not None:
-                        assert flag == exact_flags[k], (spec, point, k)
+        _assert_windows_agree(random.Random(17), 200, lambda r: r.randint(64, 200))
+
+    def test_long_window_agrees_with_every_point(self):
+        # log-uniform in 300..4000 bits: every window starts in batches
+        _assert_windows_agree(
+            random.Random(19), 100, lambda r: round(300 * (4000 / 300) ** r.random())
+        )
+
+    def test_tails_mid_batch_match_unbatched_lockstep(self):
+        rng = random.Random(29)
+        inputs = [
+            make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
+            make_decimal(Fraction(rng.randrange(1, 10**750), 2 * 10**750), 2500),
+            RationalSpec(Fraction(rng.getrandbits(2000), (1 << 2001) + 1)),
+        ]
+        for x0 in inputs:
+            lo, hi = (
+                (x0.value, x0.value)
+                if isinstance(x0, RationalSpec)
+                else (x0.window_lo, x0.window_hi)
+            )
+            quotients, states, terminated = _lockstep(lo, hi)
+            session = expansion(x0)  # only ever read through copies
+            poked = expansion(x0)  # read directly, dropping its batches
+            batched = 0
+            for k, (an, ad, bn, bd) in enumerate(states):
+                ends = (Fraction(an, ad), Fraction(bn, bd))
+                assert copy.copy(session).tail_fraction_bounds() == tuple(sorted(ends))
+                num = rng.randint(1, 999)
+                for cut in (Fraction(num, rng.randint(num + 1, 1000)), ends[0]):
+                    above = [end > cut for end in ends]
+                    expected = True if all(above) else False if not any(above) else None
+                    got = copy.copy(session).tail_gt(cut.numerator, cut.denominator)
+                    assert got == expected, (k, cut)
+                if rng.random() < 0.3:
+                    poked.tail_gt(num, 1000)
+                if rng.random() < 0.3:
+                    poked.tail_fraction_bounds()
+                batched += bool(session._batch)
+                expected_a = quotients[k] if k < len(quotients) else None
+                assert session.advance() == expected_a
+                assert poked.advance() == expected_a
+            assert batched > len(states) // 2
+            for s in (session, poked):
+                assert (s.terminated, s.exhausted) == (terminated, not terminated)
 
     def test_one_endpoint_reaching_zero_exhausts_the_window(self):
         # 3/10 = [0; 3, 3]: the lower endpoint terminates while the upper

@@ -57,6 +57,10 @@ class TestExpand:
         code, _ = run_cli(capsys, "expand", "--theta", "abc", "--n", "5")
         assert code == 2
 
+    def test_uncertifiable_radicand_exit_2(self, capsys):
+        code, out = run_cli(capsys, "expand", "--theta", "(1+1*sqrt(30001800027))/7", "--n", "5")
+        assert code == 2 and out == ""
+
     def test_integer_exit_2(self, capsys):
         code, _ = run_cli(capsys, "expand", "--theta", "5", "--n", "5")
         assert code == 2
@@ -243,3 +247,30 @@ def test_every_record_validates(capsys, tmp_path):
         code, record = run_json(capsys, *argv)
         assert code == 0
         assert record["command"] == argv[0]
+
+
+class TestArgumentRejections:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--tol", "-inf"],  # argparse reads -inf as an option
+            ["expand", "--theta", "3/8"],  # --n missing
+            ["bogus"],  # unknown subcommand
+        ],
+    )
+    def test_one_line_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_help_keeps_full_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: hermite-lab")
+        assert "experiment" in captured.out

@@ -19,7 +19,7 @@ from hermite_lab import (
     parse_real,
     spec_text,
 )
-from hermite_lab.numeric import quadratic_or_rational
+from hermite_lab.numeric import quadratic_or_rational, squarefree_split
 
 
 class TestParse:
@@ -70,6 +70,22 @@ class TestQuadraticReal:
     def test_squarefree_normalization(self):
         # sqrt(8) = 2*sqrt(2)
         assert quadratic_or_rational(0, 1, 1, 8) == QuadraticReal(0, 2, 1, 2)
+
+    def test_small_radicands_unchanged(self):
+        for d in range(2, 3000):
+            f = max(k for k in range(1, 60) if d % (k * k) == 0)
+            assert squarefree_split(d) == (f, d // (f * f))
+        # a square of a prime past the trial bound is found when the
+        # cofactor left is itself that square
+        assert squarefree_split(4 * 100003**2) == (2 * 100003, 1)
+
+    def test_uncertifiable_radicand_rejected(self):
+        # 30001800027 = 3 * 100003**2: trial division stops at 1e5 with the
+        # non-square cofactor 30001800027, which would otherwise pass as
+        # square-free and make this real differ from (1+100003*sqrt(3))/7
+        with pytest.raises(InvalidQuadratic):
+            parse_real("(1+1*sqrt(30001800027))/7")
+        assert parse_real("(1+100003*sqrt(3))/7").value.d == 3
 
     def test_inverse_roundtrip(self):
         x = QuadraticReal(-3, 1, 6, 21)
