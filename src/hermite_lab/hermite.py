@@ -5,8 +5,9 @@
 * envelope: exact lower envelope of the norms |X_k| under the one-parameter
   family of Euclidean norms (lines A*tau + B in the parameter tau = t^4);
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
-  q^2/Delta over a grid of Delta values, a deliberately approximate
-  consistency check.
+  q^2/Delta over a grid of Delta values.  Only the grid is approximate (it
+  can miss a sliver); at each grid value the argmin is exact, computed on
+  the lines scaled once to integers and compared as p + r*sqrt(d).
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -33,6 +34,7 @@ from .numeric import (
     RationalSpec,
     RealSpec,
     float_ratio,
+    surd_sign,
 )
 
 _PREFILTER_MARGIN = 1e-9
@@ -336,27 +338,67 @@ def _as_fraction_ceil(tau) -> Fraction:
     return tau.to_interval(64).hi
 
 
+def _surd_parts(value) -> tuple[int, int, int, int]:
+    """(e, f, g, d) with value = (e + f*sqrt(d))/g and g > 0; f = d = 0 if rational."""
+    if isinstance(value, QuadraticReal):
+        return value.a, value.b, value.c, value.d
+    return value.numerator, 0, value.denominator, 0
+
+
+def _integer_lines(lines) -> tuple[int, list[tuple[int, int, int]]]:
+    """Radicand d and triples (X, Y, Z) with L*A = X + Y*sqrt(d), L*B = Z.
+
+    L > 0 is one common denominator of every A and (rational) B, so the
+    scaled lines keep the order of the lines at every Delta.  d = 0 when
+    every A is rational.
+    """
+    radicand = 0
+    scale = 1
+    parts = []
+    for A, B in lines:
+        a, b, c, d = _surd_parts(A)
+        if d:
+            if radicand and d != radicand:
+                raise ValueError("mixed radicands")
+            radicand = d
+        scale = math.lcm(scale, c, B.denominator)
+        parts.append((a, b, c, B))
+    return radicand, [
+        (a * (scale // c), b * (scale // c), B.numerator * (scale // B.denominator))
+        for a, b, c, B in parts
+    ]
+
+
 def _scan_witnesses(line_sets, grid) -> set[int]:
-    """Indices minimizing A*Delta + B for some grid Delta, on every line set."""
+    """Indices minimizing A*Delta + B for some grid Delta, on every line set.
+
+    Runs on integers: each line set is scaled once to triples (X, Y, Z), and
+    a grid value Delta = (e + f*sqrt(d))/g scales every line value by L*g > 0
+    to p + r*sqrt(d), p = X*e + Y*f*d + Z*g and r = X*f + Y*e.  The argmin is
+    exact: values compare by `surd_sign` of their difference, and every line
+    equal to the minimum (p and r both equal, as sqrt(d) is irrational) is
+    kept, so exact ties are all witnessed.  A rational line set takes the
+    radicand of a quadratic Delta; two different radicands raise ValueError.
+    """
+    scaled = [_integer_lines(lines) for lines in line_sets]
     witnessed: set[int] = set()
     for delta in grid:
-        if not delta > 0:
+        e, f, g, delta_d = _surd_parts(delta)
+        if surd_sign(e, f, delta_d) <= 0:
             raise ValueError("grid values must be positive")
-        per_set = []
-        for lines in line_sets:
-            best = None
-            argmins: list[int] = []
-            for k, (A, B) in enumerate(lines):
-                value = A * delta + B
-                if best is None or value < best:
-                    best = value
-                    argmins = [k]
-                elif not (value > best):  # exact tie
-                    argmins.append(k)
-            per_set.append(set(argmins))
-        agreed = per_set[0]
-        for other in per_set[1:]:
-            agreed = agreed & other
+        agreed = None
+        for radicand, triples in scaled:
+            if f and radicand and radicand != delta_d:
+                raise ValueError("mixed radicands")
+            d = radicand or delta_d
+            fd = f * d
+            values = [(X * e + Y * fd + Z * g, X * f + Y * e) for X, Y, Z in triples]
+            best = values[0] if values else None
+            for p, r in values:
+                if surd_sign(p - best[0], r - best[1], d) < 0:
+                    best = (p, r)
+            argmins = {k for k, v in enumerate(values) if v == best}
+            agreed = argmins if agreed is None else agreed & argmins
         witnessed |= agreed
     return witnessed
 

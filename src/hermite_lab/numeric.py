@@ -52,6 +52,21 @@ def squarefree_split(d: int) -> tuple[int, int]:
     return f, d
 
 
+def surd_sign(p: int, r: int, d: int) -> int:
+    """Exact sign of p + r*sqrt(d) for integers p, r and a non-square d >= 2.
+
+    The radicand is read only when p and r have opposite signs; d = 0 is
+    fine when r = 0.
+    """
+    sp = (p > 0) - (p < 0)
+    sr = (r > 0) - (r < 0)
+    if sp == sr or sr == 0:
+        return sp
+    if sp == 0:
+        return sr
+    return sr if r * r * d > p * p else sp
+
+
 def ln_big(n: int) -> float:
     """Natural log of a positive integer of arbitrary size."""
     if n <= 0:
@@ -216,14 +231,7 @@ class QuadraticReal:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b > 0:
-            if a >= 0:
-                return 1
-            return 1 if b * b * d > a * a else -1
-        if a <= 0:
-            return -1
-        return 1 if a * a > b * b * d else -1
+        return surd_sign(self.a, self.b, self.d)
 
     def __abs__(self):
         return self if self.sign() > 0 else -self
@@ -252,6 +260,15 @@ class QuadraticReal:
 
     # --- field arithmetic (exact; mixed with int / Fraction)
 
+    def _same_field(self, a: int, b: int, c: int):
+        """(a + b*sqrt(d))/c in this number's field, d already square-free."""
+        if b == 0:
+            return Fraction(a, c)
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = gcd(gcd(a, b), c)
+        return QuadraticReal(a // g, b // g, c // g, self.d)
+
     def _coerce(self, other):
         if isinstance(other, QuadraticReal):
             if other.d != self.d:
@@ -268,12 +285,10 @@ class QuadraticReal:
         if isinstance(other, QuadraticReal):
             a = self.a * other.c + other.a * self.c
             b = self.b * other.c + other.b * self.c
-            return quadratic_or_rational(a, b, self.c * other.c, self.d)
+            return self._same_field(a, b, self.c * other.c)
         fr = Fraction(other)
         a = self.a * fr.denominator + fr.numerator * self.c
-        return quadratic_or_rational(
-            a, self.b * fr.denominator, self.c * fr.denominator, self.d
-        )
+        return self._same_field(a, self.b * fr.denominator, self.c * fr.denominator)
 
     __radd__ = __add__
 
@@ -296,17 +311,17 @@ class QuadraticReal:
         if isinstance(other, QuadraticReal):
             a = self.a * other.a + self.b * other.b * self.d
             b = self.a * other.b + self.b * other.a
-            return quadratic_or_rational(a, b, self.c * other.c, self.d)
+            return self._same_field(a, b, self.c * other.c)
         fr = Fraction(other)
-        return quadratic_or_rational(
-            self.a * fr.numerator, self.b * fr.numerator, self.c * fr.denominator, self.d
+        return self._same_field(
+            self.a * fr.numerator, self.b * fr.numerator, self.c * fr.denominator
         )
 
     __rmul__ = __mul__
 
     def inverse(self):
         norm = self.a * self.a - self.b * self.b * self.d  # nonzero: value irrational
-        return quadratic_or_rational(self.c * self.a, -self.c * self.b, norm, self.d)
+        return self._same_field(self.c * self.a, -self.c * self.b, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -274,3 +274,53 @@ class TestArgumentRejections:
         assert exc.value.code == 0
         assert captured.out.startswith("usage: hermite-lab")
         assert "experiment" in captured.out
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+_FUZZ_THETAS = [
+    "5", "-3", "0", "0/5", "3/8", "-22/7", "355/113", "1/1000003",
+    "0.5@64", "-0.123456789@64", "-2.75", "0.3819660112501051517954131@64",
+    "(1+1*sqrt(5))/2", "(-3+1*sqrt(21))/6", "(1+1*sqrt(4))/2",
+    "(1+1*sqrt(0))/2", "(1+1*sqrt(-5))/2",
+]
+_FUZZ_N = ["-1", "0", "1", "2", "3", "40"]
+_FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7"]
+
+
+def _fuzz_grid():
+    for theta in _FUZZ_THETAS:
+        for n in _FUZZ_N:
+            yield ["expand", "--theta", theta, "--n", n]
+            yield ["flags", "--theta", theta, "--n", n, "--verify"]
+            yield ["flags", "--theta", theta, "--n", n, "--format", "csv"]
+    for x in _FUZZ_COORDS:
+        for y in _FUZZ_COORDS:
+            yield ["orbit", "--x", x, "--y", y, "--n", "3"]
+    for tol in ["1e-300", "0", "1e-13", "0.5", "1e308"]:
+        yield ["measure", "--tol", tol]
+
+
+def test_fuzzed_arguments_exit_with_documented_codes(capsys):
+    # every call succeeds with strict, schema-valid JSON (or CSV) or fails
+    # with a documented exit code and a one-line message
+    for argv in _fuzz_grid():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        if code != 0:
+            assert captured.out == "", argv
+            assert len(captured.err.splitlines()) == 1, argv
+            assert captured.err.startswith("error: "), argv
+        elif "csv" in argv:
+            rows = list(csv.reader(io.StringIO(captured.out)))
+            assert rows and rows[0][0] == "index", argv
+        else:
+            record = json.loads(captured.out, parse_constant=_reject_constant)
+            jsonschema.validate(record, SCHEMA)
+            assert record["command"] == argv[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,19 @@ from hermite_lab import (
     flags_via_delta_scan,
     flags_via_envelope,
     hermite_subsequence,
+    make_decimal,
     next_minimal,
     parse_real,
+    quadratic_or_rational,
 )
-from hermite_lab.hermite import _lower_envelope, _scan_witnesses
+from hermite_lab.hermite import (
+    _envelope_transitions,
+    _line_data,
+    _lower_envelope,
+    _scan_witnesses,
+    _theta_values_for_lines,
+    default_delta_grid,
+)
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
@@ -200,6 +210,119 @@ class TestDeltaScan:
     def test_boundary_tie_witnessed(self):
         scan = flags_via_delta_scan(BOUNDARY_TIE, 10)
         assert scan.flags == (True, True, True, True, True)
+
+
+def _reference_witnesses(line_sets, grid) -> set[int]:
+    """The scan in Fraction/QuadraticReal arithmetic, compared with < and >."""
+    witnessed: set[int] = set()
+    for delta in grid:
+        if not delta > 0:
+            raise ValueError("grid values must be positive")
+        per_set = []
+        for lines in line_sets:
+            best = None
+            argmins: list[int] = []
+            for k, (A, B) in enumerate(lines):
+                value = A * delta + B
+                if best is None or value < best:
+                    best = value
+                    argmins = [k]
+                elif not (value > best):  # exact tie
+                    argmins.append(k)
+            per_set.append(set(argmins))
+        agreed = per_set[0]
+        for other in per_set[1:]:
+            agreed = agreed & other
+        witnessed |= agreed
+    return witnessed
+
+
+def _scan_inputs(spec, depth: int):
+    """Line sets of the spec's minimal vectors and the envelope's exact hand-overs."""
+    seq = complete_sequence(spec, depth)
+    line_sets = [_line_data(seq, value) for value in _theta_values_for_lines(spec)]
+    taus = [tau for tau, _, _ in _envelope_transitions(seq)]
+    return line_sets, taus
+
+
+class TestScanAgainstReference:
+    """The integer-form scan equals the object-arithmetic scan, ties included."""
+
+    def _assert_same(self, line_sets, grid):
+        assert _scan_witnesses(line_sets, grid) == _reference_witnesses(line_sets, grid)
+
+    def test_random_inputs_on_default_and_hand_over_grids(self):
+        rng = random.Random(171)
+        decimals = [
+            make_decimal(Fraction(rng.randrange(1, 1 << 80), 1 << 80), 64)
+            for _ in range(6)
+        ]
+        specs = (
+            [(spec, 10**6) for spec in random_rational_specs(12, 10**9, seed=172)]
+            + [(spec, 40) for spec in decimals]
+            + [(spec, 10) for spec in random_quadratic_specs(8, seed=173)]
+            + [(BOUNDARY_TIE, 10), (Q21, 12)]
+        )
+        for spec, depth in specs:
+            line_sets, taus = _scan_inputs(spec, depth)
+            grid = default_delta_grid(taus)
+            self._assert_same(line_sets, grid[::4])
+            self._assert_same(line_sets, taus)  # every value an exact tie
+
+    def test_quadratic_delta_on_rational_lines(self):
+        root2 = quadratic_or_rational(0, 1, 1, 2)
+        for spec in random_rational_specs(10, 10**6, seed=174):
+            line_sets, taus = _scan_inputs(spec, 10**6)
+            grid = [tau * root2 for tau in taus] + [tau / root2 for tau in taus]
+            self._assert_same(line_sets, grid)
+
+    def test_planted_three_line_tie(self):
+        lines = [
+            (Fraction(4), Fraction(0)),
+            (Fraction(2), Fraction(2)),
+            (Fraction(1), Fraction(3)),
+            (Fraction(0), Fraction(5)),
+        ]
+        assert _scan_witnesses([lines], [Fraction(1)]) == {0, 1, 2}
+        # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
+        delta = quadratic_or_rational(-1, 1, 1, 5)
+        surd_lines = [(Fraction(3 - B) / delta, Fraction(B)) for B in (0, 1, 2)]
+        surd_lines.append((Fraction(0), Fraction(5)))
+        grid = [Fraction(1), delta, delta * 2]
+        assert _scan_witnesses([surd_lines], [delta]) == {0, 1, 2}
+        self._assert_same([surd_lines], grid)
+
+    def test_mixed_radicands_raise(self):
+        line_sets, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
+        root3 = quadratic_or_rational(0, 1, 1, 3)
+        with pytest.raises(ValueError, match="mixed radicands"):
+            _scan_witnesses(line_sets, [Fraction(1), root3])
+
+    def test_non_positive_delta_rejected(self):
+        line_sets, _ = _scan_inputs(THETA38, 10)
+        for delta in (Fraction(0), Fraction(-1), quadratic_or_rational(1, -1, 1, 2)):
+            with pytest.raises(ValueError, match="positive"):
+                _scan_witnesses(line_sets, [delta])
+
+
+class TestAgreementAtScale:
+    """criterion == envelope == delta scan on inputs larger than criterion 5's."""
+
+    def test_rationals_at_full_depth(self):
+        for spec in random_rational_specs(100, 10**12, seed=181):
+            criterion = flags_via_criterion(spec, 10**6)
+            envelope = flags_via_envelope(complete_sequence(spec, 10**6))
+            scan = flags_via_delta_scan(spec, len(criterion.flags))
+            assert decided_agree(criterion, envelope)
+            assert decided_agree(envelope, scan)
+
+    def test_quadratics_at_depth_50(self):
+        for spec in random_quadratic_specs(10, seed=182):
+            criterion = flags_via_criterion(spec, 50)
+            envelope = flags_via_envelope(complete_sequence(spec, 49))
+            scan = flags_via_delta_scan(spec, 50)
+            assert decided_agree(criterion, envelope)
+            assert decided_agree(envelope, scan)
 
 
 class TestSubsequence:

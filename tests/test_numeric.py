@@ -19,7 +19,7 @@ from hermite_lab import (
     parse_real,
     spec_text,
 )
-from hermite_lab.numeric import quadratic_or_rational, squarefree_split
+from hermite_lab.numeric import quadratic_or_rational, squarefree_split, surd_sign
 
 
 class TestParse:
@@ -108,6 +108,48 @@ class TestQuadraticReal:
         assert QuadraticReal(-5, 1, 1, 21).sign() == -1  # sqrt(21) < 5
         assert QuadraticReal(3, -1, 1, 5).sign() == 1
         assert QuadraticReal(2, -1, 1, 5).sign() == -1
+
+    def test_same_field_ops_equal_full_normalization(self):
+        # +, *, inverse and - keep the operand's radicand without re-deriving
+        # it; each must still equal quadratic_or_rational on raw coefficients
+        rng = random.Random(31)
+        for _ in range(400):
+            x = random_quadratic_specs(1, rng.randrange(10**6))[0].value
+            a, b, c, d = x.a, x.b, x.c, x.d
+            if rng.random() < 0.5:
+                y = quadratic_or_rational(
+                    rng.randint(-20, 20), rng.choice((-4, -1, 2, 3)), rng.randint(1, 12), d
+                )
+            else:  # -x + r, or the conjugate: the sum or product is rational
+                y = rng.choice((-x + Fraction(rng.randint(-5, 5), 3), Fraction(2 * a, c) - x))
+            if isinstance(y, QuadraticReal):
+                e, f, g = y.a, y.b, y.c
+                assert x + y == quadratic_or_rational(a * g + e * c, b * g + f * c, c * g, d)
+                assert x * y == quadratic_or_rational(a * e + b * f * d, a * f + b * e, c * g, d)
+            r = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+            assert x + r == quadratic_or_rational(
+                a * r.denominator + r.numerator * c, b * r.denominator, c * r.denominator, d
+            )
+            assert x * r == quadratic_or_rational(
+                a * r.numerator, b * r.numerator, c * r.denominator, d
+            )
+            assert x.inverse() == quadratic_or_rational(c * a, -c * b, a * a - b * b * d, d)
+            assert -x == quadratic_or_rational(-a, -b, c, d)
+            for result in (x + y, x * y, x.inverse(), -x):
+                if isinstance(result, QuadraticReal):
+                    assert result.d == d
+
+    def test_surd_sign_against_enclosure(self):
+        rng = random.Random(32)
+        for _ in range(2000):
+            d = rng.choice((2, 3, 5, 7, 10, 21))
+            p = rng.randint(-10**6, 10**6)
+            r = rng.randint(-10**4, 10**4)
+            lo, hi = quad_bounds(p, r, 1, d)
+            expected = 1 if lo > 0 else -1 if hi < 0 else 0
+            assert surd_sign(p, r, d) == expected
+        assert surd_sign(0, 0, 2) == 0
+        assert surd_sign(-7, 0, 0) == -1
 
     def test_order_against_fraction(self):
         root2 = QuadraticReal(0, 1, 1, 2)
