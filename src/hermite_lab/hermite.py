@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cf import expansion, reduce_theta
 from .errors import (
@@ -29,9 +29,8 @@ from .errors import (
 )
 from .lattice import MinimalVector, complete_sequence
 from .numeric import (
+    DecimalSpec,
     QuadraticReal,
-    QuadraticSpec,
-    RationalSpec,
     RealSpec,
     float_ratio,
     surd_sign,
@@ -56,11 +55,11 @@ class HermiteFlags:
 
     @property
     def decided_count(self) -> int:
-        return sum(1 for f in self.flags if f is not None)
+        return len(self.flags) - self.undecided_count
 
     @property
     def undecided_count(self) -> int:
-        return sum(1 for f in self.flags if f is None)
+        return self.flags.count(None)
 
 
 @dataclass(frozen=True)
@@ -116,40 +115,37 @@ def _region_flag(session, q_prev: int, q_cur: int, y_float: float) -> Optional[b
 
 @dataclass(frozen=True)
 class ScanState:
-    """Where a criterion scan stopped: deepest certified denominator pair."""
+    """Where a criterion scan stopped: deepest certified denominator pair.
+
+    `hermite_q` is the denominator of the deepest vector flagged True at an
+    index of 1 or more (0 if there is none); its rank among the Hermite
+    vectors is the scan's final count of True flags at those indices.
+    """
 
     quotient_count: int
     q_prev: int
     q_cur: int
     terminated: bool
     exhausted: bool
+    hermite_q: int
 
 
-def criterion_scan(
-    theta: RealSpec,
-    n: int,
-    observer: Callable[[int, Optional[bool], int], None] | None = None,
-) -> tuple[HermiteFlags, ScanState]:
-    """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass.
-
-    `observer(index, flag, q)` is called for every emitted flag with q the
-    second coordinate of the flagged vector.
-    """
+def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
+    """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass."""
     if n < 2:
         raise ValueError("need n >= 2")
     _, x0, _ = reduce_theta(theta)
     session = expansion(x0)
     flags: list[Optional[bool]] = [True]  # X_0 = (1, 0) by convention
-    if observer is not None:
-        observer(0, True, 0)
     q_prev, q_cur = 0, 1
+    hermite_q = 0
     y_float = 0.0
     m = 1
     while m <= n - 1:
         flag = _region_flag(session, q_prev, q_cur, y_float)
         flags.append(flag)
-        if observer is not None:
-            observer(m, flag, q_cur)
+        if flag:
+            hermite_q = q_cur
         a = session.advance()
         if a is None:
             break
@@ -157,7 +153,7 @@ def criterion_scan(
         y_float = 1.0 / (a + y_float)
         m += 1
     state = ScanState(
-        session.count, q_prev, q_cur, session.terminated, session.exhausted
+        session.count, q_prev, q_cur, session.terminated, session.exhausted, hermite_q
     )
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 
@@ -237,55 +233,48 @@ def _lower_envelope(lines) -> tuple[list[bool], list[tuple]]:
     return touch, transitions
 
 
-def _theta_values_for_lines(theta: RealSpec):
-    if isinstance(theta, RationalSpec):
-        return [theta.value]
-    if isinstance(theta, QuadraticSpec):
-        return [theta.value]
-    return [theta.window_lo, theta.window_hi]
+def _envelopes(seq: Sequence[MinimalVector]):
+    """One envelope pass over the sequence: (flags, transitions, line sets).
 
-
-def _merge_flags(per_value_flags: list[list[bool]]) -> list[Optional[bool]]:
-    merged = []
-    for entries in zip(*per_value_flags):
-        merged.append(entries[0] if all(e == entries[0] for e in entries) else None)
-    return merged
+    The line sets hold one set per theta value (both window endpoints of a
+    decimal).  The flags merge the per-value touch flags, None where they
+    differ; the last index of a truncated sequence is withheld (None), as its
+    status can depend on vectors not yet in the candidate set.  The exact
+    (tau, left, right) hand-overs are those of the first theta value.
+    """
+    if len(seq) < 3:
+        raise InsufficientSequence("need at least 3 minimal vectors")
+    theta = seq[0].theta
+    if isinstance(theta, DecimalSpec):
+        values = [theta.window_lo, theta.window_hi]
+    else:
+        values = [theta.value]
+    line_sets = [_line_data(seq, value) for value in values]
+    envelopes = [_lower_envelope(lines) for lines in line_sets]
+    flags = [
+        column[0] if all(f == column[0] for f in column) else None
+        for column in zip(*(touch for touch, _ in envelopes))
+    ]
+    if not seq[-1].is_zero_v1():
+        flags[-1] = None
+    return flags, envelopes[0][1], line_sets
 
 
 def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
     """Flags from the exact envelope over the given complete-sequence prefix.
 
-    The last index of a truncated sequence is withheld (None): its status can
-    depend on vectors not yet in the candidate set.  Terminated rational
-    sequences are complete, so every index is reported.
+    The last index of a truncated sequence is withheld (None).  Terminated
+    rational sequences are complete, so every index is reported.
     """
-    if len(seq) < 3:
-        raise InsufficientSequence("need at least 3 minimal vectors")
-    theta = seq[0].theta
-    per_value = [
-        _lower_envelope(_line_data(seq, value))[0]
-        for value in _theta_values_for_lines(theta)
-    ]
-    flags = _merge_flags(per_value)
-    terminated = seq[-1].is_zero_v1()
-    if not terminated:
-        flags[-1] = None
-    return HermiteFlags(theta, tuple(flags), "envelope")
-
-
-def _envelope_transitions(seq: Sequence[MinimalVector]) -> list[tuple]:
-    """Exact (tau, left, right) hand-overs of the envelope at the first theta value."""
-    value = _theta_values_for_lines(seq[0].theta)[0]
-    return _lower_envelope(_line_data(seq, value))[1]
+    flags = _envelopes(seq)[0]
+    return HermiteFlags(seq[0].theta, tuple(flags), "envelope")
 
 
 def envelope_breakpoints(seq: Sequence[MinimalVector]) -> list[EnvelopeBreakpoint]:
     """Hand-over points of the envelope, as s = t^2 = sqrt(tau)."""
-    if len(seq) < 3:
-        raise InsufficientSequence("need at least 3 minimal vectors")
     return [
         EnvelopeBreakpoint(math.sqrt(_to_float(tau)), left, right)
-        for tau, left, right in _envelope_transitions(seq)
+        for tau, left, right in _envelopes(seq)[1]
     ]
 
 
@@ -417,8 +406,8 @@ def flags_via_delta_scan(
     seq = complete_sequence(theta, n - 1)
     if len(seq) < 3:
         raise InsufficientSequence("fewer than 3 minimal vectors exist")
-    envelope = flags_via_envelope(seq)
-    taus = [tau for tau, _, _ in _envelope_transitions(seq)]
+    envelope, transitions, line_sets = _envelopes(seq)
+    taus = [tau for tau, _, _ in transitions]
     if delta_grid is None:
         grid = default_delta_grid(taus)
     else:
@@ -426,11 +415,8 @@ def flags_via_delta_scan(
             value if isinstance(value, Fraction) else Fraction(value)
             for value in delta_grid
         ]
-    line_sets = [
-        _line_data(seq, value) for value in _theta_values_for_lines(theta)
-    ]
     witnessed = _scan_witnesses(line_sets, grid)
-    must_witness = {k for k, f in enumerate(envelope.flags) if f is True}
+    must_witness = {k for k, f in enumerate(envelope) if f is True}
     if not must_witness <= witnessed:
         extra = list(taus)
         previous = None
@@ -444,13 +430,8 @@ def flags_via_delta_scan(
         raise GridTooCoarse(
             f"vectors {missing} have no witnessing Delta even after refinement"
         )
-    flags: list[Optional[bool]] = [k in witnessed for k in range(len(seq))]
-    for k, env_flag in enumerate(envelope.flags):
-        if env_flag is None:
-            flags[k] = None
-    if not seq[-1].is_zero_v1():
-        flags[-1] = None
-    return HermiteFlags(theta, tuple(flags), "delta_scan")
+    flags = tuple(None if f is None else k in witnessed for k, f in enumerate(envelope))
+    return HermiteFlags(theta, flags, "delta_scan")
 
 
 # ---------------------------------------------------------------------------

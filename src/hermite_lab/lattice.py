@@ -42,10 +42,6 @@ class MinimalVector:
     index: int
     theta: RealSpec = field(repr=False, compare=False)
 
-    @property
-    def v2(self) -> int:
-        return self.q
-
     def v1_exact(self):
         """Exact v1 for rational and quadratic theta; None for decimal."""
         if isinstance(self.theta, RationalSpec):

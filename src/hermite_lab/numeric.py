@@ -242,9 +242,6 @@ class QuadraticReal:
         n = (self.a + low) // self.c
         return n + 1 if (self - (n + 1)).sign() >= 0 else n
 
-    def frac(self) -> "QuadraticReal":
-        return self - math.floor(self)
-
     def to_interval(self, bits: int) -> IntervalReal:
         prec = bits + max(self.b.bit_length(), self.c.bit_length()) + 8
         while True:

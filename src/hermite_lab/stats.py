@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import HermiteLabError
+from .errors import PrecisionExceedsInput
 from .hermite import criterion_scan
+from .lattice import complete_sequence
 from .numeric import DecimalSpec, RealSpec, ln_big, make_decimal, spec_text
 
 HERMITE_PROPORTION = math.log(3) / math.log(4)  # 0.79248125036...
@@ -192,74 +193,27 @@ def _short_id(spec: RealSpec) -> str:
     return text if len(text) <= 40 else f"{text[:28]}...({len(text)})"
 
 
-class _ScanRecorder:
-    """Collects counts, the deepest Hermite denominator and checkpoint rows."""
-
-    def __init__(self, checkpoints: Sequence[int] = ()):
-        self.decided = 0
-        self.true_count = 0
-        self.undecided = 0
-        self.deepest_h = None
-        self.deepest_h_rank = 0
-        self.rows = []
-        self._checkpoints = sorted(set(checkpoints))
-
-    def __call__(self, index: int, flag, q: int) -> None:
-        if index == 0:
-            return  # X_0 is conventional; proportions count q >= 1 vectors
-        if flag is None:
-            self.undecided += 1
-        else:
-            self.decided += 1
-            if flag:
-                self.true_count += 1
-                self.deepest_h = q
-                self.deepest_h_rank = self.true_count
-        if self._checkpoints and index == self._checkpoints[0]:
-            self._checkpoints.pop(0)
-            self.rows.append(
-                (
-                    index,
-                    self.decided,
-                    self.true_count / self.decided if self.decided else None,
-                    ln_big(q) / index if q >= 1 else None,
-                    ln_big(self.deepest_h) / self.deepest_h_rank
-                    if self.deepest_h and self.deepest_h >= 1
-                    else None,
-                )
-            )
-
-
 def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:
     """Flags, Hermite proportion, denominator growth rates for one input."""
-    recorder = _ScanRecorder()
-    flags, state = criterion_scan(spec, n, observer=recorder)
+    flags, state = criterion_scan(spec, n)
+    # X_0 is conventional; proportions count the q >= 1 vectors
+    decided = flags.decided_count - 1
+    true_count = flags.flags.count(True) - 1
     quotient_count = state.quotient_count
     levy = ln_big(state.q_cur) / quotient_count if quotient_count >= 1 else None
-    growth = None
-    if recorder.deepest_h and recorder.deepest_h >= 1 and recorder.deepest_h_rank >= 1:
-        growth = ln_big(recorder.deepest_h) / recorder.deepest_h_rank
-    proportion = (
-        recorder.true_count / recorder.decided if recorder.decided else None
-    )
+    growth = ln_big(state.hermite_q) / true_count if state.hermite_q else None
     return ThetaReport(
         theta_id=_short_id(spec),
         depth=len(flags.flags),
-        n_flags_decided=recorder.decided,
-        hermite_count=recorder.true_count,
-        proportion=proportion,
+        n_flags_decided=decided,
+        hermite_count=true_count,
+        proportion=true_count / decided if decided else None,
         levy_rate=levy,
         hermite_growth=growth,
-        undecided_count=recorder.undecided,
+        undecided_count=flags.undecided_count,
         quotient_count=quotient_count,
         terminated=state.terminated,
     )
-
-
-def _checkpoint_rows(spec: RealSpec, n: int, checkpoints: Sequence[int]) -> list[tuple]:
-    recorder = _ScanRecorder(checkpoints)
-    criterion_scan(spec, n, observer=recorder)
-    return recorder.rows
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         else:
             accepted.append(report)
     if not accepted:
-        raise HermiteLabError("every sample was rejected; raise precision_bits")
+        raise PrecisionExceedsInput("every sample was rejected; raise precision_bits")
     return AggregateReport(
         sample_count=cfg.sample_count,
         depth=cfg.depth_n,
@@ -351,27 +305,50 @@ def convergence_table(
     checkpoints = list(checkpoints)
     if checkpoints != sorted(checkpoints) or len(set(checkpoints)) != len(checkpoints):
         raise ValueError("checkpoints must be strictly increasing")
+    if any(n < 1 for n in checkpoints):
+        raise ValueError("checkpoints must be >= 1")
     if not checkpoints:
         return []
-    if isinstance(target, ExperimentConfig):
+    single = not isinstance(target, ExperimentConfig)
+    if single:
+        specs, depth = [target], max(checkpoints) + 1
+    else:
+        specs = _experiment_samples(target)
         depth = max(max(checkpoints) + 1, target.depth_n)
-        per_sample = [
-            _checkpoint_rows(spec, depth, checkpoints)
-            for spec in _experiment_samples(target)
-        ]
+    wanted = set(checkpoints)
+    per_sample = []
+    for spec in specs:
+        flags = criterion_scan(spec, depth)[0].flags
+        seq = complete_sequence(spec, len(flags) - 1)
         rows = []
-        for i, n in enumerate(checkpoints):
-            cells = [sample[i] for sample in per_sample if len(sample) > i]
-            if not cells:
-                continue
-            averaged = [n]
-            for col in range(1, len(_TABLE_COLUMNS)):
-                values = [c[col] for c in cells if c[col] is not None]
-                averaged.append(sum(values) / len(values) if values else None)
-            rows.append(dict(zip(_TABLE_COLUMNS, averaged)))
-        return rows
-    depth = max(checkpoints) + 1
-    return [
-        dict(zip(_TABLE_COLUMNS, row))
-        for row in _checkpoint_rows(target, depth, checkpoints)
-    ]
+        decided = true_count = hermite_q = 0
+        for index in range(1, len(flags)):
+            if flags[index] is not None:
+                decided += 1
+            if flags[index]:
+                true_count += 1
+                hermite_q = seq[index].q
+            if index in wanted:
+                rows.append(
+                    (
+                        index,
+                        decided,
+                        true_count / decided if decided else None,
+                        ln_big(seq[index].q) / index,
+                        ln_big(hermite_q) / true_count if hermite_q else None,
+                    )
+                )
+        per_sample.append(rows)
+    if single:
+        return [dict(zip(_TABLE_COLUMNS, row)) for row in per_sample[0]]
+    rows = []
+    for i, n in enumerate(checkpoints):
+        cells = [sample[i] for sample in per_sample if len(sample) > i]
+        if not cells:
+            continue
+        averaged = [n]
+        for col in range(1, len(_TABLE_COLUMNS)):
+            values = [c[col] for c in cells if c[col] is not None]
+            averaged.append(sum(values) / len(values) if values else None)
+        rows.append(dict(zip(_TABLE_COLUMNS, averaged)))
+    return rows

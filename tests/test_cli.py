@@ -217,6 +217,19 @@ class TestExperiment:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_every_sample_rejected_exit_3(self, capsys, tmp_path):
+        # 64 bits cannot certify 400 flags: running out of precision is exit 3
+        out = tmp_path / "run.json"
+        argv = ["experiment", "--samples", "2", "--depth", "400", "--out", str(out)]
+        code = cli.main(argv + ["--precision-bits", "64"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: every sample was rejected; raise precision_bits"
+        ]
+        assert not out.exists()
+
     def test_reproducible_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "experiment", "--samples", "2", "--depth", "60", "--seed", "9", "--out", str(a))
@@ -324,3 +337,39 @@ def test_fuzzed_arguments_exit_with_documented_codes(capsys):
             record = json.loads(captured.out, parse_constant=_reject_constant)
             jsonschema.validate(record, SCHEMA)
             assert record["command"] == argv[0]
+
+
+def _experiment_fuzz_grid(tmp_path):
+    outs = [tmp_path / "fuzz.json", tmp_path / "missing" / "fuzz.json"]
+    for samples in ["1", "2"]:
+        for depth in ["-1", "0", "9", "10", "12"]:
+            for bits in [[], ["--precision-bits", "32"], ["--precision-bits", "64"]]:
+                for workers in ["0", "1"]:
+                    for out in outs:
+                        yield [
+                            "experiment", "--samples", samples, "--depth", depth,
+                            "--workers", workers, "--out", str(out), *bits,
+                        ]
+
+
+def test_fuzzed_experiment_exits_with_documented_codes(capsys, tmp_path):
+    codes = set()
+    for argv in _experiment_fuzz_grid(tmp_path):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+        captured = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert captured.out == "", argv
+            assert len(captured.err.splitlines()) == 1, argv
+            assert captured.err.startswith("error: "), argv
+        else:
+            record = json.loads(captured.out, parse_constant=_reject_constant)
+            jsonschema.validate(record, SCHEMA)
+            assert record["command"] == "experiment"
+            out = Path(record["results"]["out_json"])
+            json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert {0, 2} <= codes  # 64 bits still certify 12 flags: exit 3 is tested above

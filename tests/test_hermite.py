@@ -23,11 +23,10 @@ from hermite_lab import (
     quadratic_or_rational,
 )
 from hermite_lab.hermite import (
-    _envelope_transitions,
-    _line_data,
+    _envelopes,
     _lower_envelope,
     _scan_witnesses,
-    _theta_values_for_lines,
+    criterion_scan,
     default_delta_grid,
 )
 
@@ -75,6 +74,22 @@ class TestCriterion:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             flags_via_criterion(GOLDEN, 1)
+
+    def test_hermite_q_is_the_deepest_true_denominator(self):
+        rng = random.Random(103)
+        decimals = [
+            make_decimal(Fraction(rng.randrange(1, 1 << 96), 1 << 96), 64) for _ in range(6)
+        ]
+        specs = [Q21, THETA38, BOUNDARY_TIE] + decimals + random_rational_specs(
+            10, 10**6, seed=104
+        )
+        for spec in specs:
+            for n in (40, 41, 60):  # Q21's flags end on False at an odd depth
+                flags, state = criterion_scan(spec, n)
+                seq = complete_sequence(spec, len(flags) - 1)
+                deepest = max(k for k, f in enumerate(flags.flags) if f is True)
+                assert deepest >= 1
+                assert state.hermite_q == seq[deepest].q
 
     def test_boundary_tie_is_hermite(self):
         # x_1 = 4/5 equals (2y+1)/(y+2) at y = 1/2: not in V, so X_2 stays
@@ -239,9 +254,8 @@ def _reference_witnesses(line_sets, grid) -> set[int]:
 
 def _scan_inputs(spec, depth: int):
     """Line sets of the spec's minimal vectors and the envelope's exact hand-overs."""
-    seq = complete_sequence(spec, depth)
-    line_sets = [_line_data(seq, value) for value in _theta_values_for_lines(spec)]
-    taus = [tau for tau, _, _ in _envelope_transitions(seq)]
+    _, transitions, line_sets = _envelopes(complete_sequence(spec, depth))
+    taus = [tau for tau, _, _ in transitions]
     return line_sets, taus
 
 

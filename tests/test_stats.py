@@ -155,3 +155,20 @@ class TestConvergenceTable:
     def test_unsorted_checkpoints_rejected(self):
         with pytest.raises(ValueError):
             convergence_table(GOLDEN, [20, 10])
+
+    @pytest.mark.parametrize("checkpoints", [[0, 10], [-3, 10]])
+    def test_checkpoints_below_one_rejected(self, checkpoints):
+        with pytest.raises(ValueError):
+            convergence_table(GOLDEN, checkpoints)
+        cfg = ExperimentConfig(sample_count=2, depth_n=20, seed=13)
+        with pytest.raises(ValueError):
+            convergence_table(cfg, checkpoints)
+
+    def test_rows_match_analyze_theta(self):
+        # the last checkpoint row and the report describe the same prefix
+        for spec in [Q21, sample_thetas(5, 1, 1024)[0], parse_real("355/113")]:
+            report = analyze_theta(spec, 120)
+            row = convergence_table(spec, [report.depth - 1])[-1]
+            assert row["decided"] == report.n_flags_decided
+            assert row["proportion"] == report.proportion
+            assert row["hermite_growth"] == report.hermite_growth
