@@ -24,6 +24,7 @@ from .errors import (
     MisalignedInput,
     NotConsecutive,
     OrbitTerminates,
+    OutOfFloatRange,
     ParseError,
     PrecisionExceedsInput,
     SequenceEnds,

@@ -3,11 +3,15 @@
 * criterion: the pair orbit under the two-dimensional Gauss-map extension,
   skipping X_{k+1} exactly when the orbit point lands in the region V;
 * envelope: exact lower envelope of the norms |X_k| under the one-parameter
-  family of Euclidean norms (lines A*tau + B in the parameter tau = t^4);
+  family of Euclidean norms (lines A*tau + B in the parameter tau = t^4).
+  Each line is built once as an integer triple from the vector's (p, q) and
+  the integer coordinates of theta = (n + b*sqrt(d))/c, and hand-overs are
+  compared by cross-multiplication, so no Fraction or QuadraticReal is built
+  inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
   q^2/Delta over a grid of Delta values.  Only the grid is approximate (it
   can miss a sliver); at each grid value the argmin is exact, computed on
-  the lines scaled once to integers and compared as p + r*sqrt(d).
+  the envelope's integer lines and compared as p + r*sqrt(d).
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .cf import expansion, reduce_theta
@@ -32,7 +37,7 @@ from .numeric import (
     DecimalSpec,
     QuadraticReal,
     RealSpec,
-    float_ratio,
+    sqrt_ratio,
     surd_sign,
 )
 
@@ -166,81 +171,85 @@ def flags_via_criterion(theta: RealSpec, n: int) -> HermiteFlags:
 # method 2: exact norm envelope
 
 
-def _to_float(value) -> float:
-    if isinstance(value, Fraction):
-        sign = -1 if value < 0 else 1
-        return sign * float_ratio(abs(value.numerator), value.denominator)
+def _line_set(seq: Sequence[MinimalVector], value: Fraction | QuadraticReal):
+    """(L, d, lines): the norm lines A*tau + B at theta = (n + b*sqrt(d))/c.
+
+    Vector (p, q) has c*v1 = u - q*b*sqrt(d) with u = p*c - q*n, so its line
+    is the integer triple (X, Y, Z) = (u^2 + q^2*b^2*d, -2*u*q*b, q^2): with
+    the scale L = c^2, L*A = X + Y*sqrt(d) and B = Z.  b = d = 0 for a
+    rational theta value.
+    """
     if isinstance(value, QuadraticReal):
-        return float(value) if max(abs(value.a), abs(value.b), value.c).bit_length() < 500 else value.to_interval(64).to_float()
-    return float(value)
-
-
-def _line_data(seq: Sequence[MinimalVector], theta_value: Fraction | QuadraticReal):
-    """(A_k, B_k) for the lines A*tau + B, A = v1^2, B = v2^2, exact."""
+        n, b, c, d = value.a, value.b, value.c, value.d
+    else:
+        n, b, c, d = value.numerator, 0, value.denominator, 0
+    bbd = b * b * d
     lines = []
     for vec in seq:
-        if vec.q == 0:
-            v1 = Fraction(vec.p)
-        else:
-            v1 = Fraction(vec.p) - theta_value * vec.q
-        lines.append((v1 * v1, Fraction(vec.q * vec.q)))
+        q = vec.q
+        u = vec.p * c - q * n
+        lines.append((u * u + bbd * q * q, -2 * b * q * u, q * q))
     for k in range(1, len(lines)):
-        if not lines[k - 1][0] > lines[k][0]:
+        if surd_sign(lines[k - 1][0] - lines[k][0], lines[k - 1][1] - lines[k][1], d) <= 0:
             raise AmbiguousComparison(
                 f"|v1| not strictly decreasing at index {k}: not a certified prefix"
             )
-    return lines
+    return c * c, d, lines
 
 
-def _lower_envelope(lines) -> tuple[list[bool], list[tuple]]:
-    """Touch flags and transitions of the lower envelope of A*tau + B on tau > 0.
+def _lower_envelope(lines, d: int) -> tuple[list[bool], list[tuple]]:
+    """Touch flags and hand-overs of the lower envelope of the lines on tau > 0.
 
-    Slopes strictly decrease and intercepts strictly increase with the index.
-    A line that meets the envelope in a single point (exact three-line tie)
-    still counts as touching: it is shortest for that norm.
+    The lines are triples (X, Y, Z) as `_line_set` builds them: slopes
+    X + Y*sqrt(d) strictly decrease and intercepts Z strictly increase with
+    the index.  Line m takes over from line j at tau = L*N/(U + V*sqrt(d))
+    with N = Z_m - Z_j, U = X_j - X_m and V = Y_j - Y_m; the denominator is
+    positive, so two hand-overs (N, U, V) compare by one cross-multiplication
+    and `surd_sign`.  A line that meets the envelope in a single point
+    (exact three-line tie) still counts as touching: it is shortest for
+    that norm.
     """
     count = len(lines)
     touch = [False] * count
-    stack: list[tuple[int, object]] = []
+    stack = [(0, 0, 1, 0)]  # (line, N, U, V) where it starts: line 0 at tau = 0
     tentative = []
-    for m in range(count):
-        A_m, B_m = lines[m]
-        if not stack:
-            stack.append((m, Fraction(0)))
-            continue
-        while stack:
-            j, start_j = stack[-1]
-            A_j, B_j = lines[j]
-            tau = (B_m - B_j) / (A_j - A_m)
-            if tau > start_j:
-                stack.append((m, tau))
+    for m in range(1, count):
+        X_m, Y_m, Z_m = lines[m]
+        while True:  # every hand-over lies above 0, so line 0 is never popped
+            j, N_j, U_j, V_j = stack[-1]
+            X_j, Y_j, Z_j = lines[j]
+            N, U, V = Z_m - Z_j, X_j - X_m, Y_j - Y_m
+            side = surd_sign(N * U_j - N_j * U, N * V_j - N_j * V, d)
+            if side > 0:
+                stack.append((m, N, U, V))
                 break
             stack.pop()
-            if tau == start_j:
-                tentative.append((j, start_j))
-        else:
-            raise AssertionError("line 0 starts the envelope and is never popped")
-    for j, _ in stack:
+            if side == 0:
+                tentative.append((j, N_j, U_j, V_j))
+    for j, *_ in stack:
         touch[j] = True
-    for j, tau in tentative:
-        A_j, B_j = lines[j]
-        value_j = A_j * tau + B_j
-        if all(not (lines[k][0] * tau + lines[k][1] < value_j) for k in range(count)):
+    for j, N, U, V in tentative:
+        X_j, Y_j, Z_j = lines[j]
+        # no line lies below line j at its hand-over, both sides scaled by U + V*sqrt(d)
+        if all(
+            surd_sign((X - X_j) * N + (Z - Z_j) * U, (Y - Y_j) * N + (Z - Z_j) * V, d) >= 0
+            for X, Y, Z in lines
+        ):
             touch[j] = True
-    transitions = [
-        (stack[i + 1][1], stack[i][0], stack[i + 1][0]) for i in range(len(stack) - 1)
+    handovers = [
+        (stack[i + 1][1:], stack[i][0], stack[i + 1][0]) for i in range(len(stack) - 1)
     ]
-    return touch, transitions
+    return touch, handovers
 
 
 def _envelopes(seq: Sequence[MinimalVector]):
-    """One envelope pass over the sequence: (flags, transitions, line sets).
+    """One envelope pass over the sequence: (flags, hand-overs, line sets).
 
     The line sets hold one set per theta value (both window endpoints of a
     decimal).  The flags merge the per-value touch flags, None where they
     differ; the last index of a truncated sequence is withheld (None), as its
     status can depend on vectors not yet in the candidate set.  The exact
-    (tau, left, right) hand-overs are those of the first theta value.
+    ((N, U, V), left, right) hand-overs are those of the first line set.
     """
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
@@ -249,8 +258,8 @@ def _envelopes(seq: Sequence[MinimalVector]):
         values = [theta.window_lo, theta.window_hi]
     else:
         values = [theta.value]
-    line_sets = [_line_data(seq, value) for value in values]
-    envelopes = [_lower_envelope(lines) for lines in line_sets]
+    line_sets = [_line_set(seq, value) for value in values]
+    envelopes = [_lower_envelope(lines, d) for _, d, lines in line_sets]
     flags = [
         column[0] if all(f == column[0] for f in column) else None
         for column in zip(*(touch for touch, _ in envelopes))
@@ -258,6 +267,35 @@ def _envelopes(seq: Sequence[MinimalVector]):
     if not seq[-1].is_zero_v1():
         flags[-1] = None
     return flags, envelopes[0][1], line_sets
+
+
+def _tau(line_set, handover) -> tuple[int, int, int]:
+    """Hand-over (N, U, V) of the line set as (e, f, g): tau = (e + f*sqrt(d))/g, g > 0."""
+    scale, d, _ = line_set
+    N, U, V = handover
+    if not V:
+        return scale * N, 0, U
+    e, f, g = scale * N * U, -scale * N * V, U * U - V * V * d
+    return (e, f, g) if g > 0 else (-e, -f, -g)
+
+
+def _root(e: int, f: int, g: int, d: int) -> float:
+    """sqrt(tau) for tau = (e + f*sqrt(d))/g > 0, rounded from tau in lowest terms.
+
+    A rational tau is rounded as `numeric.float_ratio`; a quadratic one in
+    float arithmetic while its coefficients stay under 500 bits, else from
+    the midpoint of a 64-bit enclosure.
+    """
+    if not f:
+        k = math.gcd(e, g)
+        return sqrt_ratio(e // k, g // k)
+    k = math.gcd(e, f, g)
+    tau = QuadraticReal(e // k, f // k, g // k, d)
+    if max(abs(tau.a), abs(tau.b), tau.c).bit_length() < 500:
+        return math.sqrt(float(tau))
+    box = tau.to_interval(64)
+    mid = (box.lo + box.hi) / 2
+    return sqrt_ratio(mid.numerator, mid.denominator)
 
 
 def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
@@ -271,118 +309,77 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
 
 
 def envelope_breakpoints(seq: Sequence[MinimalVector]) -> list[EnvelopeBreakpoint]:
-    """Hand-over points of the envelope, as s = t^2 = sqrt(tau)."""
+    """Hand-over points of the envelope, as s = t^2 = sqrt(tau).
+
+    Raises OutOfFloatRange where s itself exceeds the float range.
+    """
+    _, handovers, line_sets = _envelopes(seq)
+    d = line_sets[0][1]
     return [
-        EnvelopeBreakpoint(math.sqrt(_to_float(tau)), left, right)
-        for tau, left, right in _envelopes(seq)[1]
+        EnvelopeBreakpoint(_root(*_tau(line_sets[0], h), d), left, right)
+        for h, left, right in handovers
     ]
 
 
 # ---------------------------------------------------------------------------
 # method 3: quadratic-form grid scan
+#
+# Grid values, like hand-overs, are integer triples (e, f, g) for the number
+# (e + f*sqrt(d))/g, g > 0, in the field of the line sets' radicand d.
 
 
-_GRID_RATIO = Fraction(11548745, 10**7)  # about one sixteenth of a decade
+_GRID_UNIT = 1 << 64  # common denominator of the geometric grid values
 
 
-def _limit_fraction(value: Fraction, bits: int = 64) -> Fraction:
-    shift = value.denominator.bit_length() - bits
-    if shift <= 0:
-        return value
-    return Fraction(value.numerator >> shift, value.denominator >> shift)
+def _floor_bound(e: int, f: int, g: int, d: int) -> int:
+    """An integer at most (e + f*sqrt(d))/g: its floor, or one less."""
+    s = math.isqrt(f * f * d)
+    return (e + s if f >= 0 else e - s - 1) // g
 
 
-def default_delta_grid(taus: list) -> list:
-    """Geometric grid spanning the envelope hand-overs plus interval midpoints."""
-    if not taus:
-        return [Fraction(k) for k in (1, 2, 4, 8)]
-    lo = _as_fraction_floor(taus[0]) / 2
-    hi = _as_fraction_ceil(taus[-1]) * 2
-    grid = []
-    cur = lo
-    while cur <= hi:
-        grid.append(cur)
-        cur = _limit_fraction(cur * _GRID_RATIO)
-    midpoints = []
-    previous = None
-    for tau in taus:
-        if previous is not None:
-            midpoints.append((previous + tau) / 2)
-        previous = tau
-    midpoints.append(taus[0] / 2)
-    midpoints.append(taus[-1] * 2)
-    return grid + midpoints
+def _midpoint(a, b) -> tuple[int, int, int]:
+    (e1, f1, g1), (e2, f2, g2) = a, b
+    return e1 * g2 + e2 * g1, f1 * g2 + f2 * g1, 2 * g1 * g2
 
 
-def _as_fraction_floor(tau) -> Fraction:
-    if isinstance(tau, Fraction):
-        return tau
-    lo = tau.to_interval(64).lo
-    return lo
+def default_delta_grid(taus: list, d: int) -> list:
+    """Geometric grid over the hand-overs `taus` (ascending, not empty) plus midpoints.
 
-
-def _as_fraction_ceil(tau) -> Fraction:
-    if isinstance(tau, Fraction):
-        return tau
-    return tau.to_interval(64).hi
-
-
-def _surd_parts(value) -> tuple[int, int, int, int]:
-    """(e, f, g, d) with value = (e + f*sqrt(d))/g and g > 0; f = d = 0 if rational."""
-    if isinstance(value, QuadraticReal):
-        return value.a, value.b, value.c, value.d
-    return value.numerator, 0, value.denominator, 0
-
-
-def _integer_lines(lines) -> tuple[int, list[tuple[int, int, int]]]:
-    """Radicand d and triples (X, Y, Z) with L*A = X + Y*sqrt(d), L*B = Z.
-
-    L > 0 is one common denominator of every A and (rational) B, so the
-    scaled lines keep the order of the lines at every Delta.  d = 0 when
-    every A is rational.
+    The geometric values share the denominator 2^64, run from about
+    taus[0]/2 to about 2*taus[-1] and step by about one sixteenth of a
+    decade; the midpoints lie between consecutive hand-overs.
     """
-    radicand = 0
-    scale = 1
-    parts = []
-    for A, B in lines:
-        a, b, c, d = _surd_parts(A)
-        if d:
-            if radicand and d != radicand:
-                raise ValueError("mixed radicands")
-            radicand = d
-        scale = math.lcm(scale, c, B.denominator)
-        parts.append((a, b, c, B))
-    return radicand, [
-        (a * (scale // c), b * (scale // c), B.numerator * (scale // B.denominator))
-        for a, b, c, B in parts
-    ]
+    (e, f, g), (e_top, f_top, g_top) = taus[0], taus[-1]
+    cur = _floor_bound(_GRID_UNIT * e, _GRID_UNIT * f, 2 * g, d)  # >= 2^63 - 1: tau >= 1
+    top = -_floor_bound(-2 * _GRID_UNIT * e_top, -2 * _GRID_UNIT * f_top, g_top, d)
+    grid = []
+    while cur <= top:
+        grid.append((cur, 0, _GRID_UNIT))
+        cur = cur * 11548745 // 10**7
+    grid += [_midpoint(a, b) for a, b in zip(taus, taus[1:])]
+    return grid + [(e, f, 2 * g), (2 * e_top, 2 * f_top, g_top)]
 
 
 def _scan_witnesses(line_sets, grid) -> set[int]:
     """Indices minimizing A*Delta + B for some grid Delta, on every line set.
 
-    Runs on integers: each line set is scaled once to triples (X, Y, Z), and
-    a grid value Delta = (e + f*sqrt(d))/g scales every line value by L*g > 0
-    to p + r*sqrt(d), p = X*e + Y*f*d + Z*g and r = X*f + Y*e.  The argmin is
+    Runs on integers: for a line set (L, d, lines) and a grid value
+    Delta = (e + f*sqrt(d))/g, scaling by L*g > 0 turns each line value into
+    p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  The argmin is
     exact: values compare by `surd_sign` of their difference, and every line
     equal to the minimum (p and r both equal, as sqrt(d) is irrational) is
-    kept, so exact ties are all witnessed.  A rational line set takes the
-    radicand of a quadratic Delta; two different radicands raise ValueError.
+    kept, so exact ties are all witnessed.
     """
-    scaled = [_integer_lines(lines) for lines in line_sets]
     witnessed: set[int] = set()
-    for delta in grid:
-        e, f, g, delta_d = _surd_parts(delta)
-        if surd_sign(e, f, delta_d) <= 0:
-            raise ValueError("grid values must be positive")
+    for e, f, g in grid:
         agreed = None
-        for radicand, triples in scaled:
-            if f and radicand and radicand != delta_d:
-                raise ValueError("mixed radicands")
-            d = radicand or delta_d
+        for scale, d, lines in line_sets:
+            if surd_sign(e, f, d) <= 0:
+                raise ValueError("grid values must be positive")
             fd = f * d
-            values = [(X * e + Y * fd + Z * g, X * f + Y * e) for X, Y, Z in triples]
-            best = values[0] if values else None
+            Lg = scale * g
+            values = [(X * e + Y * fd + Z * Lg, X * f + Y * e) for X, Y, Z in lines]
+            best = values[0]
             for p, r in values:
                 if surd_sign(p - best[0], r - best[1], d) < 0:
                     best = (p, r)
@@ -399,31 +396,28 @@ def flags_via_delta_scan(
 
     A grid can miss a vector whose winning parameter interval is a sliver
     (or a single point); the scan then refines once, adding the exact
-    envelope hand-over values, before raising GridTooCoarse.
+    envelope hand-over values, before raising GridTooCoarse.  An explicit
+    `delta_grid` holds rationals.
     """
     if n < 3:
         raise InsufficientSequence("need n >= 3")
     seq = complete_sequence(theta, n - 1)
     if len(seq) < 3:
         raise InsufficientSequence("fewer than 3 minimal vectors exist")
-    envelope, transitions, line_sets = _envelopes(seq)
-    taus = [tau for tau, _, _ in transitions]
+    envelope, handovers, line_sets = _envelopes(seq)
+    d = line_sets[0][1]
+    taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
     if delta_grid is None:
-        grid = default_delta_grid(taus)
+        grid = default_delta_grid(taus, d)
     else:
-        grid = [
-            value if isinstance(value, Fraction) else Fraction(value)
-            for value in delta_grid
-        ]
+        grid = [(v.numerator, 0, v.denominator) for v in map(Fraction, delta_grid)]
     witnessed = _scan_witnesses(line_sets, grid)
     must_witness = {k for k, f in enumerate(envelope) if f is True}
     if not must_witness <= witnessed:
-        extra = list(taus)
-        previous = None
-        for value in sorted(grid):
-            if previous is not None:
-                extra.append((previous + value) / 2)
-            previous = value
+        ordered = sorted(grid, key=cmp_to_key(
+            lambda a, b: surd_sign(a[0] * b[2] - b[0] * a[2], a[1] * b[2] - b[1] * a[2], d)
+        ))
+        extra = taus + [_midpoint(a, b) for a, b in zip(ordered, ordered[1:])]
         witnessed |= _scan_witnesses(line_sets, extra)
     if not must_witness <= witnessed:
         missing = sorted(must_witness - witnessed)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import InvalidQuadratic, ParseError
+from .errors import InvalidQuadratic, OutOfFloatRange, ParseError
 
 DEFAULT_EVAL_BITS = 64
 DEFAULT_DECIMAL_BITS = 256
@@ -77,18 +77,35 @@ def ln_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
+def _ratio_mantissa(num: int, den: int) -> tuple[int, int]:
+    """(m, e) with m = floor(num/den * 2**-e) a 64- or 65-bit integer."""
+    exp = num.bit_length() - den.bit_length() - 64
+    if exp >= 0:
+        return num // (den << exp), exp
+    return (num << -exp) // den, exp
+
+
 def float_ratio(num: int, den: int) -> float:
     """num/den for non-negative big ints of any size, relative error ~2**-63."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     if num == 0:
         return 0.0
-    exp = num.bit_length() - den.bit_length() - 64
-    if exp >= 0:
-        mantissa = num // (den << exp)
-    else:
-        mantissa = (num << -exp) // den
-    return math.ldexp(mantissa, exp)
+    return math.ldexp(*_ratio_mantissa(num, den))
+
+
+def sqrt_ratio(num: int, den: int) -> float:
+    """math.sqrt(float_ratio(num, den)) bit for bit, for positive big ints.
+
+    An even power of two is split off before the square root, so num/den
+    itself may lie far beyond the float range; only a root beyond it raises
+    OutOfFloatRange.
+    """
+    mantissa, exp = _ratio_mantissa(num, den)
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(mantissa, exp & 1)), exp >> 1)
+    except OverflowError:
+        raise OutOfFloatRange(f"sqrt of about 2**{exp + 64} exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

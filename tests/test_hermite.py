@@ -9,8 +9,12 @@ import pytest
 from helpers import no_two_consecutive_false, random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
+    DecimalSpec,
+    HermiteLabError,
     InsufficientSequence,
     MisalignedInput,
+    OutOfFloatRange,
+    RationalSpec,
     complete_sequence,
     envelope_breakpoints,
     flags_via_criterion,
@@ -26,9 +30,11 @@ from hermite_lab.hermite import (
     _envelopes,
     _lower_envelope,
     _scan_witnesses,
+    _tau,
     criterion_scan,
     default_delta_grid,
 )
+from hermite_lab.stats import auto_precision_bits, sample_thetas
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
@@ -43,6 +49,46 @@ def decided_agree(a, b) -> bool:
         for fa, fb in zip(a.flags, b.flags)
         if fa is not None and fb is not None
     )
+
+
+def theta_values(spec) -> list:
+    """The exact theta values the envelope runs on: both ends of a decimal's window."""
+    if isinstance(spec, DecimalSpec):
+        return [spec.window_lo, spec.window_hi]
+    return [spec.value]
+
+
+def exact_lines(seq, value) -> list:
+    """(A_k, B_k) = (v1^2, v2^2) in Fraction / QuadraticReal arithmetic."""
+    lines = []
+    for vec in seq:
+        v1 = Fraction(vec.p) - value * vec.q if vec.q else Fraction(vec.p)
+        lines.append((v1 * v1, Fraction(vec.q * vec.q)))
+    return lines
+
+
+def exact_number(triple, d):
+    """The grid value or hand-over (e + f*sqrt(d))/g as a Fraction or QuadraticReal."""
+    e, f, g = triple
+    return quadratic_or_rational(e, f, g, d) if f else Fraction(e, g)
+
+
+def touch_oracle(lines) -> list[bool]:
+    """flag[k] iff some tau > 0 has line k weakly below every other line."""
+    touch = []
+    for k, (A_k, B_k) in enumerate(lines):
+        low = Fraction(0)
+        high = None
+        for j, (A_j, B_j) in enumerate(lines):
+            if j == k:
+                continue
+            if A_j > A_k:
+                low = max(low, (B_k - B_j) / (A_j - A_k))
+            elif A_j < A_k:
+                bound = (B_j - B_k) / (A_k - A_j)
+                high = bound if high is None else min(high, bound)
+        touch.append(high is None or low <= high)
+    return touch
 
 
 class TestCriterion:
@@ -144,8 +190,13 @@ class TestEnvelope:
             assert decided_agree(criterion, envelope)
 
     def test_boundary_tie_touch(self):
-        flags = flags_via_envelope(complete_sequence(BOUNDARY_TIE, 10))
+        seq = complete_sequence(BOUNDARY_TIE, 10)
+        flags = flags_via_envelope(seq)
         assert flags.flags == (True, True, True, True, True)
+        # the line touching in one point hands over nowhere: hand-overs strictly increase
+        values = [b.s_value for b in envelope_breakpoints(seq)]
+        assert values == sorted(set(values))
+        assert len(values) == 3
 
     def test_breakpoints_increase(self):
         seq = complete_sequence(THETA38, 10)
@@ -168,29 +219,43 @@ class TestEnvelope:
             flags_via_envelope(complete_sequence(GOLDEN, 3)[:2])
 
     def test_against_quantifier_oracle(self):
-        # flag[k] iff some tau > 0 has line k weakly below every other line
-        for spec in random_rational_specs(15, 3000, seed=113):
-            seq = complete_sequence(spec, 10**4)
-            value = spec.value
-            lines = []
-            for vec in seq:
-                v1 = Fraction(vec.p) - value * vec.q
-                lines.append((v1 * v1, Fraction(vec.q * vec.q)))
-            touch, _ = _lower_envelope(lines)
-            for k in range(len(lines)):
-                A_k, B_k = lines[k]
-                low = Fraction(0)
-                high = None
-                for j, (A_j, B_j) in enumerate(lines):
-                    if j == k:
-                        continue
-                    if A_j > A_k:
-                        low = max(low, (B_k - B_j) / (A_j - A_k))
-                    elif A_j < A_k:
-                        bound = (B_j - B_k) / (A_k - A_j)
-                        high = bound if high is None else min(high, bound)
-                feasible = high is None or low <= high
-                assert touch[k] == feasible
+        # the integer envelope of each theta value against the exact oracle,
+        # rationals, quadratics, decimal window endpoints and ties included
+        rng = random.Random(114)
+        decimals = [
+            make_decimal(Fraction(rng.randrange(1, 1 << 80), 1 << 80), 64) for _ in range(4)
+        ]
+        specs = (
+            [(spec, 10**4) for spec in random_rational_specs(15, 3000, seed=113)]
+            + [(spec, 12) for spec in random_quadratic_specs(6, seed=115)]
+            + [(spec, 30) for spec in decimals]
+            + [(BOUNDARY_TIE, 10), (Q21, 12)]
+        )
+        for spec, depth in specs:
+            seq = complete_sequence(spec, depth)
+            line_sets = _envelopes(seq)[2]
+            assert len(line_sets) == len(theta_values(spec))
+            for value, (_, d, lines) in zip(theta_values(spec), line_sets):
+                touch, _ = _lower_envelope(lines, d)
+                assert touch == touch_oracle(exact_lines(seq, value))
+
+    def test_breakpoints_beyond_float_range(self):
+        # tau above 2^1024 still gives s; an s above the float range raises
+        spec = RationalSpec(Fraction((1 << 400) // 3, 1 << 400))
+        seq = complete_sequence(spec, 10**4)
+        lines = exact_lines(seq, spec.value)
+        taus = []
+        for b in envelope_breakpoints(seq):
+            (A_l, B_l), (A_r, B_r) = lines[b.left_index], lines[b.right_index]
+            tau = (B_r - B_l) / (A_l - A_r)
+            assert abs(Fraction(b.s_value) ** 2 - tau) <= tau / 2**50
+            taus.append(tau)
+        assert max(taus) > 2**1024
+        deeper = complete_sequence(RationalSpec(Fraction((1 << 1100) // 3, 1 << 1100)), 10**4)
+        with pytest.raises(OutOfFloatRange) as caught:
+            envelope_breakpoints(deeper)
+        assert isinstance(caught.value, HermiteLabError)
+        assert isinstance(caught.value, OverflowError)
 
 
 class TestDeltaScan:
@@ -204,13 +269,8 @@ class TestDeltaScan:
         assert scan.flags == (True,) * 5
 
     def test_small_delta_selects_origin(self):
-        value = THETA38.value
-        seq = complete_sequence(THETA38, 10)
-        lines = []
-        for vec in seq:
-            v1 = Fraction(vec.p) - value * vec.q
-            lines.append((v1 * v1, Fraction(vec.q * vec.q)))
-        assert _scan_witnesses([lines], [Fraction(1, 10**9)]) == {0}
+        line_sets = _envelopes(complete_sequence(THETA38, 10))[2]
+        assert _scan_witnesses(line_sets, [(1, 0, 10**9)]) == {0}
 
     def test_coarse_grid_refines_once(self):
         scan = flags_via_delta_scan(Q21, 10, delta_grid=[Fraction(1, 10**6)])
@@ -253,17 +313,20 @@ def _reference_witnesses(line_sets, grid) -> set[int]:
 
 
 def _scan_inputs(spec, depth: int):
-    """Line sets of the spec's minimal vectors and the envelope's exact hand-overs."""
-    _, transitions, line_sets = _envelopes(complete_sequence(spec, depth))
-    taus = [tau for tau, _, _ in transitions]
-    return line_sets, taus
+    """Integer and exact line sets of the spec's minimal vectors, and the hand-overs."""
+    seq = complete_sequence(spec, depth)
+    _, handovers, line_sets = _envelopes(seq)
+    taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+    return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], taus
 
 
 class TestScanAgainstReference:
     """The integer-form scan equals the object-arithmetic scan, ties included."""
 
-    def _assert_same(self, line_sets, grid):
-        assert _scan_witnesses(line_sets, grid) == _reference_witnesses(line_sets, grid)
+    def _assert_same(self, line_sets, exact_sets, grid):
+        d = line_sets[0][1]
+        reference = _reference_witnesses(exact_sets, [exact_number(t, d) for t in grid])
+        assert _scan_witnesses(line_sets, grid) == reference
 
     def test_random_inputs_on_default_and_hand_over_grids(self):
         rng = random.Random(171)
@@ -278,43 +341,34 @@ class TestScanAgainstReference:
             + [(BOUNDARY_TIE, 10), (Q21, 12)]
         )
         for spec, depth in specs:
-            line_sets, taus = _scan_inputs(spec, depth)
-            grid = default_delta_grid(taus)
-            self._assert_same(line_sets, grid[::4])
-            self._assert_same(line_sets, taus)  # every value an exact tie
+            line_sets, exact_sets, taus = _scan_inputs(spec, depth)
+            grid = default_delta_grid(taus, line_sets[0][1])
+            self._assert_same(line_sets, exact_sets, grid[::4])
+            self._assert_same(line_sets, exact_sets, taus)  # every value an exact tie
 
     def test_quadratic_delta_on_rational_lines(self):
-        root2 = quadratic_or_rational(0, 1, 1, 2)
         for spec in random_rational_specs(10, 10**6, seed=174):
-            line_sets, taus = _scan_inputs(spec, 10**6)
-            grid = [tau * root2 for tau in taus] + [tau / root2 for tau in taus]
-            self._assert_same(line_sets, grid)
+            line_sets, exact_sets, taus = _scan_inputs(spec, 10**6)
+            # rational lines read in Q(sqrt 2); grid tau*sqrt(2) and tau/sqrt(2)
+            line_sets = [(scale, 2, lines) for scale, _, lines in line_sets]
+            grid = [(0, e, g) for e, _, g in taus] + [(0, e, 2 * g) for e, _, g in taus]
+            self._assert_same(line_sets, exact_sets, grid)
 
     def test_planted_three_line_tie(self):
-        lines = [
-            (Fraction(4), Fraction(0)),
-            (Fraction(2), Fraction(2)),
-            (Fraction(1), Fraction(3)),
-            (Fraction(0), Fraction(5)),
-        ]
-        assert _scan_witnesses([lines], [Fraction(1)]) == {0, 1, 2}
+        lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
+        assert _scan_witnesses([(1, 0, lines)], [(1, 0, 1)]) == {0, 1, 2}
         # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
-        delta = quadratic_or_rational(-1, 1, 1, 5)
-        surd_lines = [(Fraction(3 - B) / delta, Fraction(B)) for B in (0, 1, 2)]
-        surd_lines.append((Fraction(0), Fraction(5)))
-        grid = [Fraction(1), delta, delta * 2]
-        assert _scan_witnesses([surd_lines], [delta]) == {0, 1, 2}
-        self._assert_same([surd_lines], grid)
-
-    def test_mixed_radicands_raise(self):
-        line_sets, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
-        root3 = quadratic_or_rational(0, 1, 1, 3)
-        with pytest.raises(ValueError, match="mixed radicands"):
-            _scan_witnesses(line_sets, [Fraction(1), root3])
+        # A = (3 - B)/Delta = (3 - B)*(1 + sqrt(5))/4, so L = 4, X = Y = 3 - B
+        surd_lines = [(3 - B, 3 - B, B) for B in (0, 1, 2)] + [(0, 0, 5)]
+        delta = (-1, 1, 1)
+        assert _scan_witnesses([(4, 5, surd_lines)], [delta]) == {0, 1, 2}
+        exact = [(Fraction(3 - B) / exact_number(delta, 5), Fraction(B)) for B in (0, 1, 2)]
+        exact.append((Fraction(0), Fraction(5)))
+        self._assert_same([(4, 5, surd_lines)], [exact], [(1, 0, 1), delta, (-2, 2, 1)])
 
     def test_non_positive_delta_rejected(self):
-        line_sets, _ = _scan_inputs(THETA38, 10)
-        for delta in (Fraction(0), Fraction(-1), quadratic_or_rational(1, -1, 1, 2)):
+        line_sets, _, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
+        for delta in ((0, 0, 1), (-1, 0, 1), (1, -1, 1)):  # 1 - sqrt(2) < 0
             with pytest.raises(ValueError, match="positive"):
                 _scan_witnesses(line_sets, [delta])
 
@@ -337,6 +391,15 @@ class TestAgreementAtScale:
             scan = flags_via_delta_scan(spec, 50)
             assert decided_agree(criterion, envelope)
             assert decided_agree(envelope, scan)
+
+    def test_untruncated_deep_sample_at_depth_500(self):
+        # the envelope on a sample of the paper's depth-5000 experiment, all
+        # of its ~19,400 bits; the delta scan stays on short inputs
+        spec = sample_thetas(401, 1, auto_precision_bits(5000))[0]
+        criterion = flags_via_criterion(spec, 500)
+        envelope = flags_via_envelope(complete_sequence(spec, 499))
+        assert envelope.decided_count >= 499
+        assert decided_agree(criterion, envelope)
 
 
 class TestSubsequence:
