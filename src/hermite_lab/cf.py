@@ -1,12 +1,12 @@
 """Continued-fraction engine for the reduced input x0 = |theta - nearest(theta)|.
 
-Expansion runs through one of two sessions: exact field arithmetic for
-quadratic irrationals, and lockstep Euclid on both endpoints of a window for
-decimals and rationals, a rational being the zero-width window.  A quotient
-is emitted only when every real in the window shares it.  Long windows
-advance in Lehmer batches: quotients are certified on a small window of
-leading bits that contains both endpoints, and the long remainders take the
-batch's cosequence in one step.
+Expansion runs through one of two sessions: the classical integer
+recurrence on (P + sqrt(D))/Q for quadratic irrationals, and lockstep Euclid
+on both endpoints of a window for decimals and rationals, a rational being
+the zero-width window.  A quotient is emitted only when every real in the
+window shares it.  Long windows advance in Lehmer batches: quotients are
+certified on a small window of leading bits that contains both endpoints,
+and the long remainders take the batch's cosequence in one step.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .numeric import (
     QuadraticSpec,
     RationalSpec,
     RealSpec,
-    float_ratio,
     make_decimal,
     spec_is_integer,
+    surd_sign,
 )
 
 HALF = Fraction(1, 2)
@@ -107,36 +107,52 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
 
 
 class _QuadraticSession:
-    """Exact arithmetic in Q(sqrt(d)); the expansion never terminates."""
+    """The classical integer recurrence; the expansion never terminates.
+
+    The tail is (P + sqrt(D))/Q with Q dividing D - P**2.  Its inverse is
+    (-P + sqrt(D))/Q' with Q' = (D - P**2)/Q, so a step costs a few integer
+    operations on numbers bounded by 2*sqrt(D) once the tail is reduced, and
+    the state (P, Q) is eventually periodic (Lagrange).
+    """
 
     def __init__(self, value: QuadraticReal):
-        self.tail = value
+        a, b, c = value.a, value.b, value.c
+        if b < 0:
+            a, b, c = -a, -b, -c
+        # scaling by |c| makes Q = c*|c| divide D - P**2 = c**2 * (b**2*d - a**2)
+        self.P, self.f, self.Q, self.d = a * abs(c), b * abs(c), c * abs(c), value.d
+        self.D = self.f * self.f * self.d
+        self.root = math.isqrt(self.D << 128)  # floor(sqrt(D) * 2**64)
+        self.r = self.root >> 64
         self.count = 0
         self.terminated = False
         self.exhausted = False
 
     def advance(self):
-        inv = self.tail.inverse()
-        a = math.floor(inv)
-        self.tail = inv - a
+        P, Q = -self.P, (self.D - self.P * self.P) // self.Q
+        # floor((P + sqrt(D))/Q) with r = floor(sqrt(D)); for Q < 0 it is
+        # -floor((P + r)/|Q|) - 1, as the ratio is irrational
+        a = (P + self.r) // Q if Q > 0 else (P + self.r + 1) // Q
+        self.P, self.Q = P - a * Q, Q
         self.count += 1
         return a
 
     def tail_gt(self, num: int, den: int):
-        return (self.tail - Fraction(num, den)).sign() > 0
+        s = surd_sign(den * self.P - num * self.Q, den, self.D)
+        return (s if self.Q > 0 else -s) > 0
 
     def tail_float_bounds(self):
-        # certified regardless of coefficient size: no float cancellation
-        t = self.tail
-        shift = 64
-        s = math.isqrt(t.b * t.b * t.d << (2 * shift))
-        low_num = (t.a << shift) + (s if t.b > 0 else -(s + 1))
-        den = t.c << shift
-        if low_num >= 0:
-            low = float_ratio(low_num, den)
-        else:
-            low = -float_ratio(-low_num, den)
-        return max(0.0, low - 1e-12), low + 1e-12
+        # (P*2**64 + root)/(Q*2**64) and the same with root + 1 bracket the
+        # tail; int true division rounds correctly, whatever the sizes
+        n, g = (self.P << 64) + self.root, self.Q << 64
+        lo, hi = (n / g, (n + 1) / g) if g > 0 else ((n + 1) / g, n / g)
+        return max(0.0, lo - 1e-12), hi + 1e-12
+
+    @property
+    def tail(self) -> QuadraticReal:
+        P, f, Q = (self.P, self.f, self.Q) if self.Q > 0 else (-self.P, -self.f, -self.Q)
+        g = math.gcd(P, f, Q)
+        return QuadraticReal(P // g, f // g, Q // g, self.d)
 
     def tail_interval(self, bits: int) -> IntervalReal:
         return self.tail.to_interval(bits)
@@ -315,7 +331,9 @@ def _validate_x0(spec: RealSpec) -> None:
         if not (0 < spec.value <= HALF):
             raise ValueError("x0 must lie in (0, 1/2]")
     elif isinstance(spec, QuadraticSpec):
-        if spec.value.sign() <= 0 or (spec.value - HALF).sign() > 0:
+        # c > 0: x0 and x0 - 1/2 have the signs of a + b*sqrt(d) and 2a - c + 2b*sqrt(d)
+        a, b, c, d = spec.value.a, spec.value.b, spec.value.c, spec.value.d
+        if surd_sign(a, b, d) <= 0 or surd_sign(2 * a - c, 2 * b, d) > 0:
             raise ValueError("x0 must lie in (0, 1/2]")
     else:
         raise TypeError(f"not a RealSpec: {spec!r}")
@@ -341,7 +359,7 @@ def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:
         raise ValueError("n must be positive")
     session = expansion(x0)
     quotients = []
-    while len(quotients) < n:
+    for _ in range(n):
         a = session.advance()
         if a is None:
             break

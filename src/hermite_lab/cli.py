@@ -188,7 +188,7 @@ def _cmd_experiment(args) -> int:
     if not out_json.parent.is_dir():
         raise ValueError(f"output directory does not exist: {out_json.parent}")
     report = run_experiment(cfg)
-    payload = report.as_dict(include_reports=True)
+    payload = report.as_dict()
     for summary in payload["statistics"].values():
         for key, value in summary.items():
             summary[key] = _f15(value)

@@ -87,8 +87,8 @@ class HermiteEntry:
 class HermiteSubsequence:
     entries: tuple[HermiteEntry, ...]
 
-    def h_values(self, skip_origin: bool = True) -> list[int]:
-        return [e.h for e in self.entries if e.h >= 1 or not skip_origin]
+    def h_values(self) -> list[int]:
+        return [e.h for e in self.entries if e.h >= 1]
 
     @property
     def count_positive_q(self) -> int:
@@ -120,7 +120,7 @@ def _region_flag(session, q_prev: int, q_cur: int, y_float: float) -> Optional[b
 
 @dataclass(frozen=True)
 class ScanState:
-    """Where a criterion scan stopped: deepest certified denominator pair.
+    """Where a criterion scan stopped: deepest certified denominator q_cur.
 
     `hermite_q` is the denominator of the deepest vector flagged True at an
     index of 1 or more (0 if there is none); its rank among the Hermite
@@ -128,7 +128,6 @@ class ScanState:
     """
 
     quotient_count: int
-    q_prev: int
     q_cur: int
     terminated: bool
     exhausted: bool
@@ -157,9 +156,7 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         y_float = 1.0 / (a + y_float)
         m += 1
-    state = ScanState(
-        session.count, q_prev, q_cur, session.terminated, session.exhausted, hermite_q
-    )
+    state = ScanState(session.count, q_cur, session.terminated, session.exhausted, hermite_q)
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 
 
@@ -282,9 +279,9 @@ def _tau(line_set, handover) -> tuple[int, int, int]:
 def _root(e: int, f: int, g: int, d: int) -> float:
     """sqrt(tau) for tau = (e + f*sqrt(d))/g > 0, rounded from tau in lowest terms.
 
-    A rational tau is rounded as `numeric.float_ratio`; a quadratic one in
-    float arithmetic while its coefficients stay under 500 bits, else from
-    the midpoint of a 64-bit enclosure.
+    A rational tau goes through `numeric.sqrt_ratio` (64-bit mantissa); a
+    quadratic one through float arithmetic while its coefficients stay under
+    500 bits, else through the midpoint of a 64-bit enclosure.
     """
     if not f:
         k = math.gcd(e, g)

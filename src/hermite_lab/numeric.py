@@ -77,31 +77,15 @@ def ln_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
-def _ratio_mantissa(num: int, den: int) -> tuple[int, int]:
-    """(m, e) with m = floor(num/den * 2**-e) a 64- or 65-bit integer."""
-    exp = num.bit_length() - den.bit_length() - 64
-    if exp >= 0:
-        return num // (den << exp), exp
-    return (num << -exp) // den, exp
-
-
-def float_ratio(num: int, den: int) -> float:
-    """num/den for non-negative big ints of any size, relative error ~2**-63."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    if num == 0:
-        return 0.0
-    return math.ldexp(*_ratio_mantissa(num, den))
-
-
 def sqrt_ratio(num: int, den: int) -> float:
-    """math.sqrt(float_ratio(num, den)) bit for bit, for positive big ints.
+    """sqrt(num/den) for positive big ints, from a 64-bit mantissa of the ratio.
 
     An even power of two is split off before the square root, so num/den
     itself may lie far beyond the float range; only a root beyond it raises
     OutOfFloatRange.
     """
-    mantissa, exp = _ratio_mantissa(num, den)
+    exp = num.bit_length() - den.bit_length() - 64
+    mantissa = num // (den << exp) if exp >= 0 else (num << -exp) // den
     try:
         return math.ldexp(math.sqrt(math.ldexp(mantissa, exp & 1)), exp >> 1)
     except OverflowError:
@@ -209,10 +193,7 @@ class IntervalReal:
         return self.lo <= value <= self.hi
 
     def to_float(self) -> float:
-        mid = (self.lo + self.hi) / 2
-        return float_ratio(abs(mid.numerator), mid.denominator) * (
-            -1 if mid < 0 else 1
-        )
+        return float((self.lo + self.hi) / 2)
 
 
 # ---------------------------------------------------------------------------

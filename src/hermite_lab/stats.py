@@ -105,8 +105,8 @@ class AggregateReport:
     rejected_count: int
     reports: tuple[ThetaReport, ...] = field(repr=False)
 
-    def as_dict(self, include_reports: bool = True) -> dict:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "sample_count": self.sample_count,
             "depth": self.depth,
             "seed": self.seed,
@@ -119,10 +119,8 @@ class AggregateReport:
                     ("hermite_growth", self.hermite_growth),
                 )
             },
+            "per_theta": [r.as_row() for r in self.reports],
         }
-        if include_reports:
-            payload["per_theta"] = [r.as_row() for r in self.reports]
-        return payload
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import quad_bounds, random_rational_specs
+from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
     AmbiguousComparison,
@@ -22,6 +22,7 @@ from hermite_lab import (
     make_decimal,
     mirror_value,
     parse_real,
+    quadratic_or_rational,
     ratio_y,
     reduce_theta,
     tail_value,
@@ -81,6 +82,11 @@ class TestExpand:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             cf_expand(RationalSpec(Fraction(2, 3)), 5)
+        # (2+sqrt(2))/7 ~ 0.488 is inside (0, 1/2]; the others lie outside
+        assert expansion(parse_real("(2+1*sqrt(2))/7")).advance() == 2
+        for text in ("(3+1*sqrt(2))/7", "(1-1*sqrt(2))/1", "(-2-1*sqrt(2))/7", "(1+1*sqrt(5))/2"):
+            with pytest.raises(ValueError, match="x0 must lie in"):
+                expansion(parse_real(text))
 
     def test_canonical_final_quotient(self):
         for spec in random_rational_specs(50, 10**4, seed=2):
@@ -258,6 +264,63 @@ class TestTailValue:
                     break
                 value = 1 / value - a if value else value
                 assert session.tail_fraction_bounds() == (value, value)
+
+
+class TestQuadraticSession:
+    def test_integer_recurrence_matches_field_arithmetic(self):
+        # the 2,736 small quadratics reduce to 357 distinct x0, each run once;
+        # (-9-1*sqrt(2))/7 is among them: its x0 = (2+sqrt(2))/7 inverts to a
+        # negative Q' at the first step, where the floor takes its other branch
+        x0s = {
+            reduce_theta(QuadraticSpec(quadratic_or_rational(a, b, c, d)))[1]
+            for a in range(-9, 10)
+            for b in (-3, -2, -1, 1, 2, 3)
+            for c in range(1, 10)
+            for d in (2, 3, 29)
+        }
+        negative_q = 0
+        for x0 in x0s:
+            session = expansion(x0)
+            t = x0.value
+            q_prev, q_cur = 0, 1
+            for _ in range(20):
+                assert session.tail == t
+                for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
+                    assert session.tail_gt(num, den) == ((t - Fraction(num, den)).sign() > 0)
+                lo, hi = session.tail_float_bounds()
+                box = t.to_interval(80)
+                assert lo <= box.lo and box.hi <= hi
+                inv = t.inverse()
+                a = math.floor(inv)
+                t = inv - a
+                assert session.advance() == a
+                negative_q += session.Q < 0
+                q_prev, q_cur = q_cur, a * q_cur + q_prev
+        assert negative_q
+
+    def test_state_is_eventually_periodic(self):
+        specs = [GOLDEN, Q21, parse_real("(-9-1*sqrt(2))/7")]
+        periods = []
+        for spec in specs + random_quadratic_specs(40, seed=701):
+            _, x0, _ = reduce_theta(spec)
+            session = expansion(x0)
+            D = session.D
+            seen: dict[tuple[int, int], int] = {}
+            quotients = []
+            while (session.P, session.Q) not in seen:
+                assert len(quotients) <= 2 * D + 64
+                seen[session.P, session.Q] = len(quotients)
+                quotients.append(session.advance())
+            start = seen[session.P, session.Q]
+            period = len(quotients) - start
+            for (P, Q), k in seen.items():
+                if k >= start:
+                    # the next complete quotient (P' + sqrt(D))/Q' is reduced
+                    P, Q = -P, (D - P * P) // Q
+                    assert 0 < P and P * P < D and 0 < Q and Q * Q < 4 * D
+            assert [session.advance() for _ in range(period)] == quotients[start:]
+            periods.append(period)
+        assert periods[: len(specs)] == [1, 2, 4]
 
 
 def _euclid(x: Fraction) -> list[int]:
