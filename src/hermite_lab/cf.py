@@ -42,7 +42,7 @@ class PartialQuotients:
     terminated: bool
 
     def __post_init__(self):
-        if any(a < 1 for a in self.quotients):
+        if min(self.quotients, default=1) < 1:
             raise ValueError("partial quotients must be >= 1")
         if self.quotients and self.quotients[0] < 2:
             raise ValueError("a1 >= 2 is forced by x0 <= 1/2")
@@ -165,6 +165,10 @@ class _QuadraticSession:
 # exact tails leaves almost no flag to the exact fallback.
 _HEAD_BITS = 256
 _CUT_BITS = 152
+# Batches start only on denominators past _BATCH_MIN_BITS: on a window only
+# a few bits longer than the heads (the CLI's 256-bit decimals), the heads
+# are nearly the whole numbers and a batch saves no big-integer work.
+_BATCH_MIN_BITS = _HEAD_BITS + 64
 _FLOAT_HEAD_BITS = 128
 
 
@@ -229,7 +233,7 @@ class _WindowSession:
             else:
                 self.exhausted = True
             return None
-        if self.ad >> _HEAD_BITS and self.bd >> _HEAD_BITS and self._start_batch():
+        if self.ad >> _BATCH_MIN_BITS and self.bd >> _BATCH_MIN_BITS and self._start_batch():
             return self.advance()
         qa, ra = divmod(self.ad, self.an)
         qb, rb = divmod(self.bd, self.bn)
@@ -244,7 +248,8 @@ class _WindowSession:
     def _start_batch(self) -> bool:
         """Queue the quotients that the leading bits of both endpoints certify.
 
-        Needs both denominators longer than _HEAD_BITS.
+        Needs both denominators longer than _HEAD_BITS; runs only on those
+        longer than _BATCH_MIN_BITS.
         """
         (ln, ld), (un, ud) = _head_bounds(self.an, self.ad)
         (ln2, ld2), (un2, ud2) = _head_bounds(self.bn, self.bd)

@@ -10,8 +10,9 @@
   inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
   q^2/Delta over a grid of Delta values.  Only the grid is approximate (it
-  can miss a sliver); at each grid value the argmin is exact, computed on
-  the envelope's integer lines and compared as p + r*sqrt(d).
+  can miss a sliver); at each grid value a certified float prefilter drops
+  the lines surely above the minimum, and the argmin of the rest is exact,
+  computed on the envelope's integer lines and compared as p + r*sqrt(d).
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -20,6 +21,7 @@ report None where the declared precision cannot decide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -42,6 +44,7 @@ from .numeric import (
 )
 
 _PREFILTER_MARGIN = 1e-9
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -357,30 +360,111 @@ def default_delta_grid(taus: list, d: int) -> list:
     return grid + [(e, f, 2 * g), (2 * e_top, 2 * f_top, g_top)]
 
 
+def _surd_float(p: int, r: int, d: int, root: float, g: int = 1) -> Optional[float]:
+    """(p + r*sqrt(d))/g >= 0 as a float within 6 ulps, or None outside the normal range.
+
+    `root` is math.sqrt(d).  When p and r have opposite signs the number is
+    read through its conjugate, (p^2 - r^2*d)/(p - r*sqrt(d)), so no
+    subtraction cancels.  None means the float would overflow, be subnormal,
+    or read a non-zero number as 0; 0.0 is returned only for an exact zero.
+    """
+    try:
+        if not (r and d):
+            x = p / g
+        elif (p >= 0) == (r >= 0):
+            x = (p + r * root) / g
+        else:
+            x = (p * p - r * r * d) / (p - r * root) / g
+    except OverflowError:
+        return None
+    if x == 0.0:
+        return None if p or (r and d) else x
+    return x if _FLOAT_MIN <= x < math.inf else None
+
+
+def _line_floats(scale: int, d: int, lines):
+    """Prefilter data of a line set, or None if a float leaves the normal range.
+
+    Per line (a_k, b_k) ~ (X + Y*sqrt(d), Z*L), so that L*(A*Delta + B) is
+    a_k*Delta + b_k; with them the smallest non-zero a_k, the largest a_k
+    and the largest b_k, which bound the range of a_k*Delta + b_k.
+    """
+    root = math.sqrt(d)
+    floats = []
+    for X, Y, Z in lines:
+        a = _surd_float(X, Y, d, root)
+        b = _surd_float(Z * scale, 0, 0, root)
+        if a is None or b is None:
+            return None
+        floats.append((a, b))
+    a_lo = min((a for a, _ in floats if a), default=math.inf)
+    a_hi = max(a for a, _ in floats)
+    b_hi = max(b for _, b in floats)
+    return root, a_lo, a_hi, b_hi, floats
+
+
+def _survivors(prefilter, e: int, f: int, g: int, d: int, count: int):
+    """Indices of the lines the float prefilter keeps at Delta = (e + f*sqrt(d))/g.
+
+    All `count` lines are kept where a float would leave the normal range.
+    Otherwise the kept lines include the exact argmin and every line tied
+    with it.  Proof: each float here is normal or an exact 0, so a_k and
+    Delta_f are within 6 ulps and, all terms being non-negative,
+    v_k = a_k*Delta_f + b_k is within 13 ulps of the exact value V_k:
+    v_k = V_k*(1 + t_k) with |t_k| < eps = 2e-15.  Let j be a line of the
+    float minimum m.  A dropped line has v_k > m*(1 + margin), rounding of
+    the bound included with margin = _PREFILTER_MARGIN less 1e-15, so
+    V_k > m*(1 + margin)/(1 + eps) >= V_j*(1 - eps)*(1 + margin)/(1 + eps)
+    > V_j, as margin > 3*eps.  A dropped line lies strictly above line j:
+    it is neither the argmin nor tied with it.
+    """
+    if prefilter is not None:
+        root, a_lo, a_hi, b_hi, floats = prefilter
+        delta = _surd_float(e, f, d, root, g)
+        if delta is not None and a_lo * delta >= _FLOAT_MIN and a_hi * delta + b_hi < math.inf:
+            values = [a * delta + b for a, b in floats]
+            top = min(values) * (1 + _PREFILTER_MARGIN)
+            return [k for k, v in enumerate(values) if v <= top]
+    return range(count)
+
+
 def _scan_witnesses(line_sets, grid) -> set[int]:
     """Indices minimizing A*Delta + B for some grid Delta, on every line set.
 
     Runs on integers: for a line set (L, d, lines) and a grid value
     Delta = (e + f*sqrt(d))/g, scaling by L*g > 0 turns each line value into
-    p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  The argmin is
-    exact: values compare by `surd_sign` of their difference, and every line
-    equal to the minimum (p and r both equal, as sqrt(d) is irrational) is
-    kept, so exact ties are all witnessed.
+    p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  The float
+    prefilter (`_survivors`, floats computed once per line set) first drops
+    every line that a certified float bound puts strictly above another; a
+    single survivor is the argmin.  Otherwise the survivors compare
+    exactly, by `surd_sign` of their difference, and every one equal to the
+    minimum (p and r both equal, as sqrt(d) is irrational) is kept, so
+    exact ties are all witnessed.  As the prefilter never drops the exact
+    argmin or a line tied with it, the result is the exact argmin set of
+    the comparison over all lines.
     """
     witnessed: set[int] = set()
+    prefilters = [_line_floats(*line_set) for line_set in line_sets]
     for e, f, g in grid:
         agreed = None
-        for scale, d, lines in line_sets:
+        for (scale, d, lines), prefilter in zip(line_sets, prefilters):
             if surd_sign(e, f, d) <= 0:
                 raise ValueError("grid values must be positive")
-            fd = f * d
-            Lg = scale * g
-            values = [(X * e + Y * fd + Z * Lg, X * f + Y * e) for X, Y, Z in lines]
-            best = values[0]
-            for p, r in values:
-                if surd_sign(p - best[0], r - best[1], d) < 0:
-                    best = (p, r)
-            argmins = {k for k, v in enumerate(values) if v == best}
+            survivors = _survivors(prefilter, e, f, g, d, len(lines))
+            if len(survivors) == 1:
+                argmins = set(survivors)
+            else:
+                fd = f * d
+                Lg = scale * g
+                values = [
+                    (X * e + Y * fd + Z * Lg, X * f + Y * e)
+                    for X, Y, Z in map(lines.__getitem__, survivors)
+                ]
+                best = values[0]
+                for p, r in values:
+                    if surd_sign(p - best[0], r - best[1], d) < 0:
+                        best = (p, r)
+                argmins = {k for k, v in zip(survivors, values) if v == best}
             agreed = argmins if agreed is None else agreed & argmins
         witnessed |= agreed
     return witnessed

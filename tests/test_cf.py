@@ -27,7 +27,7 @@ from hermite_lab import (
     reduce_theta,
     tail_value,
 )
-from hermite_lab.cf import expansion
+from hermite_lab.cf import _BATCH_MIN_BITS, expansion
 from hermite_lab.hermite import criterion_scan
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
@@ -449,11 +449,25 @@ class TestWindowEngine:
             specs.append(RationalSpec(Fraction(p, q) + rng.choice((-1, 1)) * delta))
         _assert_plain_euclid(specs)
 
+    def test_batched_rational_next_to_a_quotient_boundary_is_plain_euclid(self):
+        # as above with denominators past _BATCH_MIN_BITS, so that every
+        # expansion starts in a batch; delta is still about 2**-256 x
+        rng = random.Random(28)
+        specs = []
+        for _ in range(300):
+            q = rng.randint(10**8, 10**9)
+            p = rng.randint(1, q // 2 - 1)
+            scale = rng.randrange(1 << 331, 1 << 332)
+            delta = Fraction(p * rng.randrange(1 << 64, 1 << 76), q * scale)
+            specs.append(RationalSpec(Fraction(p, q) + rng.choice((-1, 1)) * delta))
+        assert min(spec.value.denominator.bit_length() for spec in specs) > _BATCH_MIN_BITS
+        _assert_plain_euclid(specs)
+
     def test_certified_window_agrees_with_every_point(self):
         _assert_windows_agree(random.Random(17), 200, lambda r: r.randint(64, 200))
 
     def test_long_window_agrees_with_every_point(self):
-        # log-uniform in 300..4000 bits: every window starts in batches
+        # log-uniform in 300..4000 bits: nearly every window starts in batches
         _assert_windows_agree(
             random.Random(19), 100, lambda r: round(300 * (4000 / 300) ** r.random())
         )

@@ -26,14 +26,18 @@ from hermite_lab import (
     parse_real,
     quadratic_or_rational,
 )
+from hermite_lab import hermite
 from hermite_lab.hermite import (
     _envelopes,
+    _line_floats,
     _lower_envelope,
     _scan_witnesses,
+    _survivors,
     _tau,
     criterion_scan,
     default_delta_grid,
 )
+from hermite_lab.numeric import surd_sign
 from hermite_lab.stats import auto_precision_bits, sample_thetas
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
@@ -320,13 +324,16 @@ def _scan_inputs(spec, depth: int):
     return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], taus
 
 
+def _assert_same(line_sets, exact_sets, grid) -> list[set[int]]:
+    """Each grid value alone has the reference's witnesses; returns the scan's."""
+    d = line_sets[0][1]
+    scan = [_scan_witnesses(line_sets, [t]) for t in grid]
+    assert scan == [_reference_witnesses(exact_sets, [exact_number(t, d)]) for t in grid]
+    return scan
+
+
 class TestScanAgainstReference:
     """The integer-form scan equals the object-arithmetic scan, ties included."""
-
-    def _assert_same(self, line_sets, exact_sets, grid):
-        d = line_sets[0][1]
-        reference = _reference_witnesses(exact_sets, [exact_number(t, d) for t in grid])
-        assert _scan_witnesses(line_sets, grid) == reference
 
     def test_random_inputs_on_default_and_hand_over_grids(self):
         rng = random.Random(171)
@@ -339,12 +346,15 @@ class TestScanAgainstReference:
             + [(spec, 40) for spec in decimals]
             + [(spec, 10) for spec in random_quadratic_specs(8, seed=173)]
             + [(BOUNDARY_TIE, 10), (Q21, 12)]
+            + [(make_decimal(Fraction(rng.randrange(1, 1 << 400), 1 << 400), 256), 40)]
         )
         for spec, depth in specs:
             line_sets, exact_sets, taus = _scan_inputs(spec, depth)
             grid = default_delta_grid(taus, line_sets[0][1])
-            self._assert_same(line_sets, exact_sets, grid[::4])
-            self._assert_same(line_sets, exact_sets, taus)  # every value an exact tie
+            _assert_same(line_sets, exact_sets, grid[::4])
+            ties = _assert_same(line_sets, exact_sets, taus)  # every value an exact tie
+            if len(line_sets) == 1:
+                assert all(len(witnesses) >= 2 for witnesses in ties)
 
     def test_quadratic_delta_on_rational_lines(self):
         for spec in random_rational_specs(10, 10**6, seed=174):
@@ -352,11 +362,13 @@ class TestScanAgainstReference:
             # rational lines read in Q(sqrt 2); grid tau*sqrt(2) and tau/sqrt(2)
             line_sets = [(scale, 2, lines) for scale, _, lines in line_sets]
             grid = [(0, e, g) for e, _, g in taus] + [(0, e, 2 * g) for e, _, g in taus]
-            self._assert_same(line_sets, exact_sets, grid)
+            _assert_same(line_sets, exact_sets, grid)
 
     def test_planted_three_line_tie(self):
         lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
         assert _scan_witnesses([(1, 0, lines)], [(1, 0, 1)]) == {0, 1, 2}
+        exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
+        _assert_same([(1, 0, lines)], [exact], [(1, 0, 1), (1, 0, 2), (1, 0, 3)])
         # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
         # A = (3 - B)/Delta = (3 - B)*(1 + sqrt(5))/4, so L = 4, X = Y = 3 - B
         surd_lines = [(3 - B, 3 - B, B) for B in (0, 1, 2)] + [(0, 0, 5)]
@@ -364,13 +376,61 @@ class TestScanAgainstReference:
         assert _scan_witnesses([(4, 5, surd_lines)], [delta]) == {0, 1, 2}
         exact = [(Fraction(3 - B) / exact_number(delta, 5), Fraction(B)) for B in (0, 1, 2)]
         exact.append((Fraction(0), Fraction(5)))
-        self._assert_same([(4, 5, surd_lines)], [exact], [(1, 0, 1), delta, (-2, 2, 1)])
+        _assert_same([(4, 5, surd_lines)], [exact], [(1, 0, 1), delta, (-2, 2, 1)])
 
     def test_non_positive_delta_rejected(self):
         line_sets, _, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
         for delta in ((0, 0, 1), (-1, 0, 1), (1, -1, 1)):  # 1 - sqrt(2) < 0
             with pytest.raises(ValueError, match="positive"):
                 _scan_witnesses(line_sets, [delta])
+
+
+class TestScanPrefilter:
+    """The float prefilter drops only lines strictly above the exact minimum;
+    where a float would leave the normal range every line is compared exactly."""
+
+    def test_line_set_beyond_float_range(self):
+        # c^2 = 2^1200: the line floats overflow, and so do Delta and
+        # a_k*Delta at the large hand-overs
+        spec = RationalSpec(Fraction(random.Random(600).randrange(1, 1 << 600) | 1, 1 << 600))
+        line_sets, exact_sets, taus = _scan_inputs(spec, 10**6)
+        assert len(line_sets[0][2]) > 300
+        assert _line_floats(*line_sets[0]) is None
+        grid = default_delta_grid(taus, 0)
+        assert max(e // g for e, _, g in grid).bit_length() > 2000
+        _assert_same(line_sets, exact_sets, grid[::300] + taus[::8])
+
+    def test_grid_values_beyond_float_range(self):
+        # Delta above the float range, a_k*Delta above it, Delta below the
+        # normal range, a_k*Delta below it (Q21's smallest a_k is ~2^-40):
+        # each takes the exact loop on every line
+        decimal = make_decimal(Fraction(random.Random(195).randrange(1, 1 << 80), 1 << 80), 64)
+        cases = [
+            (Q21, 20, [(1 << 1100, 0, 1), (1 << 1020, 0, 1), (1, 0, 1 << 1100), (1, 0, 1 << 1000)]),
+            (decimal, 40, [(1 << 1100, 0, 1), (1 << 1000, 0, 1), (1, 0, 1 << 1100)]),
+        ]
+        for spec, depth, extremes in cases:
+            line_sets, exact_sets, _ = _scan_inputs(spec, depth)
+            for scale, d, lines in line_sets:
+                prefilter = _line_floats(scale, d, lines)
+                assert prefilter is not None
+                for e, f, g in extremes:
+                    assert len(_survivors(prefilter, e, f, g, d, len(lines))) == len(lines)
+            _assert_same(line_sets, exact_sets, extremes)
+
+    def test_exact_path_is_rare(self, monkeypatch):
+        # on a depth-20 quadratic the floats decide nearly every grid value
+        line_sets, exact_sets, taus = _scan_inputs(Q21, 19)
+        d = line_sets[0][1]
+        grid = default_delta_grid(taus, d)
+        expected = _reference_witnesses(exact_sets, [exact_number(t, d) for t in grid])
+        calls = []
+        monkeypatch.setattr(hermite, "surd_sign", lambda *a: calls.append(a) or surd_sign(*a))
+        assert _scan_witnesses(line_sets, grid) == expected
+        lines = len(line_sets[0][2])
+        assert lines == 20
+        exact = len(calls) - len(grid)  # less one positivity check per grid value
+        assert exact <= 0.02 * len(grid) * lines
 
 
 class TestAgreementAtScale:
