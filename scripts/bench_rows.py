@@ -10,8 +10,11 @@ side runs first from one seed to the next, and keeps the JSON line and the
 provenance line that `run.py` prints.  It writes `BENCH_<label>.json` in the
 current directory: for each side, workload and metric the per-seed values,
 their median and quartiles, the ops attempted and failed, and every distinct
-provenance (machine, Python version, git SHA, source digest).  Standard
-library only.
+provenance (machine, Python version, git SHA, source digest).  As `run.py`
+reports the SHA of `HEAD` even for a tree with uncommitted changes, each side
+also records `uncommitted_src`: whether `git status --porcelain -- src` lists
+anything in it (null where the side is not a git checkout).  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
         if line.startswith(PROVENANCE_PREFIX)
     )
     return provenance, json.loads(lines[-1])
+
+
+def has_changes(porcelain: str) -> bool:
+    """Whether `git status --porcelain` output lists any path."""
+    return any(line.strip() for line in porcelain.splitlines())
+
+
+def uncommitted_src(path: Path) -> bool | None:
+    """Whether the checkout at `path` has uncommitted changes under src/."""
+    command = ["git", "-C", str(path), "status", "--porcelain", "--", "src"]
+    status = subprocess.run(command, capture_output=True, text=True)
+    return has_changes(status.stdout) if status.returncode == 0 else None
 
 
 def summary(values: list[float]) -> dict:
@@ -88,6 +103,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=35.0)
     args = parser.parse_args(argv)
     sides = [entry.split("=", 1) for entry in args.side or ["change=."]]
+    uncommitted = {name: uncommitted_src(Path(path).resolve()) for name, path in sides}
     runs = []
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
@@ -97,11 +113,14 @@ def main(argv=None) -> int:
                 stdout = run_side(Path(path).resolve(), workload, seed, args.seconds)
                 runs.append({"side": name, "workload": workload, "seed": seed, "stdout": stdout})
     out = Path(f"BENCH_{args.label}.json")
+    rows = aggregate(runs)
+    for name, side in rows.items():
+        side["uncommitted_src"] = uncommitted[name]
     record = {
         "label": args.label,
         "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g}",
         "run_order": [[run["workload"], run["seed"], run["side"]] for run in runs],
-        "rows": aggregate(runs),
+        "rows": rows,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

@@ -52,7 +52,6 @@ from .lattice import (
 )
 from .natural_extension import (
     DomainPoint,
-    RegionV,
     contraction_check,
     density_mu,
     in_region_V,
@@ -65,7 +64,6 @@ from .natural_extension import (
 )
 from .numeric import (
     DecimalSpec,
-    IntervalReal,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,

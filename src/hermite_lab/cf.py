@@ -23,7 +23,6 @@ from .errors import (
 )
 from .numeric import (
     DecimalSpec,
-    IntervalReal,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
@@ -59,8 +58,10 @@ class Convergent:
 
 @dataclass(frozen=True)
 class TailValue:
+    """Exact bounds (lo, hi) on the tail; lo == hi for a rational or quadratic."""
+
     index: int
-    value: IntervalReal
+    value: tuple[Fraction | QuadraticReal, Fraction | QuadraticReal]
 
 
 def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
@@ -153,9 +154,6 @@ class _QuadraticSession:
         P, f, Q = (self.P, self.f, self.Q) if self.Q > 0 else (-self.P, -self.f, -self.Q)
         g = math.gcd(P, f, Q)
         return QuadraticReal(P // g, f // g, Q // g, self.d)
-
-    def tail_interval(self, bits: int) -> IntervalReal:
-        return self.tail.to_interval(bits)
 
 
 # A batch starts from the leading _HEAD_BITS of each endpoint and stops once
@@ -316,17 +314,6 @@ class _WindowSession:
         t2 = Fraction(self.bn, self.bd)
         return (t1, t2) if t1 <= t2 else (t2, t1)
 
-    def tail_interval(self, bits: int) -> IntervalReal:
-        lo, hi = self.tail_fraction_bounds()
-        width = hi - lo
-        if width > Fraction(1, 1 << 32) * max(1, lo):
-            raise TailUnavailable("decimal input exhausted: tail wider than 2**-32")
-        if width > Fraction(2) ** (1 - bits) * max(1, lo):
-            raise AmbiguousComparison(
-                f"tail certified to less than the requested {bits} bits"
-            )
-        return IntervalReal.enclose(lo, hi, bits)
-
 
 ExpansionSession = _WindowSession | _QuadraticSession
 
@@ -395,11 +382,13 @@ def ratio_y(conv: list[Convergent], n: int) -> Fraction:
     return Fraction(conv[n].q, conv[n + 1].q)
 
 
-def tail_value(spec: RealSpec, pq: PartialQuotients, n: int, bits: int) -> TailValue:
-    """Certified interval for the tail [0; a_{n+2}, a_{n+3}, ...], n >= -1.
+def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
+    """Exact bounds on the tail [0; a_{n+2}, a_{n+3}, ...], n >= -1.
 
-    `spec` is the reduced input x0 (a full theta is reduced first when it
-    lies outside (0, 1/2]).
+    The tail itself, twice, for a rational or quadratic input; for a decimal
+    the tails at the two window endpoints, in order, which bound it for every
+    real in the window.  `spec` is the reduced input x0 (a full theta is
+    reduced first when it lies outside (0, 1/2]).
     """
     if n < -1:
         raise ValueError("tail index starts at -1")
@@ -421,7 +410,10 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int, bits: int) -> TailV
             )
         if k < len(pq.quotients) and pq.quotients[k] != a:
             raise ValueError("partial quotients do not belong to this input")
-    return TailValue(n, session.tail_interval(bits))
+    if isinstance(session, _QuadraticSession):
+        tail = session.tail
+        return TailValue(n, (tail, tail))
+    return TailValue(n, session.tail_fraction_bounds())
 
 
 def mirror_value(quotients: tuple[int, ...] | list[int]) -> Fraction:

@@ -93,10 +93,6 @@ class HermiteSubsequence:
     def h_values(self) -> list[int]:
         return [e.h for e in self.entries if e.h >= 1]
 
-    @property
-    def count_positive_q(self) -> int:
-        return sum(1 for e in self.entries if e.h >= 1)
-
 
 # ---------------------------------------------------------------------------
 # method 1: orbit criterion
@@ -128,6 +124,7 @@ class ScanState:
     `hermite_q` is the denominator of the deepest vector flagged True at an
     index of 1 or more (0 if there is none); its rank among the Hermite
     vectors is the scan's final count of True flags at those indices.
+    `quotients` are the partial quotients the scan certified, in order.
     """
 
     quotient_count: int
@@ -135,6 +132,7 @@ class ScanState:
     terminated: bool
     exhausted: bool
     hermite_q: int
+    quotients: tuple[int, ...]
 
 
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
@@ -144,6 +142,7 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     _, x0, _ = reduce_theta(theta)
     session = expansion(x0)
     flags: list[Optional[bool]] = [True]  # X_0 = (1, 0) by convention
+    quotients = []
     q_prev, q_cur = 0, 1
     hermite_q = 0
     y_float = 0.0
@@ -156,10 +155,13 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
         a = session.advance()
         if a is None:
             break
+        quotients.append(a)
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         y_float = 1.0 / (a + y_float)
         m += 1
-    state = ScanState(session.count, q_cur, session.terminated, session.exhausted, hermite_q)
+    state = ScanState(
+        session.count, q_cur, session.terminated, session.exhausted, hermite_q, tuple(quotients)
+    )
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 
 
@@ -284,18 +286,20 @@ def _root(e: int, f: int, g: int, d: int) -> float:
 
     A rational tau goes through `numeric.sqrt_ratio` (64-bit mantissa); a
     quadratic one through float arithmetic while its coefficients stay under
-    500 bits, else through the midpoint of a 64-bit enclosure.
+    500 bits, else on integers: `sqrt_ratio` of floor(tau*2^K) over 2^K,
+    from floor(g*tau*2^K) = e*2^K + floor(f*sqrt(d)*2^K).  Whenever
+    g*tau >= 1 (a hand-over has tau >= 1), floor(tau*2^K) holds every bit of
+    tau down to 2^-K, so the mantissa is tau's own truncation.
     """
-    if not f:
-        k = math.gcd(e, g)
-        return sqrt_ratio(e // k, g // k)
     k = math.gcd(e, f, g)
-    tau = QuadraticReal(e // k, f // k, g // k, d)
-    if max(abs(tau.a), abs(tau.b), tau.c).bit_length() < 500:
-        return math.sqrt(float(tau))
-    box = tau.to_interval(64)
-    mid = (box.lo + box.hi) / 2
-    return sqrt_ratio(mid.numerator, mid.denominator)
+    e, f, g = e // k, f // k, g // k
+    if not f:
+        return sqrt_ratio(e, g)
+    if max(abs(e), abs(f), g).bit_length() < 500:
+        return math.sqrt((e + f * math.sqrt(d)) / g)
+    K = g.bit_length() + 72
+    s = math.isqrt(f * f * d << 2 * K)  # floor(|f|*sqrt(d)*2^K)
+    return sqrt_ratio(((e << K) + (s if f > 0 else -s - 1)) // g, 1 << K)
 
 
 def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:

@@ -2,8 +2,9 @@
 consecutive-successor algorithm, intrinsic coordinates, complete sequences.
 
 A vector is stored as the integer pair (p, q); its embedded first coordinate
-v1 = p - q*theta is recomputed exactly (or as a certified interval) on demand
-rather than propagated, so long sequences never accumulate interval width.
+v1 = p - q*theta is recomputed exactly on demand (for a decimal, as exact
+bounds over its window) rather than propagated, so long sequences never
+accumulate width.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .cf import HALF, expansion, reduce_theta
 from .errors import AmbiguousComparison, NotConsecutive, SequenceEnds
 from .numeric import (
     DecimalSpec,
-    IntervalReal,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
@@ -85,10 +85,14 @@ class MinimalVector:
 
 @dataclass(frozen=True)
 class IntrinsicCoords:
-    """Normalized description (eps, x, y) of a consecutive pair."""
+    """Normalized description (eps, x, y) of a consecutive pair.
+
+    x is the exact pair (lo, hi) of bounds on |v1|/|u1|: lo == hi for a
+    rational or quadratic theta, the window's hull for a decimal.
+    """
 
     eps: int
-    x: IntervalReal
+    x: tuple[Fraction | QuadraticReal, Fraction | QuadraticReal]
     y: Fraction
 
 
@@ -239,7 +243,7 @@ def next_minimal(u: MinimalVector, v: MinimalVector) -> MinimalVector:
     )
 
 
-def intrinsic_coords(u: MinimalVector, v: MinimalVector, bits: int = 128) -> IntrinsicCoords:
+def intrinsic_coords(u: MinimalVector, v: MinimalVector) -> IntrinsicCoords:
     """Coordinates (eps, x, y) with u = (eps|u1|, v2*y), v = (-eps|u1|*x, v2)."""
     _pair_shape(u, v)
     s_u = u.v1_sign()
@@ -250,31 +254,29 @@ def intrinsic_coords(u: MinimalVector, v: MinimalVector, bits: int = 128) -> Int
     if s_v == 0:
         if y > HALF:
             raise NotConsecutive("x = 0 requires y <= 1/2")
-        return IntrinsicCoords(s_u, IntervalReal.point(0, bits), y)
+        return IntrinsicCoords(s_u, (Fraction(0), Fraction(0)), y)
     if s_u == s_v and u.q != 0:
         raise NotConsecutive("consecutive vectors with u2 > 0 have opposite v1 signs")
     eps = -s_v
-    x_interval = _ratio_interval(v, u, bits)
-    if x_interval.lo >= 1:
+    x = _ratio_interval(v, u)
+    if x[0] >= 1:
         raise NotConsecutive("|v1| < |u1| fails")
-    if u.q == 0 and x_interval.lo > HALF:
+    if u.q == 0 and x[0] > HALF:
         raise NotConsecutive("y = 0 requires x <= 1/2")
-    return IntrinsicCoords(eps, x_interval, y)
+    return IntrinsicCoords(eps, x, y)
 
 
-def _ratio_interval(num_vec: MinimalVector, den_vec: MinimalVector, bits: int) -> IntervalReal:
-    """Certified |num_vec.v1| / |den_vec.v1|."""
+def _ratio_interval(num_vec: MinimalVector, den_vec: MinimalVector) -> tuple:
+    """Exact bounds (lo, hi) on |num_vec.v1| / |den_vec.v1|."""
     exact_n = num_vec.v1_exact()
     exact_d = den_vec.v1_exact()
     if exact_n is not None and exact_d is not None:
         ratio = abs(exact_n) / abs(exact_d)
-        if isinstance(ratio, Fraction):
-            return IntervalReal.from_fraction(ratio, bits)
-        return ratio.to_interval(bits)
+        return ratio, ratio
     lo_n, hi_n = num_vec.v1_window()
     lo_d, hi_d = den_vec.v1_window()
     if lo_n <= 0 <= hi_n or lo_d <= 0 <= hi_d:
         raise AmbiguousComparison("v1 sign undecided at declared precision")
     an = sorted((abs(lo_n), abs(hi_n)))
     ad = sorted((abs(lo_d), abs(hi_d)))
-    return IntervalReal.hull(an[0] / ad[1], an[1] / ad[0])
+    return an[0] / ad[1], an[1] / ad[0]

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import AmbiguousComparison, DomainError, OrbitTerminates
+from .errors import DomainError, OrbitTerminates
 
 LN2 = math.log(2)
 
@@ -95,33 +95,12 @@ def region_boundary(y):
 def in_region_V(p) -> bool:
     """Strict membership x > (2y+1)/(y+2); boundary points are not in V.
 
-    Coordinates may be certified intervals; a box straddling the boundary
-    raises AmbiguousComparison so the caller can refine.
+    The certified form of this test on a decimal's tail bounds, which may
+    leave it undecided, is `hermite._region_flag`.
     """
-    from .numeric import IntervalReal  # local: keeps module import order flat
-
     x, y = p
-    if isinstance(x, IntervalReal) or isinstance(y, IntervalReal):
-        x_lo, x_hi = (x.lo, x.hi) if isinstance(x, IntervalReal) else (x, x)
-        y_lo, y_hi = (y.lo, y.hi) if isinstance(y, IntervalReal) else (y, y)
-        _check_in_U(x_lo, y_lo)
-        # membership is monotone: up in x, down in y
-        if x_lo * (y_hi + 2) > 2 * y_hi + 1:
-            return True
-        if not x_hi * (y_lo + 2) > 2 * y_lo + 1:
-            return False
-        raise AmbiguousComparison("interval straddles the region boundary")
     _check_in_U(x, y)
     return x * (y + 2) > 2 * y + 1
-
-
-class RegionV:
-    """Predicate object for V = {(x, y) in U : x > (2y+1)/(y+2)}."""
-
-    def __contains__(self, p) -> bool:
-        return in_region_V(p)
-
-    boundary = staticmethod(region_boundary)
 
 
 def density_mu(p) -> float:

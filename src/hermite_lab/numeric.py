@@ -1,8 +1,10 @@
-"""Exact and certified arithmetic: big rationals, quadratic irrationals, dyadic intervals.
+"""Exact arithmetic and the input grammar: big rationals, quadratic irrationals.
 
 Rationals are plain ``fractions.Fraction``.  Quadratic irrationals carry the
 normal form (a + b*sqrt(d))/c with exact sign, floor and field arithmetic.
-``IntervalReal`` is a certified enclosure with dyadic endpoints.
+A decimal is an exact rational plus the window [window_lo, window_hi] that
+its declared precision leaves open; certified answers about it hold for
+every real in that window.  No value is ever rounded to an interval.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from typing import Union
 
 from .errors import InvalidQuadratic, OutOfFloatRange, ParseError
 
-DEFAULT_EVAL_BITS = 64
 DEFAULT_DECIMAL_BITS = 256
-_EXACT_LABEL_BITS = 16384
 _SQUAREFREE_TRIAL_BOUND = 100_000
 
 
@@ -93,110 +93,6 @@ def sqrt_ratio(num: int, den: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dyadic rounding
-
-
-def _round_down(value: Fraction, bits: int) -> Fraction:
-    return Fraction((value.numerator << bits) // value.denominator, 1 << bits)
-
-
-def _round_up(value: Fraction, bits: int) -> Fraction:
-    return Fraction(-((-value.numerator << bits) // value.denominator), 1 << bits)
-
-
-def _is_dyadic(value: Fraction) -> bool:
-    d = value.denominator
-    return d & (d - 1) == 0
-
-
-@dataclass(frozen=True)
-class IntervalReal:
-    """Certified enclosure [lo, hi] with dyadic endpoints.
-
-    Invariant: lo <= hi and hi - lo <= 2**(1 - precision_bits) * max(1, |lo|).
-    """
-
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
-
-    def __post_init__(self):
-        if not (_is_dyadic(self.lo) and _is_dyadic(self.hi)):
-            raise ValueError("interval endpoints must be dyadic")
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-        if self.precision_bits < 1:
-            raise ValueError("precision_bits must be positive")
-        bound = Fraction(2) ** (1 - self.precision_bits) * max(1, abs(self.lo))
-        if self.hi - self.lo > bound:
-            raise ValueError("interval wider than its precision label allows")
-
-    # construction -----------------------------------------------------
-
-    @classmethod
-    def point(cls, value: Fraction | int, bits: int = DEFAULT_EVAL_BITS) -> "IntervalReal":
-        value = Fraction(value)
-        if not _is_dyadic(value):
-            raise ValueError("point interval needs a dyadic value")
-        return cls(value, value, bits)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int, bits: int) -> "IntervalReal":
-        """Exact point when the value is dyadic, else a 1-ulp enclosure."""
-        value = Fraction(value)
-        if _is_dyadic(value):
-            return cls(value, value, bits)
-        return cls(_round_down(value, bits), _round_up(value, bits), bits)
-
-    @staticmethod
-    def _width_label(lo: Fraction, hi: Fraction) -> int:
-        """Largest b with hi - lo <= 2**(1-b) * max(1, |lo|)."""
-        width = hi - lo
-        if width == 0:
-            return _EXACT_LABEL_BITS
-        scale = max(1, abs(lo))
-        ratio = scale / width
-        bits = max(1, ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2)
-        while bits > 1 and Fraction(2) ** (1 - bits) * scale < width:
-            bits -= 1
-        return bits
-
-    @classmethod
-    def enclose(cls, lo: Fraction, hi: Fraction, bits: int) -> "IntervalReal":
-        """Outward-rounded enclosure; label capped by the achieved width."""
-        if lo > hi:
-            lo, hi = hi, lo
-        guard = bits + 4
-        lo_r, hi_r = _round_down(lo, guard), _round_up(hi, guard)
-        return cls(lo_r, hi_r, min(bits, cls._width_label(lo_r, hi_r)))
-
-    @classmethod
-    def hull(cls, lo: Fraction, hi: Fraction) -> "IntervalReal":
-        """Enclosure labelled with the best precision its width supports."""
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo == hi and _is_dyadic(lo):
-            return cls(lo, lo, _EXACT_LABEL_BITS)
-        bits = cls._width_label(lo, hi)
-        guard = bits + 8
-        lo_r, hi_r = _round_down(lo, guard), _round_up(hi, guard)
-        return cls(lo_r, hi_r, min(bits, cls._width_label(lo_r, hi_r)))
-
-    # queries ------------------------------------------------------------
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, value) -> bool:
-        value = Fraction(value)
-        return self.lo <= value <= self.hi
-
-    def to_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
-
-# ---------------------------------------------------------------------------
 # quadratic irrationals
 
 
@@ -239,19 +135,6 @@ class QuadraticReal:
         low = s if self.b > 0 else -s - 1  # b*sqrt(d) lies in (low, low+1)
         n = (self.a + low) // self.c
         return n + 1 if (self - (n + 1)).sign() >= 0 else n
-
-    def to_interval(self, bits: int) -> IntervalReal:
-        prec = bits + max(self.b.bit_length(), self.c.bit_length()) + 8
-        while True:
-            s = isqrt(self.d << (2 * prec))
-            root_lo = Fraction(s, 1 << prec)
-            root_hi = Fraction(s + 1, 1 << prec)
-            lo = (Fraction(self.a) + self.b * (root_lo if self.b > 0 else root_hi)) / self.c
-            hi = (Fraction(self.a) + self.b * (root_hi if self.b > 0 else root_lo)) / self.c
-            enclosure = IntervalReal.enclose(lo, hi, bits)
-            if enclosure.width <= Fraction(2) ** (1 - bits) * max(1, abs(enclosure.lo)):
-                return enclosure
-            prec *= 2
 
     # --- field arithmetic (exact; mixed with int / Fraction)
 

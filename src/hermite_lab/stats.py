@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from .errors import PrecisionExceedsInput
 from .hermite import criterion_scan
-from .lattice import complete_sequence
 from .numeric import DecimalSpec, RealSpec, ln_big, make_decimal, spec_text
 
 HERMITE_PROPORTION = math.log(3) / math.log(4)  # 0.79248125036...
@@ -316,23 +315,26 @@ def convergence_table(
     wanted = set(checkpoints)
     per_sample = []
     for spec in specs:
-        flags = criterion_scan(spec, depth)[0].flags
-        seq = complete_sequence(spec, len(flags) - 1)
+        scan, state = criterion_scan(spec, depth)
+        flags = scan.flags
         rows = []
         decided = true_count = hermite_q = 0
-        for index in range(1, len(flags)):
+        # q_1 = a*q_0 + q_{-1} = 1 whatever a, with q_0 = 0 and q_{-1} = 1
+        q_prev, q = 1, 0
+        for index, a in zip(range(1, len(flags)), (1,) + state.quotients):
+            q_prev, q = q, a * q + q_prev
             if flags[index] is not None:
                 decided += 1
             if flags[index]:
                 true_count += 1
-                hermite_q = seq[index].q
+                hermite_q = q
             if index in wanted:
                 rows.append(
                     (
                         index,
                         decided,
                         true_count / decided if decided else None,
-                        ln_big(seq[index].q) / index,
+                        ln_big(q) / index,
                         ln_big(hermite_q) / true_count if hermite_q else None,
                     )
                 )

@@ -68,3 +68,14 @@ def test_parse_run_reads_the_provenance_and_last_lines(monkeypatch):
     assert provenance["git_sha"] == "ccc"
     assert (result["attempted"], result["failed"]) == (10, 2)
     assert result["metrics"]["op_ms_p75"]["value"] == 5.0
+
+
+def test_has_changes_reads_porcelain_status(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_rows
+
+    assert not bench_rows.has_changes("")
+    assert not bench_rows.has_changes("\n")
+    assert bench_rows.has_changes(" M src/hermite_lab/cf.py\n")
+    assert bench_rows.has_changes("?? src/hermite_lab/new.py\n")
+    assert bench_rows.has_changes("M  src/a.py\nD  src/b.py\n")

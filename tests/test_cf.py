@@ -194,36 +194,35 @@ class TestTailValue:
     def test_quadratic_tail(self):
         _, x0, _ = reduce_theta(Q21)
         pq = cf_expand(x0, 6)
-        tail = tail_value(x0, pq, 2, 96)
+        tail = tail_value(x0, pq, 2)
         # [0;1,3,1,3,...] = 1/(1 + x0) with x0 the positive root of 3x^2+3x-1
+        assert tail.value == (1 / (1 + x0.value),) * 2
         lo, hi = quad_bounds(-3, 1, 6, 21)
-        box_lo, box_hi = 1 / (1 + hi), 1 / (1 + lo)
-        assert tail.value.lo <= box_lo and box_hi <= tail.value.hi
+        assert 1 / (1 + hi) < tail.value[0] < 1 / (1 + lo)
 
     def test_rational_tail_exact(self):
         x0 = RationalSpec(Fraction(3, 8))
         pq = cf_expand(x0, 10)
-        tail = tail_value(x0, pq, 0, 64)
-        assert Fraction(2, 3) in tail.value
-        assert tail.value.width <= Fraction(1, 2**64)
+        assert tail_value(x0, pq, 0).value == (Fraction(2, 3), Fraction(2, 3))
 
     def test_golden_tail_fixed_point(self):
         _, x0, _ = reduce_theta(GOLDEN)
         pq = cf_expand(x0, 8)
         lo, hi = quad_bounds(-1, 1, 2, 5)  # (sqrt(5)-1)/2
         for n in (1, 3, 5):
-            tail = tail_value(x0, pq, n, 80)
-            assert tail.value.lo <= lo and hi <= tail.value.hi
+            t_lo, t_hi = tail_value(x0, pq, n).value
+            assert t_lo == t_hi == QuadraticReal(-1, 1, 2, 5)
+            assert lo < t_lo < hi
 
     def test_index_minus_one_is_x0(self):
         x0 = RationalSpec(Fraction(3, 8))
-        tail = tail_value(x0, cf_expand(x0, 5), -1, 64)
-        assert Fraction(3, 8) in tail.value
+        tail = tail_value(x0, cf_expand(x0, 5), -1)
+        assert tail.value == (Fraction(3, 8), Fraction(3, 8))
 
     def test_rational_exhaustion(self):
         x0 = RationalSpec(Fraction(3, 8))
         with pytest.raises(IndexOutOfRange):
-            tail_value(x0, cf_expand(x0, 5), 5, 64)
+            tail_value(x0, cf_expand(x0, 5), 5)
 
     def test_decimal_exhaustion(self):
         from hermite_lab import TailUnavailable
@@ -231,14 +230,14 @@ class TestTailValue:
         spec = parse_real("0.3819660112501051517954131@64")
         pq = cf_expand(spec, 70)
         with pytest.raises(TailUnavailable):
-            tail_value(spec, pq, len(pq.quotients) + 5, 32)
+            tail_value(spec, pq, len(pq.quotients) + 5)
 
     def test_decimal_tail_certified_prefix(self):
         spec = parse_real("0.3819660112501051517954131@64")
         pq = cf_expand(spec, 70)
-        tail = tail_value(spec, pq, 3, 24)
+        t_lo, t_hi = tail_value(spec, pq, 3).value
         lo, hi = quad_bounds(-1, 1, 2, 5)  # all-ones tail: (sqrt(5)-1)/2
-        assert tail.value.lo <= lo and hi <= tail.value.hi
+        assert t_lo <= lo and hi <= t_hi
 
     def test_gauss_consistency(self):
         # tail(n+1) == {1 / tail(n)} for exact inputs
@@ -265,6 +264,43 @@ class TestTailValue:
                 value = 1 / value - a if value else value
                 assert session.tail_fraction_bounds() == (value, value)
 
+    def test_exact_inputs_get_the_exact_gauss_iterate_at_every_index(self):
+        # tail n is T^(n+1)(x0) with T(t) = 1/t - floor(1/t), in exact arithmetic
+        rationals = random_rational_specs(200, 10**9, seed=901)
+        for spec in rationals + random_quadratic_specs(50, seed=902):
+            _, x0, _ = reduce_theta(spec)
+            pq = cf_expand(x0, 30)
+            t = x0.value
+            for n, a in enumerate(pq.quotients, start=-1):
+                assert tail_value(x0, pq, n).value == (t, t)
+                inv = 1 / t if isinstance(t, Fraction) else t.inverse()
+                assert math.floor(inv) == a
+                t = inv - a
+            assert tail_value(x0, pq, len(pq.quotients) - 1).value == (t, t)
+            assert (t == 0) == pq.terminated
+
+    def test_decimal_bounds_hold_every_real_in_the_window(self):
+        # the tails of both window endpoints and of a random point inside,
+        # by plain Fraction Euclid, lie within the bounds at each index checked
+        rng = random.Random(903)
+        for _ in range(50):
+            bits = rng.choice((64, 128, 256, _BATCH_MIN_BITS + 100))
+            value = Fraction(rng.randrange(1, 1 << bits), 1 << bits)
+            _, x0, _ = reduce_theta(make_decimal(value, bits))
+            inside = x0.window_lo + (x0.window_hi - x0.window_lo) * Fraction(
+                rng.randrange(1, 1000), 1000
+            )
+            pq = cf_expand(x0, 10**4)
+            last = len(pq.quotients) - 1
+            indices = {-1, last, *rng.sample(range(last), min(12, last))}
+            points = [x0.window_lo, x0.window_hi, inside]
+            for n, a in enumerate(pq.quotients + (None,), start=-1):
+                if n in indices:
+                    lo, hi = tail_value(x0, pq, n).value
+                    assert all(lo <= t <= hi for t in points)
+                if a is not None:
+                    points = [1 / t - a for t in points]
+
 
 class TestQuadraticSession:
     def test_integer_recurrence_matches_field_arithmetic(self):
@@ -288,8 +324,8 @@ class TestQuadraticSession:
                 for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
                     assert session.tail_gt(num, den) == ((t - Fraction(num, den)).sign() > 0)
                 lo, hi = session.tail_float_bounds()
-                box = t.to_interval(80)
-                assert lo <= box.lo and box.hi <= hi
+                box_lo, box_hi = quad_bounds(t.a, t.b, t.c, t.d)
+                assert lo <= box_lo and box_hi <= hi
                 inv = t.inverse()
                 a = math.floor(inv)
                 t = inv - a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -261,6 +262,29 @@ class TestEnvelope:
         assert isinstance(caught.value, HermiteLabError)
         assert isinstance(caught.value, OverflowError)
 
+    def test_long_quadratic_breakpoints_on_integers(self):
+        # hand-overs whose coefficients in lowest terms pass 500 bits take the
+        # integer-only branch of _root; there too s^2 = P/Q stays within
+        # tau/2^50 of the exact tau = (a + r*sqrt(d))/c, both sides of the
+        # bound decided by surd_sign after scaling by c*Q
+        spec = parse_real("(123457+1*sqrt(997))/999983")
+        seq = complete_sequence(spec, 80)
+        _, handovers, line_sets = _envelopes(seq)
+        lines = exact_lines(seq, spec.value)
+        long_branch = 0
+        for b, (handover, _, _) in zip(envelope_breakpoints(seq), handovers):
+            e, f, g = _tau(line_sets[0], handover)
+            lowest = max(abs(e), abs(f), g) // math.gcd(e, f, g)
+            long_branch += f != 0 and lowest.bit_length() >= 500
+            (A_l, B_l), (A_r, B_r) = lines[b.left_index], lines[b.right_index]
+            tau = (B_r - B_l) / (A_l - A_r)
+            s2 = Fraction(b.s_value) ** 2
+            P, Q, one = s2.numerator, s2.denominator, 1 << 50
+            a, r, c, d = tau.a, tau.b, tau.c, tau.d
+            assert surd_sign((one + 1) * a * Q - one * P * c, (one + 1) * r * Q, d) >= 0
+            assert surd_sign(one * P * c - (one - 1) * a * Q, -(one - 1) * r * Q, d) >= 0
+        assert long_branch >= 10
+
 
 class TestDeltaScan:
     def test_quadratic_agrees(self):
@@ -475,7 +499,7 @@ class TestSubsequence:
         flags = flags_via_criterion(Q21, 9)
         sub = hermite_subsequence(flags, seq)
         assert sub.h_values()[:4] == [1, 4, 19, 91]
-        assert sub.count_positive_q == 4
+        assert len(sub.h_values()) == 4
 
     def test_empty_flags(self):
         from hermite_lab import HermiteFlags

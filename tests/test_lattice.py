@@ -10,15 +10,19 @@ from helpers import random_quadratic_specs, random_rational_specs
 from hermite_lab import (
     IntegerInput,
     NotConsecutive,
+    QuadraticReal,
     RationalSpec,
     SequenceEnds,
+    cf_expand,
     check_basis,
     complete_sequence,
     intrinsic_coords,
     is_minimal_bruteforce,
     next_minimal,
     parse_real,
+    reduce_theta,
     step_T,
+    tail_value,
 )
 from hermite_lab.lattice import MinimalVector
 
@@ -125,7 +129,7 @@ class TestIntrinsic:
         u, v = complete_sequence(THETA38, 2)[:2]
         coords = intrinsic_coords(u, v)
         assert coords.eps == 1
-        assert Fraction(3, 8) in coords.x
+        assert coords.x == (Fraction(3, 8), Fraction(3, 8))
         assert coords.y == 0
 
     def test_golden_start(self):
@@ -133,7 +137,7 @@ class TestIntrinsic:
         coords = intrinsic_coords(u, v)
         assert coords.eps == -1
         assert coords.y == 0
-        assert abs(coords.x.to_float() - 0.3819660112501051) < 1e-12
+        assert coords.x == (QuadraticReal(3, -1, 2, 5),) * 2  # (3 - sqrt(5))/2
 
     def test_half_boundary_flips_orientation(self):
         theta = parse_real("-1/2")
@@ -141,7 +145,7 @@ class TestIntrinsic:
         v = MinimalVector(0, 1, 1, theta)  # v1 = +1/2 = +u1/2
         coords = intrinsic_coords(u, v)
         assert coords.eps == -1
-        assert Fraction(1, 2) in coords.x
+        assert coords.x == (Fraction(1, 2), Fraction(1, 2))
         assert coords.y == 0
 
     def test_sign_pattern_violation(self):
@@ -182,6 +186,23 @@ class TestIntrinsic:
                     exact.append((x, Fraction(u.q, v.q)))
                 for (x0, y0), (x1, y1) in zip(exact, exact[1:]):
                     assert step_T((x0, y0)) == (x1, y1)
+
+    def test_exact_inputs_get_the_exact_ratio_and_tail(self):
+        # x of the pair (X_k, X_k+1) is |v1|/|u1| exactly, and it is the tail
+        # after k quotients, the natural-extension point of the pair
+        for spec in random_rational_specs(200, 10**9, seed=911) + list(
+            random_quadratic_specs(50, seed=912)
+        ):
+            theta = spec.value
+            _, x0, _ = reduce_theta(spec)
+            pq = cf_expand(x0, 30)
+            seq = complete_sequence(spec, 31)
+            for k, (u, v) in enumerate(zip(seq, seq[1:])):
+                r = abs(theta * v.q - v.p) / abs(theta * u.q - u.p)
+                coords = intrinsic_coords(u, v)
+                assert coords.x == (r, r)
+                assert coords.x == tail_value(x0, pq, k - 1).value
+                assert coords.y == Fraction(u.q, v.q)
 
 
 class TestSuccessor:
@@ -251,7 +272,7 @@ class TestDecimalPairwise:
         assert coords.eps == -1 and coords.y == 0
         coords = intrinsic_coords(seq[3], seq[4])
         g_lo, g_hi = quad_bounds(-1, 1, 2, 5)  # all-ones tail (sqrt(5)-1)/2
-        assert coords.x.lo <= g_hi and g_lo <= coords.x.hi
+        assert coords.x[0] <= g_lo and g_hi <= coords.x[1]
 
     def test_ambiguous_ratio_beyond_certification(self):
         from hermite_lab import AmbiguousComparison

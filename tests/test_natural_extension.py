@@ -12,7 +12,6 @@ from hermite_lab import (
     DomainError,
     DomainPoint,
     OrbitTerminates,
-    RegionV,
     contraction_check,
     density_mu,
     in_region_V,
@@ -110,6 +109,7 @@ class TestOrbit:
 class TestRegionV:
     def test_examples(self):
         assert in_region_V((0.9, 0.1))
+        assert not in_region_V((0.1, 0.9))
         g = (math.sqrt(5) - 1) / 2
         assert not in_region_V((g, g))
         assert not in_region_V((0.3, 0.0))
@@ -123,25 +123,13 @@ class TestRegionV:
         assert in_region_V((Fraction(5, 7) + Fraction(1, 10**9), y))
 
     def test_predicate_object(self):
-        region = RegionV()
-        assert (0.9, 0.1) in region
-        assert (0.1, 0.9) not in region
+        # The predicate is the function itself: no wrapper object around it.
+        assert in_region_V((0.9, 0.1)) is True
+        assert in_region_V((0.1, 0.9)) is False
 
     def test_membership_needs_domain(self):
         with pytest.raises(DomainError):
             in_region_V((1.2, 0.5))
-
-    def test_interval_inputs_escalate(self):
-        from hermite_lab import AmbiguousComparison, IntervalReal
-
-        y = Fraction(1, 3)  # boundary at 5/7
-        inside = IntervalReal.enclose(Fraction(3, 4), Fraction(4, 5), 16)
-        outside = IntervalReal.enclose(Fraction(1, 4), Fraction(1, 2), 16)
-        straddles = IntervalReal.enclose(Fraction(7, 10), Fraction(3, 4), 16)
-        assert in_region_V((inside, y)) is True
-        assert in_region_V((outside, y)) is False
-        with pytest.raises(AmbiguousComparison):
-            in_region_V((straddles, y))
 
 
 class TestDensity:

@@ -1,4 +1,4 @@
-"""Parsing, quadratic field arithmetic, certified enclosures."""
+"""Parsing, quadratic field arithmetic, exact signs and comparisons."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from helpers import quad_bounds, random_quadratic_specs
 
 from hermite_lab import (
     DecimalSpec,
-    IntervalReal,
     InvalidQuadratic,
     ParseError,
     QuadraticReal,
@@ -156,40 +155,6 @@ class TestQuadraticReal:
         assert root2 > Fraction(7, 5)
         assert root2 < Fraction(3, 2)
         assert not root2 == Fraction(7, 5)
-
-
-class TestEvalInterval:
-    """Certified enclosures: IntervalReal.from_fraction and QuadraticReal.to_interval."""
-
-    def test_dyadic_rational_is_exact(self):
-        box = IntervalReal.from_fraction(Fraction(1, 2), 64)
-        assert box.lo == box.hi == Fraction(1, 2)
-
-    def test_non_dyadic_rational_one_ulp(self):
-        box = IntervalReal.from_fraction(Fraction(1, 3), 64)
-        assert Fraction(1, 3) in box
-        assert box.width <= Fraction(1, 2**64)
-
-    def test_quadratic_contains_true_value(self):
-        box = QuadraticReal(-3, 1, 6, 21).to_interval(64)
-        lo, hi = quad_bounds(-3, 1, 6, 21)  # much tighter independent enclosure
-        assert box.lo <= lo and hi <= box.hi
-        assert box.width <= Fraction(2) ** (1 - 64) * max(1, abs(box.lo))
-
-    def test_nesting(self):
-        values = [
-            Fraction(22, 7),
-            parse_real("(-3+1*sqrt(21))/6").value,
-            parse_real("(1+1*sqrt(5))/2").value,
-        ]
-        for value in values:
-            if isinstance(value, Fraction):
-                coarse = IntervalReal.from_fraction(value, 32)
-                fine = IntervalReal.from_fraction(value, 128)
-            else:
-                coarse = value.to_interval(32)
-                fine = value.to_interval(128)
-            assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
 class TestCompare:
