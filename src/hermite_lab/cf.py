@@ -334,11 +334,9 @@ def _validate_x0(spec: RealSpec) -> None:
 def expansion(x0: RealSpec) -> ExpansionSession:
     """Fresh certified expansion session for a reduced input."""
     _validate_x0(x0)
-    if isinstance(x0, RationalSpec):
-        return _WindowSession(x0.value, x0.value)
     if isinstance(x0, QuadraticSpec):
         return _QuadraticSession(x0.value)
-    return _WindowSession(x0.window_lo, x0.window_hi)
+    return _WindowSession(*x0.bounds)
 
 
 def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:

@@ -21,7 +21,6 @@ from .errors import (
     AmbiguousComparison,
     HermiteLabError,
     OrbitTerminates,
-    ParseError,
     PrecisionExceedsInput,
     TailUnavailable,
     VerificationMismatch,
@@ -38,7 +37,7 @@ EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_VERIFY = 4
 
-_PARSE_ERRORS = (ParseError, ValueError, HermiteLabError)
+_PARSE_ERRORS = (ValueError, HermiteLabError)
 _PRECISION_ERRORS = (AmbiguousComparison, PrecisionExceedsInput, TailUnavailable)
 
 
@@ -135,15 +134,9 @@ def _cmd_flags(args) -> int:
     return EXIT_OK
 
 
-def _parse_coordinate(text: str):
-    if "/" in text or "." in text:
-        return Fraction(text)
-    return Fraction(int(text))
-
-
 def _cmd_orbit(args) -> int:
-    x = _parse_coordinate(args.x)
-    y = _parse_coordinate(args.y)
+    x = Fraction(args.x)
+    y = Fraction(args.y)
     terminated_at = None
     try:
         points = next_mod.orbit(next_mod.DomainPoint(x, y), args.n)

@@ -35,13 +35,7 @@ from .errors import (
     MisalignedInput,
 )
 from .lattice import MinimalVector, complete_sequence
-from .numeric import (
-    DecimalSpec,
-    QuadraticReal,
-    RealSpec,
-    sqrt_ratio,
-    surd_sign,
-)
+from .numeric import QuadraticReal, RealSpec, sqrt_ratio, surd_sign
 
 _PREFILTER_MARGIN = 1e-9
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
@@ -127,12 +121,14 @@ class ScanState:
     `quotients` are the partial quotients the scan certified, in order.
     """
 
-    quotient_count: int
     q_cur: int
     terminated: bool
-    exhausted: bool
     hermite_q: int
     quotients: tuple[int, ...]
+
+    @property
+    def quotient_count(self) -> int:
+        return len(self.quotients)
 
 
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
@@ -159,9 +155,7 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         y_float = 1.0 / (a + y_float)
         m += 1
-    state = ScanState(
-        session.count, q_cur, session.terminated, session.exhausted, hermite_q, tuple(quotients)
-    )
+    state = ScanState(q_cur, session.terminated, hermite_q, tuple(quotients))
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 
 
@@ -247,20 +241,16 @@ def _lower_envelope(lines, d: int) -> tuple[list[bool], list[tuple]]:
 def _envelopes(seq: Sequence[MinimalVector]):
     """One envelope pass over the sequence: (flags, hand-overs, line sets).
 
-    The line sets hold one set per theta value (both window endpoints of a
-    decimal).  The flags merge the per-value touch flags, None where they
-    differ; the last index of a truncated sequence is withheld (None), as its
-    status can depend on vectors not yet in the candidate set.  The exact
-    ((N, U, V), left, right) hand-overs are those of the first line set.
+    The line sets hold one set per distinct value in theta's bounds (both
+    window endpoints of a decimal).  The flags merge the per-value touch
+    flags, None where they differ; the last index of a truncated sequence is
+    withheld (None), as its status can depend on vectors not yet in the
+    candidate set.  The exact ((N, U, V), left, right) hand-overs are those
+    of the first line set.
     """
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
-    theta = seq[0].theta
-    if isinstance(theta, DecimalSpec):
-        values = [theta.window_lo, theta.window_hi]
-    else:
-        values = [theta.value]
-    line_sets = [_line_set(seq, value) for value in values]
+    line_sets = [_line_set(seq, value) for value in dict.fromkeys(seq[0].theta.bounds)]
     envelopes = [_lower_envelope(lines, d) for _, d, lines in line_sets]
     flags = [
         column[0] if all(f == column[0] for f in column) else None

@@ -2,9 +2,9 @@
 consecutive-successor algorithm, intrinsic coordinates, complete sequences.
 
 A vector is stored as the integer pair (p, q); its embedded first coordinate
-v1 = p - q*theta is recomputed exactly on demand (for a decimal, as exact
-bounds over its window) rather than propagated, so long sequences never
-accumulate width.
+v1 = p - q*theta is recomputed exactly on demand, as the exact bounds
+`v1_bounds` over theta's `bounds` (a decimal's window), rather than
+propagated, so long sequences never accumulate width.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from .cf import HALF, expansion, reduce_theta
 from .errors import AmbiguousComparison, NotConsecutive, SequenceEnds
-from .numeric import (
-    DecimalSpec,
-    QuadraticReal,
-    QuadraticSpec,
-    RationalSpec,
-    RealSpec,
-)
+from .numeric import QuadraticReal, QuadraticSpec, RationalSpec, RealSpec
 
 BRUTEFORCE_MAX_Q = 10**6
 
@@ -42,45 +36,21 @@ class MinimalVector:
     index: int
     theta: RealSpec = field(repr=False, compare=False)
 
-    def v1_exact(self):
-        """Exact v1 for rational and quadratic theta; None for decimal."""
-        if isinstance(self.theta, RationalSpec):
-            return self.p - self.q * self.theta.value
-        if isinstance(self.theta, QuadraticSpec):
-            if self.q == 0:
-                return Fraction(self.p)
-            return Fraction(self.p) - self.theta.value * self.q
-        return None
-
-    def v1_window(self) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds on v1 (rational and decimal theta)."""
-        if isinstance(self.theta, RationalSpec):
-            v = self.p - self.q * self.theta.value
-            return v, v
-        if isinstance(self.theta, DecimalSpec):
-            lo = self.p - self.q * self.theta.window_hi
-            hi = self.p - self.q * self.theta.window_lo
-            return lo, hi
-        raise TypeError("v1_window needs rational bounds; use v1_exact for quadratics")
+    def v1_bounds(self) -> tuple:
+        """Exact bounds (lo, hi) on v1 = p - q*theta for every theta within theta.bounds."""
+        lo, hi = self.theta.bounds
+        return self.p - self.q * hi, self.p - self.q * lo
 
     def v1_sign(self) -> int:
-        """Certified sign of v1 (0 means exactly zero)."""
-        exact = self.v1_exact()
-        if exact is not None:
-            return exact_sign(exact)
-        lo, hi = self.v1_window()
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        raise AmbiguousComparison("sign of p - q*theta undecided at declared precision")
+        """Certified sign of v1 (0 means exactly zero): the sign both bounds share."""
+        lo, hi = self.v1_bounds()
+        sign = exact_sign(lo)
+        if sign != exact_sign(hi):
+            raise AmbiguousComparison("sign of p - q*theta undecided at declared precision")
+        return sign
 
     def is_zero_v1(self) -> bool:
-        if isinstance(self.theta, RationalSpec):
-            return self.p * self.theta.value.denominator == self.q * self.theta.value.numerator
-        if isinstance(self.theta, QuadraticSpec):
-            return False
-        return False  # a decimal window never pins v1 to zero
+        return self.v1_bounds() == (0, 0)
 
 
 @dataclass(frozen=True)
@@ -196,19 +166,11 @@ def is_minimal_bruteforce(theta: RealSpec, p: int, q: int) -> bool:
 
 def _abs_ratio_floor(u: MinimalVector, v: MinimalVector) -> int:
     """floor(|u1| / |v1|), certified."""
-    if isinstance(u.theta, QuadraticSpec):
-        return math.floor(abs(u.v1_exact()) / abs(v.v1_exact()))
-    lo_u, hi_u = u.v1_window()
-    lo_v, hi_v = v.v1_window()
-    if lo_v <= 0 <= hi_v or lo_u <= 0 <= hi_u:
-        raise AmbiguousComparison("v1 sign undecided at declared precision")
-    au = (abs(lo_u), abs(hi_u))
-    av = (abs(lo_v), abs(hi_v))
-    floor_lo = math.floor(min(au) / max(av))
-    floor_hi = math.floor(max(au) / min(av))
-    if floor_lo != floor_hi:
+    lo, hi = _ratio_interval(u, v)
+    floor = math.floor(lo)
+    if floor != math.floor(hi):
         raise AmbiguousComparison("floor(|u1|/|v1|) undecided at declared precision")
-    return floor_lo
+    return floor
 
 
 def _pair_shape(u: MinimalVector, v: MinimalVector) -> None:
@@ -223,10 +185,10 @@ def _pair_shape(u: MinimalVector, v: MinimalVector) -> None:
 def next_minimal(u: MinimalVector, v: MinimalVector) -> MinimalVector:
     """The minimal vector immediately after v, via w = (+-u) + floor(1/x) * v."""
     _pair_shape(u, v)
-    if v.is_zero_v1():
+    s_v = v.v1_sign()
+    if s_v == 0:
         raise SequenceEnds("v1 = 0: theta is rational and v closes the sequence")
     s_u = u.v1_sign()
-    s_v = v.v1_sign()
     if s_u == 0:
         raise NotConsecutive("u1 must be nonzero")
     if s_u == s_v:
@@ -267,16 +229,13 @@ def intrinsic_coords(u: MinimalVector, v: MinimalVector) -> IntrinsicCoords:
 
 
 def _ratio_interval(num_vec: MinimalVector, den_vec: MinimalVector) -> tuple:
-    """Exact bounds (lo, hi) on |num_vec.v1| / |den_vec.v1|."""
-    exact_n = num_vec.v1_exact()
-    exact_d = den_vec.v1_exact()
-    if exact_n is not None and exact_d is not None:
-        ratio = abs(exact_n) / abs(exact_d)
-        return ratio, ratio
-    lo_n, hi_n = num_vec.v1_window()
-    lo_d, hi_d = den_vec.v1_window()
-    if lo_n <= 0 <= hi_n or lo_d <= 0 <= hi_d:
-        raise AmbiguousComparison("v1 sign undecided at declared precision")
-    an = sorted((abs(lo_n), abs(hi_n)))
-    ad = sorted((abs(lo_d), abs(hi_d)))
-    return an[0] / ad[1], an[1] / ad[0]
+    """Exact bounds (lo, hi) on |num_vec.v1| / |den_vec.v1|, both signs certified nonzero."""
+    n_lo, n_hi = _abs_v1_bounds(num_vec)
+    d_lo, d_hi = _abs_v1_bounds(den_vec)
+    return n_lo / d_hi, n_hi / d_lo
+
+
+def _abs_v1_bounds(vec: MinimalVector) -> tuple:
+    """Exact bounds (lo, hi) on |v1|, for a v1 of certified nonzero sign."""
+    lo, hi = vec.v1_bounds()
+    return (lo, hi) if exact_sign(lo) > 0 else (-hi, -lo)

@@ -5,6 +5,8 @@ normal form (a + b*sqrt(d))/c with exact sign, floor and field arithmetic.
 A decimal is an exact rational plus the window [window_lo, window_hi] that
 its declared precision leaves open; certified answers about it hold for
 every real in that window.  No value is ever rounded to an interval.
+Every spec's `bounds` is that pair (lo, hi) of exact bounds: the window of
+a decimal, the value itself twice for a rational or quadratic.
 """
 
 from __future__ import annotations
@@ -265,10 +267,20 @@ def quadratic_or_rational(a: int, b: int, c: int, d: int) -> Union[Fraction, Qua
 class RationalSpec:
     value: Fraction
 
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Exact bounds (lo, hi) on the real: the value itself, twice."""
+        return self.value, self.value
+
 
 @dataclass(frozen=True)
 class QuadraticSpec:
     value: QuadraticReal
+
+    @property
+    def bounds(self) -> tuple[QuadraticReal, QuadraticReal]:
+        """Exact bounds (lo, hi) on the real: the value itself, twice."""
+        return self.value, self.value
 
 
 @dataclass(frozen=True)
@@ -290,6 +302,11 @@ class DecimalSpec:
             raise ParseError("decimal precision must be >= 64 bits")
         if not (self.window_lo <= self.value <= self.window_hi):
             raise ValueError("value outside its window")
+
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Exact bounds (lo, hi) on the intended real: its window."""
+        return self.window_lo, self.window_hi
 
 
 RealSpec = Union[RationalSpec, QuadraticSpec, DecimalSpec]

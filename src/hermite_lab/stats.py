@@ -68,7 +68,6 @@ class ThetaReport:
     levy_rate: Optional[float]
     hermite_growth: Optional[float]
     undecided_count: int
-    quotient_count: int
     terminated: bool = False
 
     def as_row(self) -> dict:
@@ -196,8 +195,7 @@ def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:
     # X_0 is conventional; proportions count the q >= 1 vectors
     decided = flags.decided_count - 1
     true_count = flags.flags.count(True) - 1
-    quotient_count = state.quotient_count
-    levy = ln_big(state.q_cur) / quotient_count if quotient_count >= 1 else None
+    levy = ln_big(state.q_cur) / state.quotient_count if state.quotients else None
     growth = ln_big(state.hermite_q) / true_count if state.hermite_q else None
     return ThetaReport(
         theta_id=_short_id(spec),
@@ -208,7 +206,6 @@ def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:
         levy_rate=levy,
         hermite_growth=growth,
         undecided_count=flags.undecided_count,
-        quotient_count=quotient_count,
         terminated=state.terminated,
     )
 

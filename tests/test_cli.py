@@ -127,6 +127,11 @@ class TestOrbit:
         point = record["results"]["points"][1]
         assert point["x"] == "1/2"
 
+    def test_exponent_coordinates(self, capsys):
+        code, record = run_json(capsys, "orbit", "--x", "1e-1", "--y", "1/3", "--n", "1")
+        assert code == 0
+        assert record["results"]["points"][0] == {"step": 0, "x": "1/10", "y": "1/3"}
+
     def test_termination_reported(self, capsys):
         code, record = run_json(capsys, "orbit", "--x", "3/8", "--y", "0", "--n", "3")
         assert code == 0

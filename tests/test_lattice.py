@@ -16,8 +16,10 @@ from hermite_lab import (
     cf_expand,
     check_basis,
     complete_sequence,
+    flags_via_envelope,
     intrinsic_coords,
     is_minimal_bruteforce,
+    make_decimal,
     next_minimal,
     parse_real,
     reduce_theta,
@@ -285,3 +287,31 @@ class TestDecimalPairwise:
         v = MinimalVector(1, 3, 2, spec)
         with pytest.raises(AmbiguousComparison):
             next_minimal(u, v)
+
+
+class TestBounds:
+    def test_zero_width_decimal_behaves_like_its_rational(self):
+        assert GOLDEN.bounds == (GOLDEN.value, GOLDEN.value)
+        lo, hi = Fraction(123456789, 10**9), Fraction(123456789, 10**9) + Fraction(1, 2**64)
+        spec = parse_real("0.123456789@64")
+        assert spec.bounds == (lo, hi)
+        assert MinimalVector(1, 8, 2, spec).v1_bounds() == (1 - 8 * hi, 1 - 8 * lo)
+        # a window of width 0 pins theta to a rational: every answer is the
+        # rational's, the exact zero at the closing vector included
+        for rational in [THETA38] + random_rational_specs(1, 10**6, seed=1001):
+            value = rational.value
+            decimal = make_decimal(value, 64, (value, value))
+            assert decimal.bounds == rational.bounds == (value, value)
+            seq_r = complete_sequence(rational, 100)
+            seq_d = complete_sequence(decimal, 100)
+            assert seq_d == seq_r
+            for r, d in zip(seq_r, seq_d):
+                assert d.v1_bounds() == r.v1_bounds()
+                assert d.v1_sign() == r.v1_sign()
+            assert seq_d[-1].v1_sign() == 0
+            for seq in (seq_r, seq_d):
+                with pytest.raises(SequenceEnds):
+                    next_minimal(seq[-2], seq[-1])
+            flags_d = flags_via_envelope(seq_d).flags
+            assert flags_d == flags_via_envelope(seq_r).flags
+            assert None not in flags_d
