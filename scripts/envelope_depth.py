@@ -1,11 +1,15 @@
-"""CPU time of the exact envelope on one untruncated sample of the paper's experiment.
+"""CPU time of two flag oracles on one untruncated sample of the paper's experiment.
 
     PYTHONPATH=src python scripts/envelope_depth.py [--seed 401] [--depths 1000 5000]
+        [--scan-depths 50 100]
 
 The sample is the first of `stats.sample_thetas(seed, 1, auto_precision_bits(5000))`
-(about 19,400 bits).  For each depth the script times `flags_via_envelope`
-on the sample's first `depth` minimal vectors (both window endpoints) with
-`time.process_time`, and checks its decided flags against the criterion's.
+(about 19,400 bits).  For each of `--depths` the script times
+`flags_via_envelope` on the sample's first `depth` minimal vectors (both
+window endpoints), and for each of `--scan-depths` it times
+the whole `flags_via_delta_scan(sample, depth)` call (it builds its own
+sequence and envelope), both with `time.process_time`.  Each oracle's
+decided flags are checked against the criterion's.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ import argparse
 import platform
 import time
 
-from hermite_lab import complete_sequence, flags_via_criterion, flags_via_envelope
+from hermite_lab import (
+    complete_sequence,
+    flags_via_criterion,
+    flags_via_delta_scan,
+    flags_via_envelope,
+)
 from hermite_lab.stats import auto_precision_bits, sample_thetas
 
 
@@ -22,20 +31,25 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=401)
     parser.add_argument("--depths", type=int, nargs="+", default=[1000, 5000])
+    parser.add_argument("--scan-depths", type=int, nargs="+", default=[50, 100])
     args = parser.parse_args()
     spec = sample_thetas(args.seed, 1, auto_precision_bits(5000))[0]
     print(f"python {platform.python_version()} on {platform.machine()}, seed {args.seed}")
-    for depth in args.depths:
-        seq = complete_sequence(spec, depth - 1)
-        start = time.process_time()
-        envelope = flags_via_envelope(seq)
+    runs = [("envelope", depth) for depth in args.depths]
+    runs += [("delta scan", depth) for depth in args.scan_depths]
+    for oracle, depth in runs:
+        if oracle == "envelope":
+            seq = complete_sequence(spec, depth - 1)
+            start = time.process_time()
+            flags = flags_via_envelope(seq)
+        else:
+            start = time.process_time()
+            flags = flags_via_delta_scan(spec, depth)
         seconds = time.process_time() - start
         criterion = flags_via_criterion(spec, depth)
-        decided = [
-            (a, b) for a, b in zip(criterion.flags, envelope.flags) if None not in (a, b)
-        ]
+        decided = [(a, b) for a, b in zip(criterion.flags, flags.flags) if None not in (a, b)]
         agree = all(a == b for a, b in decided)
-        print(f"depth {depth}: envelope {seconds:.2f} s, {len(decided)} decided flags, agree={agree}")
+        print(f"depth {depth}: {oracle} {seconds:.2f} s, {len(decided)} decided flags, agree={agree}")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .errors import (
     HermiteLabError,
     InsufficientSequence,
     IntegerInput,
+    InvalidArgument,
     InvalidQuadratic,
     IndexOutOfRange,
     MisalignedInput,

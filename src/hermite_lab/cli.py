@@ -20,6 +20,7 @@ from .cf import cf_expand, convergents, reduce_theta
 from .errors import (
     AmbiguousComparison,
     HermiteLabError,
+    InvalidArgument,
     OrbitTerminates,
     PrecisionExceedsInput,
     TailUnavailable,
@@ -135,8 +136,10 @@ def _cmd_flags(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    x = Fraction(args.x)
-    y = Fraction(args.y)
+    try:
+        x, y = Fraction(args.x), Fraction(args.y)
+    except ZeroDivisionError:
+        raise InvalidArgument("orbit coordinates need a non-zero denominator") from None
     terminated_at = None
     try:
         points = next_mod.orbit(next_mod.DomainPoint(x, y), args.n)

@@ -27,6 +27,10 @@ class IntegerInput(HermiteLabError):
     """The input is an exact integer; the minimal-vector sequence degenerates."""
 
 
+class InvalidArgument(HermiteLabError, ValueError):
+    """An argument lies outside the values the function accepts."""
+
+
 class IndexOutOfRange(HermiteLabError, IndexError):
     """Requested index lies outside the computed data."""
 

@@ -10,9 +10,11 @@
   inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
   q^2/Delta over a grid of Delta values.  Only the grid is approximate (it
-  can miss a sliver); at each grid value a certified float prefilter drops
-  the lines surely above the minimum, and the argmin of the rest is exact,
-  computed on the envelope's integer lines and compared as p + r*sqrt(d).
+  can miss a sliver).  The grid is a few ascending runs, and each run is
+  swept exactly on the envelope's integer lines, compared as p + r*sqrt(d):
+  the argmin moves only up the lines as Delta grows, and the scan computes
+  from the lines themselves how far the current argmin holds, bisecting past
+  the grid values inside that stretch.  No float is involved.
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -21,10 +23,12 @@ report None where the declared precision cannot decide.
 from __future__ import annotations
 
 import math
-import sys
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from typing import Optional, Sequence
 
 from .cf import expansion, reduce_theta
@@ -32,13 +36,13 @@ from .errors import (
     AmbiguousComparison,
     GridTooCoarse,
     InsufficientSequence,
+    InvalidArgument,
     MisalignedInput,
 )
 from .lattice import MinimalVector, complete_sequence
 from .numeric import QuadraticReal, RealSpec, sqrt_ratio, surd_sign
 
 _PREFILTER_MARGIN = 1e-9
-_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class ScanState:
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InvalidArgument("need n >= 2")
     _, x0, _ = reduce_theta(theta)
     session = expansion(x0)
     flags: list[Optional[bool]] = [True]  # X_0 = (1, 0) by convention
@@ -186,9 +190,11 @@ def _line_set(seq: Sequence[MinimalVector], value: Fraction | QuadraticReal):
         u = vec.p * c - q * n
         lines.append((u * u + bbd * q * q, -2 * b * q * u, q * q))
     for k in range(1, len(lines)):
-        if surd_sign(lines[k - 1][0] - lines[k][0], lines[k - 1][1] - lines[k][1], d) <= 0:
+        (X0, Y0, Z0), (X1, Y1, Z1) = lines[k - 1], lines[k]
+        if Z0 >= Z1 or surd_sign(X0 - X1, Y0 - Y1, d) <= 0:
             raise AmbiguousComparison(
-                f"|v1| not strictly decreasing at index {k}: not a certified prefix"
+                f"|v1| not strictly decreasing or q not increasing at index {k}: "
+                "not a certified prefix"
             )
     return c * c, d, lines
 
@@ -336,131 +342,140 @@ def _midpoint(a, b) -> tuple[int, int, int]:
     return e1 * g2 + e2 * g1, f1 * g2 + f2 * g1, 2 * g1 * g2
 
 
-def default_delta_grid(taus: list, d: int) -> list:
-    """Geometric grid over the hand-overs `taus` (ascending, not empty) plus midpoints.
+def _compare(a, b, d: int) -> int:
+    """Sign of a - b for grid values or hand-overs a, b."""
+    (e1, f1, g1), (e2, f2, g2) = a, b
+    return surd_sign(e1 * g2 - e2 * g1, f1 * g2 - f2 * g1, d)
 
-    The geometric values share the denominator 2^64, run from about
-    taus[0]/2 to about 2*taus[-1] and step by about one sixteenth of a
-    decade; the midpoints lie between consecutive hand-overs.
+
+def default_delta_grid(taus: list, d: int) -> list[list]:
+    """Ascending runs over the hand-overs `taus` (ascending, not empty).
+
+    The geometric run shares the denominator 2^64, runs from about
+    taus[0]/2 to about 2*taus[-1] and steps by about one sixteenth of a
+    decade; the second run holds the midpoints of consecutive hand-overs,
+    the third the two end values taus[0]/2 and 2*taus[-1].
     """
     (e, f, g), (e_top, f_top, g_top) = taus[0], taus[-1]
     cur = _floor_bound(_GRID_UNIT * e, _GRID_UNIT * f, 2 * g, d)  # >= 2^63 - 1: tau >= 1
     top = -_floor_bound(-2 * _GRID_UNIT * e_top, -2 * _GRID_UNIT * f_top, g_top, d)
-    grid = []
+    geometric = []
     while cur <= top:
-        grid.append((cur, 0, _GRID_UNIT))
+        geometric.append((cur, 0, _GRID_UNIT))
         cur = cur * 11548745 // 10**7
-    grid += [_midpoint(a, b) for a, b in zip(taus, taus[1:])]
-    return grid + [(e, f, 2 * g), (2 * e_top, 2 * f_top, g_top)]
+    midpoints = [_midpoint(a, b) for a, b in zip(taus, taus[1:])]
+    return [geometric, midpoints, [(e, f, 2 * g), (2 * e_top, 2 * f_top, g_top)]]
 
 
-def _surd_float(p: int, r: int, d: int, root: float, g: int = 1) -> Optional[float]:
-    """(p + r*sqrt(d))/g >= 0 as a float within 6 ulps, or None outside the normal range.
-
-    `root` is math.sqrt(d).  When p and r have opposite signs the number is
-    read through its conjugate, (p^2 - r^2*d)/(p - r*sqrt(d)), so no
-    subtraction cancels.  None means the float would overflow, be subnormal,
-    or read a non-zero number as 0; 0.0 is returned only for an exact zero.
-    """
-    try:
-        if not (r and d):
-            x = p / g
-        elif (p >= 0) == (r >= 0):
-            x = (p + r * root) / g
-        else:
-            x = (p * p - r * r * d) / (p - r * root) / g
-    except OverflowError:
-        return None
-    if x == 0.0:
-        return None if p or (r and d) else x
-    return x if _FLOAT_MIN <= x < math.inf else None
+def _argmins(line_set, Z: list, p: int, delta) -> set[int]:
+    """Exact argmin set at Delta among the lines from p on (see `_scan_witnesses`)."""
+    scale, d, lines = line_set
+    e, f, g = delta
+    fd, Lg = f * d, scale * g
+    X, Y, Z_p = lines[p]
+    best = (X * e + Y * fd + Z_p * Lg, X * f + Y * e)
+    # a line with Z*L*g above line p's value lies strictly above line p
+    hi = bisect_right(Z, (_floor_bound(*best, 1, d) + 1) // Lg, p + 1)
+    values = [(X * e + Y * fd + Z * Lg, X * f + Y * e) for X, Y, Z in lines[p:hi]]
+    for v in values:
+        if surd_sign(v[0] - best[0], v[1] - best[1], d) < 0:
+            best = v
+    return {p + k for k, v in enumerate(values) if v == best}
 
 
-def _line_floats(scale: int, d: int, lines):
-    """Prefilter data of a line set, or None if a float leaves the normal range.
-
-    Per line (a_k, b_k) ~ (X + Y*sqrt(d), Z*L), so that L*(A*Delta + B) is
-    a_k*Delta + b_k; with them the smallest non-zero a_k, the largest a_k
-    and the largest b_k, which bound the range of a_k*Delta + b_k.
-    """
-    root = math.sqrt(d)
-    floats = []
-    for X, Y, Z in lines:
-        a = _surd_float(X, Y, d, root)
-        b = _surd_float(Z * scale, 0, 0, root)
-        if a is None or b is None:
-            return None
-        floats.append((a, b))
-    a_lo = min((a for a, _ in floats if a), default=math.inf)
-    a_hi = max(a for a, _ in floats)
-    b_hi = max(b for _, b in floats)
-    return root, a_lo, a_hi, b_hi, floats
+def _stay_end(line_set, Z: list, p: int):
+    """Least crossing (e, f, g) of line p with a later line, None if there is none."""
+    scale, d, lines = line_set
+    X_p, Y_p, Z_p = lines[p]
+    best = None
+    k, hi = p + 1, len(lines)
+    while k < hi:
+        X, Y, Z_k = lines[k]
+        N, U, V = Z_k - Z_p, X_p - X, Y_p - Y
+        if best is None or surd_sign(N * best[1] - best[0] * U, N * best[2] - best[0] * V, d) < 0:
+            best = N, U, V
+            e, f, g = _tau(line_set, best)
+            # a line with Z - Z_p > x*S_p/L meets line p after x = (e + f*sqrt(d))/g
+            cut = _floor_bound(e * X_p + f * Y_p * d, e * Y_p + f * X_p, g * scale, d)
+            hi = bisect_right(Z, Z_p + cut + 1, k + 1, hi)
+        k += 1
+    return None if best is None else _tau(line_set, best)
 
 
-def _survivors(prefilter, e: int, f: int, g: int, d: int, count: int):
-    """Indices of the lines the float prefilter keeps at Delta = (e + f*sqrt(d))/g.
-
-    All `count` lines are kept where a float would leave the normal range.
-    Otherwise the kept lines include the exact argmin and every line tied
-    with it.  Proof: each float here is normal or an exact 0, so a_k and
-    Delta_f are within 6 ulps and, all terms being non-negative,
-    v_k = a_k*Delta_f + b_k is within 13 ulps of the exact value V_k:
-    v_k = V_k*(1 + t_k) with |t_k| < eps = 2e-15.  Let j be a line of the
-    float minimum m.  A dropped line has v_k > m*(1 + margin), rounding of
-    the bound included with margin = _PREFILTER_MARGIN less 1e-15, so
-    V_k > m*(1 + margin)/(1 + eps) >= V_j*(1 - eps)*(1 + margin)/(1 + eps)
-    > V_j, as margin > 3*eps.  A dropped line lies strictly above line j:
-    it is neither the argmin nor tied with it.
-    """
-    if prefilter is not None:
-        root, a_lo, a_hi, b_hi, floats = prefilter
-        delta = _surd_float(e, f, d, root, g)
-        if delta is not None and a_lo * delta >= _FLOAT_MIN and a_hi * delta + b_hi < math.inf:
-            values = [a * delta + b for a, b in floats]
-            top = min(values) * (1 + _PREFILTER_MARGIN)
-            return [k for k, v in enumerate(values) if v <= top]
-    return range(count)
+def _check_run(run, d: int) -> None:
+    """Raise InvalidArgument unless the run ascends strictly from a positive value."""
+    if surd_sign(run[0][0], run[0][1], d) <= 0:
+        raise InvalidArgument("grid values must be positive")
+    es, fs, gs = zip(*run)
+    if len(set(fs)) == len(set(gs)) == 1:  # one f and g (the geometric run): the e's decide
+        ascending = all(map(operator.lt, es, es[1:]))
+    else:
+        ascending = all(_compare(a, b, d) < 0 for a, b in zip(run, run[1:]))
+    if not ascending:
+        raise InvalidArgument("grid runs must be strictly ascending")
 
 
-def _scan_witnesses(line_sets, grid) -> set[int]:
+def _sweep(line_set, run):
+    """(i, argmin set of run[i]) for every i where the set can change."""
+    _, d, lines = line_set
+    Z = [z for _, _, z in lines]
+    key = cmp_to_key(lambda a, b: _compare(a, b, d))
+    i = p = 0
+    while i < len(run):
+        argmins = _argmins(line_set, Z, p, run[i])
+        yield i, argmins
+        p = max(argmins)
+        end = _stay_end(line_set, Z, p)
+        j = len(run) if end is None else bisect_left(run, key(end), i + 1, key=key)
+        if j > i + 1:
+            yield i + 1, {p}
+        i = j
+
+
+def _scan_witnesses(line_sets, runs) -> set[int]:
     """Indices minimizing A*Delta + B for some grid Delta, on every line set.
 
-    Runs on integers: for a line set (L, d, lines) and a grid value
-    Delta = (e + f*sqrt(d))/g, scaling by L*g > 0 turns each line value into
-    p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  The float
-    prefilter (`_survivors`, floats computed once per line set) first drops
-    every line that a certified float bound puts strictly above another; a
-    single survivor is the argmin.  Otherwise the survivors compare
-    exactly, by `surd_sign` of their difference, and every one equal to the
-    minimum (p and r both equal, as sqrt(d) is irrational) is kept, so
-    exact ties are all witnessed.  As the prefilter never drops the exact
-    argmin or a line tied with it, the result is the exact argmin set of
-    the comparison over all lines.
+    The line sets share one radicand d.  `runs` are lists of grid values,
+    each strictly ascending from a positive first value (InvalidArgument
+    otherwise).  Runs on integers: for a line
+    set (L, d, lines) and Delta = (e + f*sqrt(d))/g, scaling by L*g > 0
+    turns each line value into p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and
+    r = X*f + Y*e.  Lines compare by `surd_sign` of their difference, and
+    every line equal to the minimum (p and r both equal, as sqrt(d) is
+    irrational) is kept, so exact ties are all witnessed.  The slopes
+    S_k = X_k + Y_k*sqrt(d) >= 0 strictly decrease and the Z_k strictly
+    increase (`_line_set`), so a run is swept rather than scanned:
+
+    Fact 1: for Delta1 < Delta2, every argmin i at Delta1 and j at Delta2
+    have i <= j.  Were j < i, adding the two minimality inequalities gives
+    (S_j - S_i)*(Delta2 - Delta1) <= 0, yet both factors are positive.  So
+    the argmins at the next value of a run are sought from p, the largest
+    argmin at the last one, on.
+
+    Fact 2: line p is the unique argmin on (Delta0, x_p), where p is the
+    largest argmin at Delta0 and x_p the least crossing
+    L*(Z_k - Z_p)/(S_p - S_k) of line p with a line k > p.  A line k < p
+    is not below line p at Delta0 and has the larger slope, so it is
+    strictly above on Delta > Delta0; a line k > p is strictly above at
+    Delta0 and meets line p first at x_p > Delta0.  So one bisection skips
+    the run's values inside (Delta0, x_p).  At the next value, past x_p, a
+    line k > p is at or below line p, so each recomputation raises p: a run
+    costs at most one per line, however many values it holds.
+
+    Both cuts on the lines bisect the increasing Z_k, as S_k*Delta >= 0:
+    at Delta a line with Z_k*L*g above line p's value lies strictly above
+    line p, and x_pk >= L*(Z_k - Z_p)/S_p.  Each line set yields index
+    segments of a run with their argmin sets; the argmins of a value are
+    the intersection over the line sets of the segments holding it.
     """
     witnessed: set[int] = set()
-    prefilters = [_line_floats(*line_set) for line_set in line_sets]
-    for e, f, g in grid:
-        agreed = None
-        for (scale, d, lines), prefilter in zip(line_sets, prefilters):
-            if surd_sign(e, f, d) <= 0:
-                raise ValueError("grid values must be positive")
-            survivors = _survivors(prefilter, e, f, g, d, len(lines))
-            if len(survivors) == 1:
-                argmins = set(survivors)
-            else:
-                fd = f * d
-                Lg = scale * g
-                values = [
-                    (X * e + Y * fd + Z * Lg, X * f + Y * e)
-                    for X, Y, Z in map(lines.__getitem__, survivors)
-                ]
-                best = values[0]
-                for p, r in values:
-                    if surd_sign(p - best[0], r - best[1], d) < 0:
-                        best = (p, r)
-                argmins = {k for k, v in zip(survivors, values) if v == best}
-            agreed = argmins if agreed is None else agreed & argmins
-        witnessed |= agreed
+    for run in filter(None, runs):
+        _check_run(run, line_sets[0][1])
+        sweeps = [dict(_sweep(line_set, run)) for line_set in line_sets]
+        current = [set()] * len(sweeps)
+        for i in sorted(set().union(*sweeps)):
+            current = [sweep.get(i, c) for sweep, c in zip(sweeps, current)]
+            witnessed |= set.intersection(*current)
     return witnessed
 
 
@@ -472,7 +487,7 @@ def flags_via_delta_scan(
     A grid can miss a vector whose winning parameter interval is a sliver
     (or a single point); the scan then refines once, adding the exact
     envelope hand-over values, before raising GridTooCoarse.  An explicit
-    `delta_grid` holds rationals.
+    `delta_grid` holds positive rationals; it is scanned as one ascending run.
     """
     if n < 3:
         raise InsufficientSequence("need n >= 3")
@@ -483,17 +498,16 @@ def flags_via_delta_scan(
     d = line_sets[0][1]
     taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
     if delta_grid is None:
-        grid = default_delta_grid(taus, d)
+        runs = default_delta_grid(taus, d)
     else:
-        grid = [(v.numerator, 0, v.denominator) for v in map(Fraction, delta_grid)]
-    witnessed = _scan_witnesses(line_sets, grid)
+        values = sorted(set(map(Fraction, delta_grid)))
+        runs = [[(v.numerator, 0, v.denominator) for v in values]]
+    witnessed = _scan_witnesses(line_sets, runs)
     must_witness = {k for k, f in enumerate(envelope) if f is True}
     if not must_witness <= witnessed:
-        ordered = sorted(grid, key=cmp_to_key(
-            lambda a, b: surd_sign(a[0] * b[2] - b[0] * a[2], a[1] * b[2] - b[1] * a[2], d)
-        ))
-        extra = taus + [_midpoint(a, b) for a, b in zip(ordered, ordered[1:])]
-        witnessed |= _scan_witnesses(line_sets, extra)
+        ordered = sorted(chain(*runs), key=cmp_to_key(lambda a, b: _compare(a, b, d)))
+        midpoints = [_midpoint(a, b) for a, b in zip(ordered, ordered[1:])]
+        witnessed |= _scan_witnesses(line_sets, [taus, midpoints])
     if not must_witness <= witnessed:
         missing = sorted(must_witness - witnessed)
         raise GridTooCoarse(

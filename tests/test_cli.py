@@ -305,7 +305,7 @@ _FUZZ_THETAS = [
     "(1+1*sqrt(0))/2", "(1+1*sqrt(-5))/2",
 ]
 _FUZZ_N = ["-1", "0", "1", "2", "3", "40"]
-_FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7"]
+_FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7", "1/0"]
 
 
 def _fuzz_grid():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hermite_lab import (
     DecimalSpec,
     HermiteLabError,
     InsufficientSequence,
+    InvalidArgument,
     MisalignedInput,
     OutOfFloatRange,
     RationalSpec,
@@ -30,10 +32,9 @@ from hermite_lab import (
 from hermite_lab import hermite
 from hermite_lab.hermite import (
     _envelopes,
-    _line_floats,
     _lower_envelope,
     _scan_witnesses,
-    _survivors,
+    _sweep,
     _tau,
     criterion_scan,
     default_delta_grid,
@@ -125,6 +126,8 @@ class TestCriterion:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             flags_via_criterion(GOLDEN, 1)
+        with pytest.raises(InvalidArgument, match="n >= 2"):  # a HermiteLabError too
+            flags_via_criterion(THETA38, 1)
 
     def test_hermite_q_is_the_deepest_true_denominator(self):
         rng = random.Random(103)
@@ -298,7 +301,7 @@ class TestDeltaScan:
 
     def test_small_delta_selects_origin(self):
         line_sets = _envelopes(complete_sequence(THETA38, 10))[2]
-        assert _scan_witnesses(line_sets, [(1, 0, 10**9)]) == {0}
+        assert _scan_witnesses(line_sets, [[(1, 0, 10**9)]]) == {0}
 
     def test_coarse_grid_refines_once(self):
         scan = flags_via_delta_scan(Q21, 10, delta_grid=[Fraction(1, 10**6)])
@@ -351,7 +354,7 @@ def _scan_inputs(spec, depth: int):
 def _assert_same(line_sets, exact_sets, grid) -> list[set[int]]:
     """Each grid value alone has the reference's witnesses; returns the scan's."""
     d = line_sets[0][1]
-    scan = [_scan_witnesses(line_sets, [t]) for t in grid]
+    scan = [_scan_witnesses(line_sets, [[t]]) for t in grid]
     assert scan == [_reference_witnesses(exact_sets, [exact_number(t, d)]) for t in grid]
     return scan
 
@@ -374,7 +377,7 @@ class TestScanAgainstReference:
         )
         for spec, depth in specs:
             line_sets, exact_sets, taus = _scan_inputs(spec, depth)
-            grid = default_delta_grid(taus, line_sets[0][1])
+            grid = [t for run in default_delta_grid(taus, line_sets[0][1]) for t in run]
             _assert_same(line_sets, exact_sets, grid[::4])
             ties = _assert_same(line_sets, exact_sets, taus)  # every value an exact tie
             if len(line_sets) == 1:
@@ -390,71 +393,123 @@ class TestScanAgainstReference:
 
     def test_planted_three_line_tie(self):
         lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
-        assert _scan_witnesses([(1, 0, lines)], [(1, 0, 1)]) == {0, 1, 2}
+        assert _scan_witnesses([(1, 0, lines)], [[(1, 0, 1)]]) == {0, 1, 2}
+        # the sweep stops at the tie inside the run [1/2, 1, 2]
+        run = [(1, 0, 2), (1, 0, 1), (2, 0, 1)]
+        assert dict(_sweep((1, 0, lines), run)) == {0: {0}, 1: {0, 1, 2}, 2: {2, 3}}
         exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
         _assert_same([(1, 0, lines)], [exact], [(1, 0, 1), (1, 0, 2), (1, 0, 3)])
         # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
         # A = (3 - B)/Delta = (3 - B)*(1 + sqrt(5))/4, so L = 4, X = Y = 3 - B
         surd_lines = [(3 - B, 3 - B, B) for B in (0, 1, 2)] + [(0, 0, 5)]
         delta = (-1, 1, 1)
-        assert _scan_witnesses([(4, 5, surd_lines)], [delta]) == {0, 1, 2}
+        assert _scan_witnesses([(4, 5, surd_lines)], [[delta]]) == {0, 1, 2}
+        run = [(1, 0, 1), delta, (-2, 2, 1)]
+        assert dict(_sweep((4, 5, surd_lines), run))[1] == {0, 1, 2}
         exact = [(Fraction(3 - B) / exact_number(delta, 5), Fraction(B)) for B in (0, 1, 2)]
         exact.append((Fraction(0), Fraction(5)))
-        _assert_same([(4, 5, surd_lines)], [exact], [(1, 0, 1), delta, (-2, 2, 1)])
+        _assert_same([(4, 5, surd_lines)], [exact], run)
 
     def test_non_positive_delta_rejected(self):
         line_sets, _, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
         for delta in ((0, 0, 1), (-1, 0, 1), (1, -1, 1)):  # 1 - sqrt(2) < 0
             with pytest.raises(ValueError, match="positive"):
-                _scan_witnesses(line_sets, [delta])
+                _scan_witnesses(line_sets, [[delta]])
 
 
-class TestScanPrefilter:
-    """The float prefilter drops only lines strictly above the exact minimum;
-    where a float would leave the normal range every line is compared exactly."""
+def _default_runs(spec, depth: int):
+    line_sets, exact_sets, taus = _scan_inputs(spec, depth)
+    return line_sets, exact_sets, default_delta_grid(taus, line_sets[0][1])
 
-    def test_line_set_beyond_float_range(self):
-        # c^2 = 2^1200: the line floats overflow, and so do Delta and
-        # a_k*Delta at the large hand-overs
-        spec = RationalSpec(Fraction(random.Random(600).randrange(1, 1 << 600) | 1, 1 << 600))
-        line_sets, exact_sets, taus = _scan_inputs(spec, 10**6)
-        assert len(line_sets[0][2]) > 300
-        assert _line_floats(*line_sets[0]) is None
-        grid = default_delta_grid(taus, 0)
-        assert max(e // g for e, _, g in grid).bit_length() > 2000
-        _assert_same(line_sets, exact_sets, grid[::300] + taus[::8])
 
-    def test_grid_values_beyond_float_range(self):
-        # Delta above the float range, a_k*Delta above it, Delta below the
-        # normal range, a_k*Delta below it (Q21's smallest a_k is ~2^-40):
-        # each takes the exact loop on every line
-        decimal = make_decimal(Fraction(random.Random(195).randrange(1, 1 << 80), 1 << 80), 64)
-        cases = [
-            (Q21, 20, [(1 << 1100, 0, 1), (1 << 1020, 0, 1), (1, 0, 1 << 1100), (1, 0, 1 << 1000)]),
-            (decimal, 40, [(1 << 1100, 0, 1), (1 << 1000, 0, 1), (1, 0, 1 << 1100)]),
+class TestScanSweep:
+    """The sweep over ascending runs equals a scan of every grid value alone."""
+
+    def test_sweep_equals_one_value_scans(self):
+        rng = random.Random(211)
+        decimals = [
+            make_decimal(Fraction(rng.randrange(1, 1 << 160), 1 << 160), bits)
+            for bits in (64, 96, 128)
         ]
-        for spec, depth, extremes in cases:
-            line_sets, exact_sets, _ = _scan_inputs(spec, depth)
-            for scale, d, lines in line_sets:
-                prefilter = _line_floats(scale, d, lines)
-                assert prefilter is not None
-                for e, f, g in extremes:
-                    assert len(_survivors(prefilter, e, f, g, d, len(lines))) == len(lines)
-            _assert_same(line_sets, exact_sets, extremes)
+        specs = (
+            [(spec, 10**6) for spec in random_rational_specs(8, 10**9, seed=212)]
+            + [(spec, 40) for spec in decimals]
+            + [(spec, 16) for spec in random_quadratic_specs(6, seed=213)]
+            + [(BOUNDARY_TIE, 10), (Q21, 20)]
+        )
+        for number, (spec, depth) in enumerate(specs):
+            line_sets, exact_sets, runs = _default_runs(spec, depth)
+            grid = [t for run in runs for t in run]
+            swept = _scan_witnesses(line_sets, runs)
+            assert swept == set().union(*(_scan_witnesses(line_sets, [[t]]) for t in grid))
+            if number % 3 == 0:
+                d = line_sets[0][1]
+                exact = [exact_number(t, d) for t in grid]
+                assert swept == _reference_witnesses(exact_sets, exact)
 
-    def test_exact_path_is_rare(self, monkeypatch):
-        # on a depth-20 quadratic the floats decide nearly every grid value
-        line_sets, exact_sets, taus = _scan_inputs(Q21, 19)
-        d = line_sets[0][1]
-        grid = default_delta_grid(taus, d)
-        expected = _reference_witnesses(exact_sets, [exact_number(t, d) for t in grid])
+    def test_600_bit_rational_on_its_whole_grid(self):
+        # c^2 = 2^1200: far past the float range, grid values up to ~2^2000
+        spec = RationalSpec(Fraction(random.Random(600).randrange(1, 1 << 600) | 1, 1 << 600))
+        line_sets, exact_sets, runs = _default_runs(spec, 10**6)
+        assert len(line_sets[0][2]) > 300
+        grid = [t for run in runs for t in run]
+        assert max(e // g for e, _, g in grid).bit_length() > 2000
+        start = time.process_time()
+        swept = _scan_witnesses(line_sets, runs)
+        assert time.process_time() - start < 1.0
+        flags = flags_via_envelope(complete_sequence(spec, 10**6)).flags
+        assert swept == {k for k, f in enumerate(flags) if f}
+        _assert_same(line_sets, exact_sets, grid[::300])
+
+    def test_stay_end_is_the_least_crossing(self):
+        # line 1 meets line 0 at 10, line 2 (larger q) already at 8: the
+        # sweep must not skip 9, where line 2 alone is shortest
+        lines = [(10, 0, 0), (9, 0, 10), (1, 0, 72), (0, 0, 82)]
+        run = [(1, 0, 1), (9, 0, 1), (11, 0, 1)]
+        assert dict(_sweep((1, 0, lines), run)) == {0: {0}, 1: {2}, 2: {3}}
+        exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
+        assert _scan_witnesses([(1, 0, lines)], [run]) == {0, 2, 3}
+        _assert_same([(1, 0, lines)], [exact], run)
+
+    def test_extreme_values_match_reference(self):
+        # Delta = 2^-1100 .. 2^1100, and in between, as one run and alone
+        decimal = make_decimal(Fraction(random.Random(195).randrange(1, 1 << 80), 1 << 80), 64)
+        run = [(1, 0, 1 << 1100), (1, 0, 1 << 1000), (1, 0, 1), (1 << 1020, 0, 1)]
+        run.append((1 << 1100, 0, 1))
+        for spec, depth in ((Q21, 20), (decimal, 40)):
+            line_sets, exact_sets, _ = _scan_inputs(spec, depth)
+            d = line_sets[0][1]
+            expected = _reference_witnesses(exact_sets, [exact_number(t, d) for t in run])
+            assert _scan_witnesses(line_sets, [run]) == expected
+            _assert_same(line_sets, exact_sets, run)
+
+    def test_recomputations_bounded_by_line_count(self, monkeypatch):
+        # each recomputation in a run moves the largest argmin up, so a run
+        # costs at most one per line, however many grid values it holds
         calls = []
-        monkeypatch.setattr(hermite, "surd_sign", lambda *a: calls.append(a) or surd_sign(*a))
-        assert _scan_witnesses(line_sets, grid) == expected
-        lines = len(line_sets[0][2])
-        assert lines == 20
-        exact = len(calls) - len(grid)  # less one positivity check per grid value
-        assert exact <= 0.02 * len(grid) * lines
+        argmins = hermite._argmins
+        monkeypatch.setattr(hermite, "_argmins", lambda *a: calls.append(a) or argmins(*a))
+        for spec, depth in ((Q21, 19), (parse_real("1234567/7654321"), 10**6), (GOLDEN, 40)):
+            line_sets, _, runs = _default_runs(spec, depth)
+            calls.clear()
+            _scan_witnesses(line_sets, runs)
+            lines = len(line_sets[0][2])
+            grid = sum(map(len, runs))
+            assert len(calls) <= len(runs) * lines < grid
+
+    def test_bad_runs_rejected(self):
+        line_sets, _, _ = _scan_inputs(Q21, 10)
+        bad = {
+            # out of order, repeated, and sqrt(21) - 4 < 1
+            "ascending": [[(2, 0, 1), (1, 0, 1)], [(1, 0, 1), (1, 0, 1)], [(1, 0, 1), (-4, 1, 1)]],
+            "positive": [[(0, 0, 1), (1, 0, 1)], [(-1, 0, 1), (1, 0, 1), (2, 0, 1)]],
+        }
+        for match, runs in bad.items():
+            for run in runs:
+                with pytest.raises(InvalidArgument, match=match):
+                    _scan_witnesses(line_sets, [[(1, 0, 1)], run])
+        with pytest.raises(InvalidArgument, match="positive"):
+            flags_via_delta_scan(Q21, 10, delta_grid=[Fraction(-1, 2), 1])
 
 
 class TestAgreementAtScale:
