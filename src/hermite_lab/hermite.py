@@ -437,14 +437,14 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
 
     The line sets share one radicand d.  `runs` are lists of grid values,
     each strictly ascending from a positive first value (InvalidArgument
-    otherwise).  Runs on integers: for a line
-    set (L, d, lines) and Delta = (e + f*sqrt(d))/g, scaling by L*g > 0
-    turns each line value into p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and
-    r = X*f + Y*e.  Lines compare by `surd_sign` of their difference, and
-    every line equal to the minimum (p and r both equal, as sqrt(d) is
-    irrational) is kept, so exact ties are all witnessed.  The slopes
-    S_k = X_k + Y_k*sqrt(d) >= 0 strictly decrease and the Z_k strictly
-    increase (`_line_set`), so a run is swept rather than scanned:
+    otherwise).  Runs on integers: for a line set (L, d, lines) and
+    Delta = (e + f*sqrt(d))/g, scaling by L*g > 0 turns each line value
+    into p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  Lines
+    compare by `surd_sign` of their difference, and every line equal to the
+    minimum (p and r both equal, as sqrt(d) is irrational) is kept, so
+    exact ties are all witnessed.  The slopes S_k = X_k + Y_k*sqrt(d) >= 0
+    strictly decrease and the Z_k strictly increase (`_line_set`), so a run
+    is swept rather than scanned:
 
     Fact 1: for Delta1 < Delta2, every argmin i at Delta1 and j at Delta2
     have i <= j.  Were j < i, adding the two minimality inequalities gives
