@@ -25,7 +25,6 @@ from .errors import (
     MisalignedInput,
     NotConsecutive,
     OrbitTerminates,
-    OutOfFloatRange,
     ParseError,
     PrecisionExceedsInput,
     SequenceEnds,
@@ -33,10 +32,8 @@ from .errors import (
     VerificationMismatch,
 )
 from .hermite import (
-    EnvelopeBreakpoint,
     HermiteFlags,
     HermiteSubsequence,
-    envelope_breakpoints,
     flags_via_criterion,
     flags_via_delta_scan,
     flags_via_envelope,
@@ -59,7 +56,6 @@ from .natural_extension import (
     invariance_residual,
     mu_measure_V,
     orbit,
-    region_boundary,
     step_T,
     step_T_inv,
 )
@@ -82,7 +78,6 @@ from .stats import (
     ExperimentConfig,
     ThetaReport,
     analyze_theta,
-    convergence_table,
     run_experiment,
     sample_thetas,
 )

@@ -318,22 +318,21 @@ class _WindowSession:
 ExpansionSession = _WindowSession | _QuadraticSession
 
 
-def _validate_x0(spec: RealSpec) -> None:
+def _is_reduced(spec: RealSpec) -> bool:
+    """Whether the input lies in the domain (0, 1/2] of a reduced x0."""
     if isinstance(spec, (RationalSpec, DecimalSpec)):
-        if not (0 < spec.value <= HALF):
-            raise ValueError("x0 must lie in (0, 1/2]")
-    elif isinstance(spec, QuadraticSpec):
+        return 0 < spec.value <= HALF
+    if isinstance(spec, QuadraticSpec):
         # c > 0: x0 and x0 - 1/2 have the signs of a + b*sqrt(d) and 2a - c + 2b*sqrt(d)
         a, b, c, d = spec.value.a, spec.value.b, spec.value.c, spec.value.d
-        if surd_sign(a, b, d) <= 0 or surd_sign(2 * a - c, 2 * b, d) > 0:
-            raise ValueError("x0 must lie in (0, 1/2]")
-    else:
-        raise TypeError(f"not a RealSpec: {spec!r}")
+        return surd_sign(a, b, d) > 0 and surd_sign(2 * a - c, 2 * b, d) <= 0
+    raise TypeError(f"not a RealSpec: {spec!r}")
 
 
 def expansion(x0: RealSpec) -> ExpansionSession:
     """Fresh certified expansion session for a reduced input."""
-    _validate_x0(x0)
+    if not _is_reduced(x0):
+        raise ValueError("x0 must lie in (0, 1/2]")
     if isinstance(x0, QuadraticSpec):
         return _QuadraticSession(x0.value)
     return _WindowSession(*x0.bounds)
@@ -390,11 +389,7 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
     """
     if n < -1:
         raise ValueError("tail index starts at -1")
-    x0 = spec
-    try:
-        _validate_x0(x0)
-    except ValueError:
-        _, x0, _ = reduce_theta(spec)
+    x0 = spec if _is_reduced(spec) else reduce_theta(spec)[1]
     session = expansion(x0)
     for k in range(n + 1):
         a = session.advance()

@@ -182,7 +182,7 @@ def _cmd_experiment(args) -> int:
     )
     out_json = Path(args.out)
     if not out_json.parent.is_dir():
-        raise ValueError(f"output directory does not exist: {out_json.parent}")
+        raise InvalidArgument(f"output directory does not exist: {out_json.parent}")
     report = run_experiment(cfg)
     payload = report.as_dict()
     for summary in payload["statistics"].values():

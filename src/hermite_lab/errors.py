@@ -35,10 +35,6 @@ class IndexOutOfRange(HermiteLabError, IndexError):
     """Requested index lies outside the computed data."""
 
 
-class OutOfFloatRange(HermiteLabError, OverflowError):
-    """A result to be returned as a float lies beyond the float range."""
-
-
 class TailUnavailable(HermiteLabError):
     """Continued-fraction tail cannot be certified from the given input."""
 

@@ -40,7 +40,7 @@ from .errors import (
     MisalignedInput,
 )
 from .lattice import MinimalVector, complete_sequence
-from .numeric import QuadraticReal, RealSpec, sqrt_ratio, surd_sign
+from .numeric import QuadraticReal, RealSpec, surd_sign
 
 _PREFILTER_MARGIN = 1e-9
 
@@ -66,15 +66,6 @@ class HermiteFlags:
     @property
     def undecided_count(self) -> int:
         return self.flags.count(None)
-
-
-@dataclass(frozen=True)
-class EnvelopeBreakpoint:
-    """Norm-parameter value s = t^2 where the shortest vector hands over."""
-
-    s_value: float
-    left_index: int
-    right_index: int
 
 
 @dataclass(frozen=True)
@@ -277,27 +268,6 @@ def _tau(line_set, handover) -> tuple[int, int, int]:
     return (e, f, g) if g > 0 else (-e, -f, -g)
 
 
-def _root(e: int, f: int, g: int, d: int) -> float:
-    """sqrt(tau) for tau = (e + f*sqrt(d))/g > 0, rounded from tau in lowest terms.
-
-    A rational tau goes through `numeric.sqrt_ratio` (64-bit mantissa); a
-    quadratic one through float arithmetic while its coefficients stay under
-    500 bits, else on integers: `sqrt_ratio` of floor(tau*2^K) over 2^K,
-    from floor(g*tau*2^K) = e*2^K + floor(f*sqrt(d)*2^K).  Whenever
-    g*tau >= 1 (a hand-over has tau >= 1), floor(tau*2^K) holds every bit of
-    tau down to 2^-K, so the mantissa is tau's own truncation.
-    """
-    k = math.gcd(e, f, g)
-    e, f, g = e // k, f // k, g // k
-    if not f:
-        return sqrt_ratio(e, g)
-    if max(abs(e), abs(f), g).bit_length() < 500:
-        return math.sqrt((e + f * math.sqrt(d)) / g)
-    K = g.bit_length() + 72
-    s = math.isqrt(f * f * d << 2 * K)  # floor(|f|*sqrt(d)*2^K)
-    return sqrt_ratio(((e << K) + (s if f > 0 else -s - 1)) // g, 1 << K)
-
-
 def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
     """Flags from the exact envelope over the given complete-sequence prefix.
 
@@ -306,19 +276,6 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
     """
     flags = _envelopes(seq)[0]
     return HermiteFlags(seq[0].theta, tuple(flags), "envelope")
-
-
-def envelope_breakpoints(seq: Sequence[MinimalVector]) -> list[EnvelopeBreakpoint]:
-    """Hand-over points of the envelope, as s = t^2 = sqrt(tau).
-
-    Raises OutOfFloatRange where s itself exceeds the float range.
-    """
-    _, handovers, line_sets = _envelopes(seq)
-    d = line_sets[0][1]
-    return [
-        EnvelopeBreakpoint(_root(*_tau(line_sets[0], h), d), left, right)
-        for h, left, right in handovers
-    ]
 
 
 # ---------------------------------------------------------------------------

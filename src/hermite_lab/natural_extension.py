@@ -87,11 +87,6 @@ def orbit(p, n: int) -> list[DomainPoint]:
     return points
 
 
-def region_boundary(y):
-    """The curve x = (2y + 1)/(y + 2) separating V from the rest of U."""
-    return (2 * y + 1) / (y + 2)
-
-
 def in_region_V(p) -> bool:
     """Strict membership x > (2y+1)/(y+2); boundary points are not in V.
 

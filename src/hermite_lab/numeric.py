@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import InvalidQuadratic, OutOfFloatRange, ParseError
+from .errors import InvalidQuadratic, ParseError
 
 DEFAULT_DECIMAL_BITS = 256
 _SQUAREFREE_TRIAL_BOUND = 100_000
@@ -77,21 +77,6 @@ def ln_big(n: int) -> float:
     if shift <= 0:
         return math.log(n)
     return math.log(n >> shift) + shift * math.log(2)
-
-
-def sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num/den) for positive big ints, from a 64-bit mantissa of the ratio.
-
-    An even power of two is split off before the square root, so num/den
-    itself may lie far beyond the float range; only a root beyond it raises
-    OutOfFloatRange.
-    """
-    exp = num.bit_length() - den.bit_length() - 64
-    mantissa = num // (den << exp) if exp >= 0 else (num << -exp) // den
-    try:
-        return math.ldexp(math.sqrt(math.ldexp(mantissa, exp & 1)), exp >> 1)
-    except OverflowError:
-        raise OutOfFloatRange(f"sqrt of about 2**{exp + 64} exceeds the float range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:
     # X_0 is conventional; proportions count the q >= 1 vectors
     decided = flags.decided_count - 1
     true_count = flags.flags.count(True) - 1
-    levy = ln_big(state.q_cur) / state.quotient_count if state.quotients else None
+    levy = ln_big(state.q_cur) / len(state.quotients) if state.quotients else None
     growth = ln_big(state.hermite_q) / true_count if state.hermite_q else None
     return ThetaReport(
         theta_id=_short_id(spec),
@@ -284,68 +284,3 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
         reports=tuple(reports),
     )
 
-
-_TABLE_COLUMNS = ("n", "decided", "proportion", "levy_rate", "hermite_growth")
-
-
-def convergence_table(
-    target: RealSpec | ExperimentConfig, checkpoints: Sequence[int]
-) -> list[dict]:
-    """Running statistics at each checkpoint depth.
-
-    For a single input the rows are that orbit's partial averages; for a
-    config the per-checkpoint columns are averaged over all samples.
-    """
-    checkpoints = list(checkpoints)
-    if checkpoints != sorted(checkpoints) or len(set(checkpoints)) != len(checkpoints):
-        raise ValueError("checkpoints must be strictly increasing")
-    if any(n < 1 for n in checkpoints):
-        raise ValueError("checkpoints must be >= 1")
-    if not checkpoints:
-        return []
-    single = not isinstance(target, ExperimentConfig)
-    if single:
-        specs, depth = [target], max(checkpoints) + 1
-    else:
-        specs = _experiment_samples(target)
-        depth = max(max(checkpoints) + 1, target.depth_n)
-    wanted = set(checkpoints)
-    per_sample = []
-    for spec in specs:
-        scan, state = criterion_scan(spec, depth)
-        flags = scan.flags
-        rows = []
-        decided = true_count = hermite_q = 0
-        # q_1 = a*q_0 + q_{-1} = 1 whatever a, with q_0 = 0 and q_{-1} = 1
-        q_prev, q = 1, 0
-        for index, a in zip(range(1, len(flags)), (1,) + state.quotients):
-            q_prev, q = q, a * q + q_prev
-            if flags[index] is not None:
-                decided += 1
-            if flags[index]:
-                true_count += 1
-                hermite_q = q
-            if index in wanted:
-                rows.append(
-                    (
-                        index,
-                        decided,
-                        true_count / decided if decided else None,
-                        ln_big(q) / index,
-                        ln_big(hermite_q) / true_count if hermite_q else None,
-                    )
-                )
-        per_sample.append(rows)
-    if single:
-        return [dict(zip(_TABLE_COLUMNS, row)) for row in per_sample[0]]
-    rows = []
-    for i, n in enumerate(checkpoints):
-        cells = [sample[i] for sample in per_sample if len(sample) > i]
-        if not cells:
-            continue
-        averaged = [n]
-        for col in range(1, len(_TABLE_COLUMNS)):
-            values = [c[col] for c in cells if c[col] is not None]
-            averaged.append(sum(values) / len(values) if values else None)
-        rows.append(dict(zip(_TABLE_COLUMNS, averaged)))
-    return rows

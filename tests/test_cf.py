@@ -219,6 +219,22 @@ class TestTailValue:
         tail = tail_value(x0, cf_expand(x0, 5), -1)
         assert tail.value == (Fraction(3, 8), Fraction(3, 8))
 
+    def test_unreduced_theta_gets_the_tails_of_its_x0(self):
+        # a theta outside (0, 1/2] is reduced first, however it got there
+        thetas = [
+            RationalSpec(Fraction(11, 8)),
+            RationalSpec(Fraction(-5, 8)),
+            GOLDEN,
+            parse_real("(-7+3*sqrt(13))/2"),
+            parse_real("1.3819660112501051517954131@64"),
+        ]
+        for theta in thetas:
+            _, x0, _ = reduce_theta(theta)
+            assert x0 != theta
+            pq = cf_expand(x0, 6)
+            for n in range(-1, len(pq.quotients) - 1):
+                assert tail_value(theta, pq, n) == tail_value(x0, pq, n)
+
     def test_rational_exhaustion(self):
         x0 = RationalSpec(Fraction(3, 8))
         with pytest.raises(IndexOutOfRange):

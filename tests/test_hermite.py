@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -12,14 +11,11 @@ from helpers import no_two_consecutive_false, random_quadratic_specs, random_rat
 
 from hermite_lab import (
     DecimalSpec,
-    HermiteLabError,
     InsufficientSequence,
     InvalidArgument,
     MisalignedInput,
-    OutOfFloatRange,
     RationalSpec,
     complete_sequence,
-    envelope_breakpoints,
     flags_via_criterion,
     flags_via_delta_scan,
     flags_via_envelope,
@@ -31,6 +27,7 @@ from hermite_lab import (
 )
 from hermite_lab import hermite
 from hermite_lab.hermite import (
+    _compare,
     _envelopes,
     _lower_envelope,
     _scan_witnesses,
@@ -39,7 +36,6 @@ from hermite_lab.hermite import (
     criterion_scan,
     default_delta_grid,
 )
-from hermite_lab.numeric import surd_sign
 from hermite_lab.stats import auto_precision_bits, sample_thetas
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
@@ -202,25 +198,30 @@ class TestEnvelope:
         flags = flags_via_envelope(seq)
         assert flags.flags == (True, True, True, True, True)
         # the line touching in one point hands over nowhere: hand-overs strictly increase
-        values = [b.s_value for b in envelope_breakpoints(seq)]
-        assert values == sorted(set(values))
-        assert len(values) == 3
+        _, handovers, line_sets = _envelopes(seq)
+        taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+        assert len(taus) == 3
+        d = line_sets[0][1]
+        assert all(_compare(a, b, d) < 0 for a, b in zip(taus, taus[1:]))
 
     def test_breakpoints_increase(self):
         seq = complete_sequence(THETA38, 10)
-        points = envelope_breakpoints(seq)
-        assert [(b.left_index, b.right_index) for b in points] == [
+        _, handovers, line_sets = _envelopes(seq)
+        assert [(left, right) for _, left, right in handovers] == [
             (0, 1),
             (1, 2),
             (2, 3),
             (3, 4),
         ]
-        values = [b.s_value for b in points]
-        assert values == sorted(values)
-        # crossing formula: s^2 = (B_r - B_l) / (A_l - A_r)
-        taus = [Fraction(64, 55), Fraction(192, 5), Fraction(320, 3), Fraction(3520)]
-        for b, tau in zip(points, taus):
-            assert abs(b.s_value**2 - float(tau)) < 1e-6 * float(tau)
+        # crossing formula: tau = (B_r - B_l) / (A_l - A_r), exact
+        taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+        assert all(f == 0 for _, f, _ in taus)
+        assert [Fraction(e, g) for e, _, g in taus] == [
+            Fraction(64, 55),
+            Fraction(192, 5),
+            Fraction(320, 3),
+            Fraction(3520),
+        ]
 
     def test_short_sequence_rejected(self):
         with pytest.raises(InsufficientSequence):
@@ -246,47 +247,6 @@ class TestEnvelope:
             for value, (_, d, lines) in zip(theta_values(spec), line_sets):
                 touch, _ = _lower_envelope(lines, d)
                 assert touch == touch_oracle(exact_lines(seq, value))
-
-    def test_breakpoints_beyond_float_range(self):
-        # tau above 2^1024 still gives s; an s above the float range raises
-        spec = RationalSpec(Fraction((1 << 400) // 3, 1 << 400))
-        seq = complete_sequence(spec, 10**4)
-        lines = exact_lines(seq, spec.value)
-        taus = []
-        for b in envelope_breakpoints(seq):
-            (A_l, B_l), (A_r, B_r) = lines[b.left_index], lines[b.right_index]
-            tau = (B_r - B_l) / (A_l - A_r)
-            assert abs(Fraction(b.s_value) ** 2 - tau) <= tau / 2**50
-            taus.append(tau)
-        assert max(taus) > 2**1024
-        deeper = complete_sequence(RationalSpec(Fraction((1 << 1100) // 3, 1 << 1100)), 10**4)
-        with pytest.raises(OutOfFloatRange) as caught:
-            envelope_breakpoints(deeper)
-        assert isinstance(caught.value, HermiteLabError)
-        assert isinstance(caught.value, OverflowError)
-
-    def test_long_quadratic_breakpoints_on_integers(self):
-        # hand-overs whose coefficients in lowest terms pass 500 bits take the
-        # integer-only branch of _root; there too s^2 = P/Q stays within
-        # tau/2^50 of the exact tau = (a + r*sqrt(d))/c, both sides of the
-        # bound decided by surd_sign after scaling by c*Q
-        spec = parse_real("(123457+1*sqrt(997))/999983")
-        seq = complete_sequence(spec, 80)
-        _, handovers, line_sets = _envelopes(seq)
-        lines = exact_lines(seq, spec.value)
-        long_branch = 0
-        for b, (handover, _, _) in zip(envelope_breakpoints(seq), handovers):
-            e, f, g = _tau(line_sets[0], handover)
-            lowest = max(abs(e), abs(f), g) // math.gcd(e, f, g)
-            long_branch += f != 0 and lowest.bit_length() >= 500
-            (A_l, B_l), (A_r, B_r) = lines[b.left_index], lines[b.right_index]
-            tau = (B_r - B_l) / (A_l - A_r)
-            s2 = Fraction(b.s_value) ** 2
-            P, Q, one = s2.numerator, s2.denominator, 1 << 50
-            a, r, c, d = tau.a, tau.b, tau.c, tau.d
-            assert surd_sign((one + 1) * a * Q - one * P * c, (one + 1) * r * Q, d) >= 0
-            assert surd_sign(one * P * c - (one - 1) * a * Q, -(one - 1) * r * Q, d) >= 0
-        assert long_branch >= 10
 
 
 class TestDeltaScan:

@@ -13,7 +13,6 @@ from hermite_lab import (
     ExperimentConfig,
     HermiteLabError,
     analyze_theta,
-    convergence_table,
     parse_real,
     run_experiment,
     sample_thetas,
@@ -130,45 +129,3 @@ class TestExperiment:
 
     def test_auto_precision_covers_depth(self):
         assert auto_precision_bits(5000) > 5000 * 3.43
-
-
-class TestConvergenceTable:
-    def test_golden_all_ones_column(self):
-        rows = convergence_table(GOLDEN, [10, 20, 30])
-        assert [row["n"] for row in rows] == [10, 20, 30]
-        assert all(row["proportion"] == 1.0 for row in rows)
-
-    def test_empty_checkpoints(self):
-        assert convergence_table(GOLDEN, []) == []
-
-    def test_single_orbit_approaches_the_constant(self):
-        spec = sample_thetas(7, 1, 8192)[0]
-        rows = convergence_table(spec, [100, 1000, 2000])
-        assert abs(rows[-1]["proportion"] - HERMITE_PROPORTION) < 0.05
-
-    def test_config_mode_averages(self):
-        cfg = ExperimentConfig(sample_count=4, depth_n=100, seed=13)
-        rows = convergence_table(cfg, [20, 50])
-        assert len(rows) == 2
-        assert 0 < rows[0]["proportion"] <= 1
-
-    def test_unsorted_checkpoints_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_table(GOLDEN, [20, 10])
-
-    @pytest.mark.parametrize("checkpoints", [[0, 10], [-3, 10]])
-    def test_checkpoints_below_one_rejected(self, checkpoints):
-        with pytest.raises(ValueError):
-            convergence_table(GOLDEN, checkpoints)
-        cfg = ExperimentConfig(sample_count=2, depth_n=20, seed=13)
-        with pytest.raises(ValueError):
-            convergence_table(cfg, checkpoints)
-
-    def test_rows_match_analyze_theta(self):
-        # the last checkpoint row and the report describe the same prefix
-        for spec in [Q21, sample_thetas(5, 1, 1024)[0], parse_real("355/113")]:
-            report = analyze_theta(spec, 120)
-            row = convergence_table(spec, [report.depth - 1])[-1]
-            assert row["decided"] == report.n_flags_decided
-            assert row["proportion"] == report.proportion
-            assert row["hermite_growth"] == report.hermite_growth
