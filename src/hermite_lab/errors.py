@@ -73,7 +73,7 @@ class MisalignedInput(HermiteLabError):
 
 
 class GridTooCoarse(HermiteLabError):
-    """A scan grid missed a vector even after one refinement."""
+    """No single Delta makes an envelope-flagged vector shortest at every theta value."""
 
 
 class VerificationMismatch(HermiteLabError):

@@ -9,8 +9,9 @@
   compared by cross-multiplication, so no Fraction or QuadraticReal is built
   inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
-  q^2/Delta over a grid of Delta values.  Only the grid is approximate (it
-  can miss a sliver).  The grid is a few ascending runs, and each run is
+  q^2/Delta over a grid of Delta values: a geometric run and, for each
+  theta value, the exact envelope hand-overs, where every vector that some
+  Delta makes shortest at every theta value is shortest.  Each run is
   swept exactly on the envelope's integer lines, compared as p + r*sqrt(d):
   the argmin moves only up the lines as Delta grows, and the scan computes
   from the lines themselves how far the current argmin holds, bisecting past
@@ -28,7 +29,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
 from typing import Optional, Sequence
 
 from .cf import expansion, reduce_theta
@@ -242,8 +242,8 @@ def _envelopes(seq: Sequence[MinimalVector]):
     window endpoints of a decimal).  The flags merge the per-value touch
     flags, None where they differ; the last index of a truncated sequence is
     withheld (None), as its status can depend on vectors not yet in the
-    candidate set.  The exact ((N, U, V), left, right) hand-overs are those
-    of the first line set.
+    candidate set.  The exact ((N, U, V), left, right) hand-overs come as one
+    list per line set.
     """
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
@@ -255,7 +255,7 @@ def _envelopes(seq: Sequence[MinimalVector]):
     ]
     if not seq[-1].is_zero_v1():
         flags[-1] = None
-    return flags, envelopes[0][1], line_sets
+    return flags, [handovers for _, handovers in envelopes], line_sets
 
 
 def _tau(line_set, handover) -> tuple[int, int, int]:
@@ -294,34 +294,27 @@ def _floor_bound(e: int, f: int, g: int, d: int) -> int:
     return (e + s if f >= 0 else e - s - 1) // g
 
 
-def _midpoint(a, b) -> tuple[int, int, int]:
-    (e1, f1, g1), (e2, f2, g2) = a, b
-    return e1 * g2 + e2 * g1, f1 * g2 + f2 * g1, 2 * g1 * g2
-
-
 def _compare(a, b, d: int) -> int:
     """Sign of a - b for grid values or hand-overs a, b."""
     (e1, f1, g1), (e2, f2, g2) = a, b
     return surd_sign(e1 * g2 - e2 * g1, f1 * g2 - f2 * g1, d)
 
 
-def default_delta_grid(taus: list, d: int) -> list[list]:
-    """Ascending runs over the hand-overs `taus` (ascending, not empty).
+def default_delta_grid(taus: list[list], d: int) -> list[list]:
+    """Ascending runs over the hand-over lists `taus` (each ascending, not empty).
 
-    The geometric run shares the denominator 2^64, runs from about
-    taus[0]/2 to about 2*taus[-1] and steps by about one sixteenth of a
-    decade; the second run holds the midpoints of consecutive hand-overs,
-    the third the two end values taus[0]/2 and 2*taus[-1].
+    The geometric run shares the denominator 2^64, runs from about half the
+    first list's first hand-over to about twice its last and steps by about
+    one sixteenth of a decade; each hand-over list is a run of its own.
     """
-    (e, f, g), (e_top, f_top, g_top) = taus[0], taus[-1]
+    (e, f, g), (e_top, f_top, g_top) = taus[0][0], taus[0][-1]
     cur = _floor_bound(_GRID_UNIT * e, _GRID_UNIT * f, 2 * g, d)  # >= 2^63 - 1: tau >= 1
     top = -_floor_bound(-2 * _GRID_UNIT * e_top, -2 * _GRID_UNIT * f_top, g_top, d)
     geometric = []
     while cur <= top:
         geometric.append((cur, 0, _GRID_UNIT))
         cur = cur * 11548745 // 10**7
-    midpoints = [_midpoint(a, b) for a, b in zip(taus, taus[1:])]
-    return [geometric, midpoints, [(e, f, 2 * g), (2 * e_top, 2 * f_top, g_top)]]
+    return [geometric, *taus]
 
 
 def _argmins(line_set, Z: list, p: int, delta) -> set[int]:
@@ -436,15 +429,15 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
     return witnessed
 
 
-def flags_via_delta_scan(
-    theta: RealSpec, n: int, delta_grid: Sequence | None = None
-) -> HermiteFlags:
+def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
     """Grid minimization of the quadratic forms; consistency oracle.
 
-    A grid can miss a vector whose winning parameter interval is a sliver
-    (or a single point); the scan then refines once, adding the exact
-    envelope hand-over values, before raising GridTooCoarse.  An explicit
-    `delta_grid` holds positive rationals; it is scanned as one ascending run.
+    On each line set the Deltas that make a vector shortest form a closed
+    interval whose finite ends are envelope hand-overs (one point for a
+    three-line tie).  So if some Delta makes it shortest on every line set,
+    so does one of the hand-overs, and the grid holds them all.
+    GridTooCoarse marks a vector that the envelope flags but no single Delta
+    makes shortest at every theta value.
     """
     if n < 3:
         raise InsufficientSequence("need n >= 3")
@@ -452,24 +445,11 @@ def flags_via_delta_scan(
     if len(seq) < 3:
         raise InsufficientSequence("fewer than 3 minimal vectors exist")
     envelope, handovers, line_sets = _envelopes(seq)
-    d = line_sets[0][1]
-    taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
-    if delta_grid is None:
-        runs = default_delta_grid(taus, d)
-    else:
-        values = sorted(set(map(Fraction, delta_grid)))
-        runs = [[(v.numerator, 0, v.denominator) for v in values]]
-    witnessed = _scan_witnesses(line_sets, runs)
-    must_witness = {k for k, f in enumerate(envelope) if f is True}
-    if not must_witness <= witnessed:
-        ordered = sorted(chain(*runs), key=cmp_to_key(lambda a, b: _compare(a, b, d)))
-        midpoints = [_midpoint(a, b) for a, b in zip(ordered, ordered[1:])]
-        witnessed |= _scan_witnesses(line_sets, [taus, midpoints])
-    if not must_witness <= witnessed:
-        missing = sorted(must_witness - witnessed)
-        raise GridTooCoarse(
-            f"vectors {missing} have no witnessing Delta even after refinement"
-        )
+    taus = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
+    witnessed = _scan_witnesses(line_sets, default_delta_grid(taus, line_sets[0][1]))
+    missing = [k for k, f in enumerate(envelope) if f is True and k not in witnessed]
+    if missing:
+        raise GridTooCoarse(f"no single Delta makes vectors {missing} shortest for every theta")
     flags = tuple(None if f is None else k in witnessed for k, f in enumerate(envelope))
     return HermiteFlags(theta, flags, "delta_scan")
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, OrbitTerminates
+from .errors import DomainError, InvalidArgument, OrbitTerminates
 
 LN2 = math.log(2)
 
@@ -167,7 +167,7 @@ def mu_measure_V(abs_tol: float) -> float:
     absolute tolerance must be finite and at least 1e-12.
     """
     if not math.isfinite(abs_tol) or abs_tol < 1e-12:
-        raise ValueError("abs_tol must be a finite number >= 1e-12")
+        raise InvalidArgument("abs_tol must be a finite number >= 1e-12")
     a, b = 0.0, 1.0
     fa, fb = _inner_slice(a), _inner_slice(b)
     fm = _inner_slice(0.5)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import PrecisionExceedsInput
+from .errors import InvalidArgument, PrecisionExceedsInput
 from .hermite import criterion_scan
 from .numeric import DecimalSpec, RealSpec, ln_big, make_decimal, spec_text
 
@@ -43,13 +43,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
+            raise InvalidArgument("sample_count must be positive")
         if self.depth_n < 10:
-            raise ValueError("depth_n must be >= 10")
+            raise InvalidArgument("depth_n must be >= 10")
         if self.precision_bits is not None and self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
+            raise InvalidArgument("precision_bits must be >= 64")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise InvalidArgument("workers must be >= 1")
 
     @property
     def effective_bits(self) -> int:
@@ -144,7 +144,7 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
     so precisions of tens of thousands of bits stay cheap.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidArgument("count must be >= 1")
     digits = _digit_count(precision_bits)
     chunks = -(-digits // _CHUNK_DIGITS)
     need_bytes = chunks * _CHUNK_BYTES
@@ -224,7 +224,7 @@ def _experiment_samples(cfg: ExperimentConfig) -> list[RealSpec]:
         return list(sample_thetas(cfg.seed, cfg.sample_count, cfg.effective_bits))
     specs = list(cfg.theta_source)
     if len(specs) != cfg.sample_count:
-        raise ValueError("theta_source length must equal sample_count")
+        raise InvalidArgument("theta_source length must equal sample_count")
     return specs
 
 

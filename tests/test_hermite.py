@@ -199,7 +199,7 @@ class TestEnvelope:
         assert flags.flags == (True, True, True, True, True)
         # the line touching in one point hands over nowhere: hand-overs strictly increase
         _, handovers, line_sets = _envelopes(seq)
-        taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+        taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
         assert len(taus) == 3
         d = line_sets[0][1]
         assert all(_compare(a, b, d) < 0 for a, b in zip(taus, taus[1:]))
@@ -207,14 +207,14 @@ class TestEnvelope:
     def test_breakpoints_increase(self):
         seq = complete_sequence(THETA38, 10)
         _, handovers, line_sets = _envelopes(seq)
-        assert [(left, right) for _, left, right in handovers] == [
+        assert [(left, right) for _, left, right in handovers[0]] == [
             (0, 1),
             (1, 2),
             (2, 3),
             (3, 4),
         ]
         # crossing formula: tau = (B_r - B_l) / (A_l - A_r), exact
-        taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+        taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
         assert all(f == 0 for _, f, _ in taus)
         assert [Fraction(e, g) for e, _, g in taus] == [
             Fraction(64, 55),
@@ -263,11 +263,6 @@ class TestDeltaScan:
         line_sets = _envelopes(complete_sequence(THETA38, 10))[2]
         assert _scan_witnesses(line_sets, [[(1, 0, 10**9)]]) == {0}
 
-    def test_coarse_grid_refines_once(self):
-        scan = flags_via_delta_scan(Q21, 10, delta_grid=[Fraction(1, 10**6)])
-        envelope = flags_via_envelope(complete_sequence(Q21, 9))
-        assert scan.flags == envelope.flags
-
     def test_no_delta_selects_the_skipped_vector(self):
         # q = 3 vector of the period-two fixture is never a minimizer
         scan = flags_via_delta_scan(Q21, 12)
@@ -276,6 +271,44 @@ class TestDeltaScan:
     def test_boundary_tie_witnessed(self):
         scan = flags_via_delta_scan(BOUNDARY_TIE, 10)
         assert scan.flags == (True, True, True, True, True)
+
+    def test_boundary_tie_needs_one_pass(self, monkeypatch):
+        # the line touching in one point is shortest at a hand-over, which
+        # the grid holds, so no second scan is needed
+        calls = []
+        scan_witnesses = hermite._scan_witnesses
+        monkeypatch.setattr(
+            hermite, "_scan_witnesses", lambda *a: calls.append(a) or scan_witnesses(*a)
+        )
+        assert flags_via_delta_scan(BOUNDARY_TIE, 10).flags == (True,) * 5
+        assert len(calls) == 1
+
+    def test_sliver_shared_by_both_window_ends(self):
+        # each flagged vector is shortest on both window ends only in a
+        # sliver of Delta that a grid of midpoints missed
+        for literal, n in (
+            ("0.880107801774017430089@64", 21),
+            ("0.704089537375357613616522912835@96", 33),
+            ("0.739695490825592417329402306045@96", 36),
+        ):
+            spec = parse_real(literal)
+            scan = flags_via_delta_scan(spec, n)
+            assert scan.flags == flags_via_envelope(complete_sequence(spec, n - 1)).flags
+            assert decided_agree(scan, flags_via_criterion(spec, n))
+
+    def test_random_decimals_at_their_limit(self):
+        # the draws include one decimal whose shared sliver holds no midpoint
+        # of consecutive hand-overs
+        rng = random.Random(231)
+        start = time.process_time()
+        for _ in range(200):
+            bits = rng.randint(64, 128)
+            digits = bits * 3 // 10 + 2
+            spec = parse_real(f"0.{rng.randrange(10**digits):0{digits}d}@{bits}")
+            seq = complete_sequence(spec, 10**6)
+            scan = flags_via_delta_scan(spec, len(seq))
+            assert scan.flags == flags_via_envelope(seq).flags
+        assert time.process_time() - start < 2.0
 
 
 def _reference_witnesses(line_sets, grid) -> set[int]:
@@ -304,10 +337,10 @@ def _reference_witnesses(line_sets, grid) -> set[int]:
 
 
 def _scan_inputs(spec, depth: int):
-    """Integer and exact line sets of the spec's minimal vectors, and the hand-overs."""
+    """Integer and exact line sets of the spec's vectors, and the first set's hand-overs."""
     seq = complete_sequence(spec, depth)
     _, handovers, line_sets = _envelopes(seq)
-    taus = [_tau(line_sets[0], h) for h, _, _ in handovers]
+    taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
     return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], taus
 
 
@@ -337,7 +370,7 @@ class TestScanAgainstReference:
         )
         for spec, depth in specs:
             line_sets, exact_sets, taus = _scan_inputs(spec, depth)
-            grid = [t for run in default_delta_grid(taus, line_sets[0][1]) for t in run]
+            grid = [t for run in default_delta_grid([taus], line_sets[0][1]) for t in run]
             _assert_same(line_sets, exact_sets, grid[::4])
             ties = _assert_same(line_sets, exact_sets, taus)  # every value an exact tie
             if len(line_sets) == 1:
@@ -379,7 +412,7 @@ class TestScanAgainstReference:
 
 def _default_runs(spec, depth: int):
     line_sets, exact_sets, taus = _scan_inputs(spec, depth)
-    return line_sets, exact_sets, default_delta_grid(taus, line_sets[0][1])
+    return line_sets, exact_sets, default_delta_grid([taus], line_sets[0][1])
 
 
 class TestScanSweep:
@@ -468,8 +501,6 @@ class TestScanSweep:
             for run in runs:
                 with pytest.raises(InvalidArgument, match=match):
                     _scan_witnesses(line_sets, [[(1, 0, 1)], run])
-        with pytest.raises(InvalidArgument, match="positive"):
-            flags_via_delta_scan(Q21, 10, delta_grid=[Fraction(-1, 2), 1])
 
 
 class TestAgreementAtScale:

@@ -11,6 +11,7 @@ import pytest
 from hermite_lab import (
     DomainError,
     DomainPoint,
+    HermiteLabError,
     OrbitTerminates,
     contraction_check,
     density_mu,
@@ -168,6 +169,10 @@ class TestMeasureV:
         for tol in (1e-13, math.nan, math.inf):
             with pytest.raises(ValueError):
                 mu_measure_V(tol)
+
+    def test_tolerance_error_is_typed(self):
+        with pytest.raises(HermiteLabError):
+            mu_measure_V(math.nan)
 
     def test_monte_carlo_cross_check(self):
         rng = random.Random(1234)

@@ -127,5 +127,18 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, workers=0)
 
+    def test_argument_errors_are_typed(self):
+        bad_calls = [
+            lambda: ExperimentConfig(sample_count=0),
+            lambda: ExperimentConfig(sample_count=1, depth_n=5),
+            lambda: ExperimentConfig(sample_count=1, precision_bits=32),
+            lambda: ExperimentConfig(sample_count=1, workers=0),
+            lambda: sample_thetas(1, 0, 64),
+            lambda: run_experiment(ExperimentConfig(sample_count=2, theta_source=[GOLDEN])),
+        ]
+        for call in bad_calls:
+            with pytest.raises(HermiteLabError):
+                call()
+
     def test_auto_precision_covers_depth(self):
         assert auto_precision_bits(5000) > 5000 * 3.43
