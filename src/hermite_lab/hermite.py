@@ -10,12 +10,13 @@
   inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
   q^2/Delta over a grid of Delta values: a geometric run and, for each
-  theta value, the exact envelope hand-overs, where every vector that some
-  Delta makes shortest at every theta value is shortest.  Each run is
-  swept exactly on the envelope's integer lines, compared as p + r*sqrt(d):
-  the argmin moves only up the lines as Delta grows, and the scan computes
-  from the lines themselves how far the current argmin holds, bisecting past
-  the grid values inside that stretch.  No float is involved.
+  theta value, the exact envelope hand-overs.  A vector that some Delta
+  makes shortest at every theta value is shortest at one of those
+  hand-overs, so the grid misses none.  Each run is swept exactly on the
+  envelope's integer lines, compared as p + r*sqrt(d): the argmin moves only
+  up the lines as Delta grows, and the scan computes from the lines
+  themselves how far the current argmin holds, bisecting past the grid
+  values inside that stretch.  No float is involved.
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.

@@ -268,19 +268,16 @@ class TestDeltaScan:
         scan = flags_via_delta_scan(Q21, 12)
         assert scan.flags[2] is False
 
-    def test_boundary_tie_witnessed(self):
-        scan = flags_via_delta_scan(BOUNDARY_TIE, 10)
-        assert scan.flags == (True, True, True, True, True)
-
-    def test_boundary_tie_needs_one_pass(self, monkeypatch):
+    def test_boundary_tie_witnessed(self, monkeypatch):
         # the line touching in one point is shortest at a hand-over, which
-        # the grid holds, so no second scan is needed
+        # the grid holds, so one scan witnesses it
         calls = []
         scan_witnesses = hermite._scan_witnesses
         monkeypatch.setattr(
             hermite, "_scan_witnesses", lambda *a: calls.append(a) or scan_witnesses(*a)
         )
-        assert flags_via_delta_scan(BOUNDARY_TIE, 10).flags == (True,) * 5
+        scan = flags_via_delta_scan(BOUNDARY_TIE, 10)
+        assert scan.flags == (True, True, True, True, True)
         assert len(calls) == 1
 
     def test_sliver_shared_by_both_window_ends(self):
