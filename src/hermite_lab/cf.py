@@ -19,6 +19,7 @@ from .errors import (
     AmbiguousComparison,
     IndexOutOfRange,
     IntegerInput,
+    InvalidArgument,
     TailUnavailable,
 )
 from .numeric import (
@@ -42,11 +43,11 @@ class PartialQuotients:
 
     def __post_init__(self):
         if min(self.quotients, default=1) < 1:
-            raise ValueError("partial quotients must be >= 1")
+            raise InvalidArgument("partial quotients must be >= 1")
         if self.quotients and self.quotients[0] < 2:
-            raise ValueError("a1 >= 2 is forced by x0 <= 1/2")
+            raise InvalidArgument("a1 >= 2 is forced by x0 <= 1/2")
         if self.terminated and self.quotients and self.quotients[-1] < 2:
-            raise ValueError("canonical terminating expansion ends with a quotient >= 2")
+            raise InvalidArgument("canonical terminating expansion ends with a quotient >= 2")
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def _is_reduced(spec: RealSpec) -> bool:
 def expansion(x0: RealSpec) -> ExpansionSession:
     """Fresh certified expansion session for a reduced input."""
     if not _is_reduced(x0):
-        raise ValueError("x0 must lie in (0, 1/2]")
+        raise InvalidArgument("x0 must lie in (0, 1/2]")
     if isinstance(x0, QuadraticSpec):
         return _QuadraticSession(x0.value)
     return _WindowSession(*x0.bounds)
@@ -345,7 +346,7 @@ def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:
     is returned, or AmbiguousComparison is raised when strict=True.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidArgument("n must be positive")
     session = expansion(x0)
     quotients = []
     for _ in range(n):
@@ -388,7 +389,7 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
     reduced first when it lies outside (0, 1/2]).
     """
     if n < -1:
-        raise ValueError("tail index starts at -1")
+        raise InvalidArgument("tail index starts at -1")
     x0 = spec if _is_reduced(spec) else reduce_theta(spec)[1]
     session = expansion(x0)
     for k in range(n + 1):
@@ -402,7 +403,7 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
                 f"decimal input certifies only {session.count} quotients"
             )
         if k < len(pq.quotients) and pq.quotients[k] != a:
-            raise ValueError("partial quotients do not belong to this input")
+            raise InvalidArgument("partial quotients do not belong to this input")
     if isinstance(session, _QuadraticSession):
         tail = session.tail
         return TailValue(n, (tail, tail))

@@ -9,14 +9,12 @@
   compared by cross-multiplication, so no Fraction or QuadraticReal is built
   inside the envelope;
 * delta scan: direct minimization of the quadratic forms (p - q*theta)^2 +
-  q^2/Delta over a grid of Delta values: a geometric run and, for each
-  theta value, the exact envelope hand-overs.  A vector that some Delta
-  makes shortest at every theta value is shortest at one of those
-  hand-overs, so the grid misses none.  Each run is swept exactly on the
-  envelope's integer lines, compared as p + r*sqrt(d): the argmin moves only
-  up the lines as Delta grows, and the scan computes from the lines
-  themselves how far the current argmin holds, bisecting past the grid
-  values inside that stretch.  No float is involved.
+  q^2/Delta over a grid of Delta values: for each theta value, the exact
+  envelope hand-overs.  A vector that some Delta makes shortest at every
+  theta value is shortest at one of those hand-overs, so the grid misses
+  none.  Each value is scanned exactly, with no float, on the envelope's
+  integer lines compared as p + r*sqrt(d): the argmin moves only up the
+  lines as Delta grows, so each search starts at the last value's argmin.
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -25,11 +23,9 @@ report None where the declared precision cannot decide.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .cf import expansion, reduce_theta
@@ -286,9 +282,6 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
 # (e + f*sqrt(d))/g, g > 0, in the field of the line sets' radicand d.
 
 
-_GRID_UNIT = 1 << 64  # common denominator of the geometric grid values
-
-
 def _floor_bound(e: int, f: int, g: int, d: int) -> int:
     """An integer at most (e + f*sqrt(d))/g: its floor, or one less."""
     s = math.isqrt(f * f * d)
@@ -299,23 +292,6 @@ def _compare(a, b, d: int) -> int:
     """Sign of a - b for grid values or hand-overs a, b."""
     (e1, f1, g1), (e2, f2, g2) = a, b
     return surd_sign(e1 * g2 - e2 * g1, f1 * g2 - f2 * g1, d)
-
-
-def default_delta_grid(taus: list[list], d: int) -> list[list]:
-    """Ascending runs over the hand-over lists `taus` (each ascending, not empty).
-
-    The geometric run shares the denominator 2^64, runs from about half the
-    first list's first hand-over to about twice its last and steps by about
-    one sixteenth of a decade; each hand-over list is a run of its own.
-    """
-    (e, f, g), (e_top, f_top, g_top) = taus[0][0], taus[0][-1]
-    cur = _floor_bound(_GRID_UNIT * e, _GRID_UNIT * f, 2 * g, d)  # >= 2^63 - 1: tau >= 1
-    top = -_floor_bound(-2 * _GRID_UNIT * e_top, -2 * _GRID_UNIT * f_top, g_top, d)
-    geometric = []
-    while cur <= top:
-        geometric.append((cur, 0, _GRID_UNIT))
-        cur = cur * 11548745 // 10**7
-    return [geometric, *taus]
 
 
 def _argmins(line_set, Z: list, p: int, delta) -> set[int]:
@@ -334,53 +310,12 @@ def _argmins(line_set, Z: list, p: int, delta) -> set[int]:
     return {p + k for k, v in enumerate(values) if v == best}
 
 
-def _stay_end(line_set, Z: list, p: int):
-    """Least crossing (e, f, g) of line p with a later line, None if there is none."""
-    scale, d, lines = line_set
-    X_p, Y_p, Z_p = lines[p]
-    best = None
-    k, hi = p + 1, len(lines)
-    while k < hi:
-        X, Y, Z_k = lines[k]
-        N, U, V = Z_k - Z_p, X_p - X, Y_p - Y
-        if best is None or surd_sign(N * best[1] - best[0] * U, N * best[2] - best[0] * V, d) < 0:
-            best = N, U, V
-            e, f, g = _tau(line_set, best)
-            # a line with Z - Z_p > x*S_p/L meets line p after x = (e + f*sqrt(d))/g
-            cut = _floor_bound(e * X_p + f * Y_p * d, e * Y_p + f * X_p, g * scale, d)
-            hi = bisect_right(Z, Z_p + cut + 1, k + 1, hi)
-        k += 1
-    return None if best is None else _tau(line_set, best)
-
-
 def _check_run(run, d: int) -> None:
     """Raise InvalidArgument unless the run ascends strictly from a positive value."""
     if surd_sign(run[0][0], run[0][1], d) <= 0:
         raise InvalidArgument("grid values must be positive")
-    es, fs, gs = zip(*run)
-    if len(set(fs)) == len(set(gs)) == 1:  # one f and g (the geometric run): the e's decide
-        ascending = all(map(operator.lt, es, es[1:]))
-    else:
-        ascending = all(_compare(a, b, d) < 0 for a, b in zip(run, run[1:]))
-    if not ascending:
+    if not all(_compare(a, b, d) < 0 for a, b in zip(run, run[1:])):
         raise InvalidArgument("grid runs must be strictly ascending")
-
-
-def _sweep(line_set, run):
-    """(i, argmin set of run[i]) for every i where the set can change."""
-    _, d, lines = line_set
-    Z = [z for _, _, z in lines]
-    key = cmp_to_key(lambda a, b: _compare(a, b, d))
-    i = p = 0
-    while i < len(run):
-        argmins = _argmins(line_set, Z, p, run[i])
-        yield i, argmins
-        p = max(argmins)
-        end = _stay_end(line_set, Z, p)
-        j = len(run) if end is None else bisect_left(run, key(end), i + 1, key=key)
-        if j > i + 1:
-            yield i + 1, {p}
-        i = j
 
 
 def _scan_witnesses(line_sets, runs) -> set[int]:
@@ -394,8 +329,7 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
     compare by `surd_sign` of their difference, and every line equal to the
     minimum (p and r both equal, as sqrt(d) is irrational) is kept, so
     exact ties are all witnessed.  The slopes S_k = X_k + Y_k*sqrt(d) >= 0
-    strictly decrease and the Z_k strictly increase (`_line_set`), so a run
-    is swept rather than scanned:
+    strictly decrease and the Z_k strictly increase (`_line_set`), so:
 
     Fact 1: for Delta1 < Delta2, every argmin i at Delta1 and j at Delta2
     have i <= j.  Were j < i, adding the two minimality inequalities gives
@@ -403,30 +337,20 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
     the argmins at the next value of a run are sought from p, the largest
     argmin at the last one, on.
 
-    Fact 2: line p is the unique argmin on (Delta0, x_p), where p is the
-    largest argmin at Delta0 and x_p the least crossing
-    L*(Z_k - Z_p)/(S_p - S_k) of line p with a line k > p.  A line k < p
-    is not below line p at Delta0 and has the larger slope, so it is
-    strictly above on Delta > Delta0; a line k > p is strictly above at
-    Delta0 and meets line p first at x_p > Delta0.  So one bisection skips
-    the run's values inside (Delta0, x_p).  At the next value, past x_p, a
-    line k > p is at or below line p, so each recomputation raises p: a run
-    costs at most one per line, however many values it holds.
-
-    Both cuts on the lines bisect the increasing Z_k, as S_k*Delta >= 0:
-    at Delta a line with Z_k*L*g above line p's value lies strictly above
-    line p, and x_pk >= L*(Z_k - Z_p)/S_p.  Each line set yields index
-    segments of a run with their argmin sets; the argmins of a value are
-    the intersection over the line sets of the segments holding it.
+    The search from p bisects the increasing Z_k, as S_k*Delta >= 0: at
+    Delta a line with Z_k*L*g above line p's value lies strictly above
+    line p.  The argmins of a value are the intersection over the line
+    sets of its argmin sets.
     """
+    Zs = [[z for _, _, z in lines] for _, _, lines in line_sets]
     witnessed: set[int] = set()
     for run in filter(None, runs):
         _check_run(run, line_sets[0][1])
-        sweeps = [dict(_sweep(line_set, run)) for line_set in line_sets]
-        current = [set()] * len(sweeps)
-        for i in sorted(set().union(*sweeps)):
-            current = [sweep.get(i, c) for sweep, c in zip(sweeps, current)]
-            witnessed |= set.intersection(*current)
+        starts = [0] * len(line_sets)
+        for delta in run:
+            argmins = [_argmins(*args, delta) for args in zip(line_sets, Zs, starts)]
+            starts = [max(a) for a in argmins]
+            witnessed |= set.intersection(*argmins)
     return witnessed
 
 
@@ -435,10 +359,17 @@ def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
 
     On each line set the Deltas that make a vector shortest form a closed
     interval whose finite ends are envelope hand-overs (one point for a
-    three-line tie).  So if some Delta makes it shortest on every line set,
-    so does one of the hand-overs, and the grid holds them all.
-    GridTooCoarse marks a vector that the envelope flags but no single Delta
-    makes shortest at every theta value.
+    three-line tie), so if some Delta makes it shortest on every line set,
+    so does a hand-over: the grid is each line set's hand-overs, one run
+    each.  GridTooCoarse marks a vector that the envelope flags but no
+    single Delta makes shortest at every theta value.
+
+    The scan still checks the envelope independently: at each hand-over it
+    recomputes the exact argmin over all lines.  Had the envelope skipped a
+    touching line k between its true neighbours j and m, the crossing of j
+    and m would lie inside k's interval, so the scan would witness k there
+    and the flags would differ.  A line the envelope kept wrongly is never
+    shortest, so it goes unwitnessed and raises GridTooCoarse.
     """
     if n < 3:
         raise InsufficientSequence("need n >= 3")
@@ -447,11 +378,12 @@ def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
         raise InsufficientSequence("fewer than 3 minimal vectors exist")
     envelope, handovers, line_sets = _envelopes(seq)
     taus = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
-    witnessed = _scan_witnesses(line_sets, default_delta_grid(taus, line_sets[0][1]))
+    witnessed = _scan_witnesses(line_sets, taus)
     missing = [k for k, f in enumerate(envelope) if f is True and k not in witnessed]
     if missing:
         raise GridTooCoarse(f"no single Delta makes vectors {missing} shortest for every theta")
-    flags = tuple(None if f is None else k in witnessed for k, f in enumerate(envelope))
+    # from a list, not a generator: an exact-size tuple reuses CPython's free lists
+    flags = tuple([None if f is None else k in witnessed for k, f in enumerate(envelope)])
     return HermiteFlags(theta, flags, "delta_scan")
 
 

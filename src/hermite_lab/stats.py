@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,6 +248,9 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     specs = _experiment_samples(cfg)
     jobs = [(spec, cfg.depth_n) for spec in specs]
     if cfg.workers > 1:
+        # imported here: the pool machinery adds about 2 MB to any process importing this module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             reports = list(pool.map(_analyze_job, jobs, chunksize=8))
     else:

@@ -12,8 +12,10 @@ from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
     AmbiguousComparison,
+    HermiteLabError,
     IndexOutOfRange,
     IntegerInput,
+    PartialQuotients,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
@@ -87,6 +89,21 @@ class TestExpand:
         for text in ("(3+1*sqrt(2))/7", "(1-1*sqrt(2))/1", "(-2-1*sqrt(2))/7", "(1+1*sqrt(5))/2"):
             with pytest.raises(ValueError, match="x0 must lie in"):
                 expansion(parse_real(text))
+
+    def test_argument_errors_are_typed(self):
+        x0 = RationalSpec(Fraction(3, 8))
+        bad_calls = [
+            lambda: PartialQuotients((2, 0), False),
+            lambda: PartialQuotients((1, 2), False),
+            lambda: PartialQuotients((2, 1), True),
+            lambda: expansion(RationalSpec(Fraction(2, 3))),
+            lambda: cf_expand(x0, 0),
+            lambda: tail_value(x0, cf_expand(x0, 10), -2),
+            lambda: tail_value(x0, PartialQuotients((3,), False), 0),
+        ]
+        for call in bad_calls:
+            with pytest.raises(HermiteLabError):
+                call()
 
     def test_canonical_final_quotient(self):
         for spec in random_rational_specs(50, 10**4, seed=2):

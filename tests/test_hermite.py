@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from helpers import no_two_consecutive_false, random_quadratic_specs, random_rational_specs
@@ -31,10 +32,8 @@ from hermite_lab.hermite import (
     _envelopes,
     _lower_envelope,
     _scan_witnesses,
-    _sweep,
     _tau,
     criterion_scan,
-    default_delta_grid,
 )
 from hermite_lab.stats import auto_precision_bits, sample_thetas
 
@@ -333,12 +332,23 @@ def _reference_witnesses(line_sets, grid) -> set[int]:
     return witnessed
 
 
-def _scan_inputs(spec, depth: int):
-    """Integer and exact line sets of the spec's vectors, and the first set's hand-overs."""
+def _default_runs(spec, depth: int):
+    """Integer and exact line sets of the spec's vectors, and each set's hand-over run."""
     seq = complete_sequence(spec, depth)
     _, handovers, line_sets = _envelopes(seq)
-    taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
-    return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], taus
+    runs = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
+    return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], runs
+
+
+def _scan_inputs(spec, depth: int):
+    """Integer and exact line sets of the spec's vectors, and the first set's hand-overs."""
+    line_sets, exact_sets, runs = _default_runs(spec, depth)
+    return line_sets, exact_sets, runs[0]
+
+
+def _probes(runs) -> list:
+    """Each hand-over halved and doubled: values between and beyond them."""
+    return [t for e, f, g in chain(*runs) for t in ((e, f, 2 * g), (2 * e, 2 * f, g))]
 
 
 def _assert_same(line_sets, exact_sets, grid) -> list[set[int]]:
@@ -352,7 +362,7 @@ def _assert_same(line_sets, exact_sets, grid) -> list[set[int]]:
 class TestScanAgainstReference:
     """The integer-form scan equals the object-arithmetic scan, ties included."""
 
-    def test_random_inputs_on_default_and_hand_over_grids(self):
+    def test_random_inputs_on_hand_overs_and_probes(self):
         rng = random.Random(171)
         decimals = [
             make_decimal(Fraction(rng.randrange(1, 1 << 80), 1 << 80), 64)
@@ -367,8 +377,7 @@ class TestScanAgainstReference:
         )
         for spec, depth in specs:
             line_sets, exact_sets, taus = _scan_inputs(spec, depth)
-            grid = [t for run in default_delta_grid([taus], line_sets[0][1]) for t in run]
-            _assert_same(line_sets, exact_sets, grid[::4])
+            _assert_same(line_sets, exact_sets, _probes([taus]))
             ties = _assert_same(line_sets, exact_sets, taus)  # every value an exact tie
             if len(line_sets) == 1:
                 assert all(len(witnesses) >= 2 for witnesses in ties)
@@ -384,9 +393,9 @@ class TestScanAgainstReference:
     def test_planted_three_line_tie(self):
         lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
         assert _scan_witnesses([(1, 0, lines)], [[(1, 0, 1)]]) == {0, 1, 2}
-        # the sweep stops at the tie inside the run [1/2, 1, 2]
+        # the tie inside the run [1/2, 1, 2]
         run = [(1, 0, 2), (1, 0, 1), (2, 0, 1)]
-        assert dict(_sweep((1, 0, lines), run)) == {0: {0}, 1: {0, 1, 2}, 2: {2, 3}}
+        assert _scan_witnesses([(1, 0, lines)], [run]) == {0, 1, 2, 3}
         exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
         _assert_same([(1, 0, lines)], [exact], [(1, 0, 1), (1, 0, 2), (1, 0, 3)])
         # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
@@ -395,7 +404,7 @@ class TestScanAgainstReference:
         delta = (-1, 1, 1)
         assert _scan_witnesses([(4, 5, surd_lines)], [[delta]]) == {0, 1, 2}
         run = [(1, 0, 1), delta, (-2, 2, 1)]
-        assert dict(_sweep((4, 5, surd_lines), run))[1] == {0, 1, 2}
+        assert _scan_witnesses([(4, 5, surd_lines)], [run]) == {0, 1, 2}
         exact = [(Fraction(3 - B) / exact_number(delta, 5), Fraction(B)) for B in (0, 1, 2)]
         exact.append((Fraction(0), Fraction(5)))
         _assert_same([(4, 5, surd_lines)], [exact], run)
@@ -407,13 +416,8 @@ class TestScanAgainstReference:
                 _scan_witnesses(line_sets, [[delta]])
 
 
-def _default_runs(spec, depth: int):
-    line_sets, exact_sets, taus = _scan_inputs(spec, depth)
-    return line_sets, exact_sets, default_delta_grid([taus], line_sets[0][1])
-
-
 class TestScanSweep:
-    """The sweep over ascending runs equals a scan of every grid value alone."""
+    """The scan of ascending runs equals a scan of every grid value alone."""
 
     def test_sweep_equals_one_value_scans(self):
         rng = random.Random(211)
@@ -449,14 +453,13 @@ class TestScanSweep:
         assert time.process_time() - start < 1.0
         flags = flags_via_envelope(complete_sequence(spec, 10**6)).flags
         assert swept == {k for k, f in enumerate(flags) if f}
-        _assert_same(line_sets, exact_sets, grid[::300])
+        _assert_same(line_sets, exact_sets, grid[::40])
 
-    def test_stay_end_is_the_least_crossing(self):
+    def test_least_crossing_is_not_skipped(self):
         # line 1 meets line 0 at 10, line 2 (larger q) already at 8: the
-        # sweep must not skip 9, where line 2 alone is shortest
+        # scan must not miss 9, where line 2 alone is shortest
         lines = [(10, 0, 0), (9, 0, 10), (1, 0, 72), (0, 0, 82)]
         run = [(1, 0, 1), (9, 0, 1), (11, 0, 1)]
-        assert dict(_sweep((1, 0, lines), run)) == {0: {0}, 1: {2}, 2: {3}}
         exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
         assert _scan_witnesses([(1, 0, lines)], [run]) == {0, 2, 3}
         _assert_same([(1, 0, lines)], [exact], run)
@@ -473,19 +476,38 @@ class TestScanSweep:
             assert _scan_witnesses(line_sets, [run]) == expected
             _assert_same(line_sets, exact_sets, run)
 
-    def test_recomputations_bounded_by_line_count(self, monkeypatch):
-        # each recomputation in a run moves the largest argmin up, so a run
-        # costs at most one per line, however many grid values it holds
+    def test_argmins_once_per_hand_over_and_line_set(self, monkeypatch):
+        # the grid is the hand-overs alone: each is scanned once on each line set
         calls = []
         argmins = hermite._argmins
         monkeypatch.setattr(hermite, "_argmins", lambda *a: calls.append(a) or argmins(*a))
-        for spec, depth in ((Q21, 19), (parse_real("1234567/7654321"), 10**6), (GOLDEN, 40)):
-            line_sets, _, runs = _default_runs(spec, depth)
+        decimal = make_decimal(Fraction(random.Random(241).randrange(1, 1 << 80), 1 << 80), 64)
+        for spec, n in ((Q21, 20), (parse_real("1234567/7654321"), 10**6), (decimal, 30)):
+            line_sets, _, runs = _default_runs(spec, n - 1)
             calls.clear()
-            _scan_witnesses(line_sets, runs)
-            lines = len(line_sets[0][2])
-            grid = sum(map(len, runs))
-            assert len(calls) <= len(runs) * lines < grid
+            flags_via_delta_scan(spec, n)
+            assert len(line_sets) == 1 + (spec is decimal)
+            expected = [(line_set, t) for run in runs for t in run for line_set in line_sets]
+            assert [(line_set, delta) for line_set, _, _, delta in calls] == expected
+
+    def test_probes_witness_nothing_the_hand_overs_miss(self):
+        # no Delta between or beyond the hand-overs adds a witness
+        rng = random.Random(251)
+        decimals = [
+            make_decimal(Fraction(rng.randrange(1, 1 << 128), 1 << 128), rng.randint(64, 96))
+            for _ in range(40)
+        ]
+        specs = (
+            [(spec, 10**6) for spec in random_rational_specs(40, 10**9, seed=252)]
+            + [(spec, 30) for spec in random_quadratic_specs(20, seed=253)]
+            + [(spec, 10**6) for spec in decimals]
+        )
+        start = time.process_time()
+        for spec, depth in specs:
+            line_sets, _, runs = _default_runs(spec, depth)
+            witnessed = _scan_witnesses(line_sets, runs)
+            assert _scan_witnesses(line_sets, [[t] for t in _probes(runs)]) <= witnessed
+        assert time.process_time() - start < 2.0
 
     def test_bad_runs_rejected(self):
         line_sets, _, _ = _scan_inputs(Q21, 10)
