@@ -38,7 +38,7 @@ EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_VERIFY = 4
 
-_PARSE_ERRORS = (ValueError, HermiteLabError)
+_PARSE_ERRORS = HermiteLabError
 _PRECISION_ERRORS = (AmbiguousComparison, PrecisionExceedsInput, TailUnavailable)
 
 
@@ -116,6 +116,8 @@ def _cmd_flags(args) -> int:
         "hermite_h": [e.h for e in sub.entries],
     }
     if args.verify:
+        if len(seq) < 3:  # a rational has 3 or more: a decimal's precision stopped here
+            raise AmbiguousComparison("declared precision certifies fewer than 3 minimal vectors")
         oracle = flags_via_envelope(seq)
         for k in range(min(len(flags.flags), len(oracle.flags))):
             a, b = flags.flags[k], oracle.flags[k]
@@ -140,6 +142,8 @@ def _cmd_orbit(args) -> int:
         x, y = Fraction(args.x), Fraction(args.y)
     except ZeroDivisionError:
         raise InvalidArgument("orbit coordinates need a non-zero denominator") from None
+    except ValueError as exc:
+        raise InvalidArgument(str(exc)) from None
     terminated_at = None
     try:
         points = next_mod.orbit(next_mod.DomainPoint(x, y), args.n)
@@ -283,6 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # CPython 3.10.7+ caps int/str conversions at 4,300 digits (0: no cap, as
+    # before 3.10.7); the cap is lifted while the command runs, then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except VerificationMismatch as exc:
@@ -294,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

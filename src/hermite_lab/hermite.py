@@ -22,8 +22,6 @@ report None where the declared precision cannot decide.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -145,7 +143,7 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
             break
         quotients.append(a)
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        y_float = 1.0 / (a + y_float)
+        y_float = 1.0 / (a + y_float) if a.bit_length() < 1000 else 0.0  # else y < 2**-999
         m += 1
     state = ScanState(q_cur, session.terminated, hermite_q, tuple(quotients))
     return HermiteFlags(theta, tuple(flags), "criterion"), state
@@ -282,32 +280,31 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
 # (e + f*sqrt(d))/g, g > 0, in the field of the line sets' radicand d.
 
 
-def _floor_bound(e: int, f: int, g: int, d: int) -> int:
-    """An integer at most (e + f*sqrt(d))/g: its floor, or one less."""
-    s = math.isqrt(f * f * d)
-    return (e + s if f >= 0 else e - s - 1) // g
-
-
 def _compare(a, b, d: int) -> int:
     """Sign of a - b for grid values or hand-overs a, b."""
     (e1, f1, g1), (e2, f2, g2) = a, b
     return surd_sign(e1 * g2 - e2 * g1, f1 * g2 - f2 * g1, d)
 
 
-def _argmins(line_set, Z: list, p: int, delta) -> set[int]:
+def _argmins(line_set, p: int, delta) -> set[int]:
     """Exact argmin set at Delta among the lines from p on (see `_scan_witnesses`)."""
     scale, d, lines = line_set
     e, f, g = delta
     fd, Lg = f * d, scale * g
-    X, Y, Z_p = lines[p]
-    best = (X * e + Y * fd + Z_p * Lg, X * f + Y * e)
-    # a line with Z*L*g above line p's value lies strictly above line p
-    hi = bisect_right(Z, (_floor_bound(*best, 1, d) + 1) // Lg, p + 1)
-    values = [(X * e + Y * fd + Z * Lg, X * f + Y * e) for X, Y, Z in lines[p:hi]]
-    for v in values:
-        if surd_sign(v[0] - best[0], v[1] - best[1], d) < 0:
-            best = v
-    return {p + k for k, v in enumerate(values) if v == best}
+    X, Y, Z = lines[p]
+    best, found = (X * e + Y * fd + Z * Lg, X * f + Y * e), {p}
+    for k in range(p + 1, len(lines)):
+        X, Y, Z = lines[k]
+        ZLg = Z * Lg
+        if surd_sign(ZLg - best[0], -best[1], d) > 0:
+            break  # this line and every later one lie above the minimum
+        v = (X * e + Y * fd + ZLg, X * f + Y * e)
+        side = surd_sign(v[0] - best[0], v[1] - best[1], d)
+        if side < 0:
+            best, found = v, {k}
+        elif side == 0:
+            found.add(k)
+    return found
 
 
 def _check_run(run, d: int) -> None:
@@ -337,18 +334,19 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
     the argmins at the next value of a run are sought from p, the largest
     argmin at the last one, on.
 
-    The search from p bisects the increasing Z_k, as S_k*Delta >= 0: at
-    Delta a line with Z_k*L*g above line p's value lies strictly above
-    line p.  The argmins of a value are the intersection over the line
-    sets of its argmin sets.
+    The search from p evaluates each line once and stops before the first
+    line whose term Z_k*L*g alone lies strictly above the least value so
+    far: S_k*Delta >= 0 and the Z_k increase, so every later line lies
+    above it too.  A line whose term only equals that value may still tie
+    (zero slope), so it is evaluated.  The argmins of a value are the
+    intersection over the line sets of its argmin sets.
     """
-    Zs = [[z for _, _, z in lines] for _, _, lines in line_sets]
     witnessed: set[int] = set()
     for run in filter(None, runs):
         _check_run(run, line_sets[0][1])
         starts = [0] * len(line_sets)
         for delta in run:
-            argmins = [_argmins(*args, delta) for args in zip(line_sets, Zs, starts)]
+            argmins = [_argmins(*args, delta) for args in zip(line_sets, starts)]
             starts = [max(a) for a in argmins]
             witnessed |= set.intersection(*argmins)
     return witnessed
@@ -374,8 +372,6 @@ def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
     if n < 3:
         raise InsufficientSequence("need n >= 3")
     seq = complete_sequence(theta, n - 1)
-    if len(seq) < 3:
-        raise InsufficientSequence("fewer than 3 minimal vectors exist")
     envelope, handovers, line_sets = _envelopes(seq)
     taus = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
     witnessed = _scan_witnesses(line_sets, taus)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cf import HALF, expansion, reduce_theta
-from .errors import AmbiguousComparison, NotConsecutive, SequenceEnds
+from .errors import AmbiguousComparison, InvalidArgument, NotConsecutive, SequenceEnds
 from .numeric import QuadraticReal, QuadraticSpec, RationalSpec, RealSpec
 
 BRUTEFORCE_MAX_Q = 10**6
@@ -77,7 +77,7 @@ def complete_sequence(theta: RealSpec, n: int) -> list[MinimalVector]:
     inputs stop where the next quotient is no longer certified.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InvalidArgument("n must be positive")
     sign, x0, nearest = reduce_theta(theta)
     vectors = [
         MinimalVector(1, 0, 0, theta),
@@ -144,9 +144,9 @@ def is_minimal_bruteforce(theta: RealSpec, p: int, q: int) -> bool:
     candidates the box condition constrains.  Oracle scale: q <= 1e6.
     """
     if q < 0:
-        raise ValueError("q must be non-negative")
+        raise InvalidArgument("q must be non-negative")
     if q > BRUTEFORCE_MAX_Q:
-        raise ValueError(f"brute-force oracle limited to q <= {BRUTEFORCE_MAX_Q}")
+        raise InvalidArgument(f"brute-force oracle limited to q <= {BRUTEFORCE_MAX_Q}")
     if q == 0:
         return abs(p) == 1
     if isinstance(theta, RationalSpec):

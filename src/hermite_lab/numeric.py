@@ -18,10 +18,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import InvalidQuadratic, ParseError
+from .errors import InvalidArgument, InvalidQuadratic, ParseError
 
 DEFAULT_DECIMAL_BITS = 256
 _SQUAREFREE_TRIAL_BOUND = 100_000
+_INT_PIECE_DIGITS = 640  # the least int/str digit limit CPython lets a caller set
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +70,21 @@ def surd_sign(p: int, r: int, d: int) -> int:
     return sr if r * r * d > p * p else sp
 
 
+def int_of_digits(text: str) -> int:
+    """int(text) for a signed digit string of any length, past CPython's int/str limit."""
+    if len(text) <= _INT_PIECE_DIGITS:
+        return int(text)
+    if text[0] in "+-":
+        magnitude = int_of_digits(text[1:])
+        return -magnitude if text[0] == "-" else magnitude
+    half = len(text) // 2
+    return int_of_digits(text[:half]) * 10 ** (len(text) - half) + int_of_digits(text[half:])
+
+
 def ln_big(n: int) -> float:
     """Natural log of a positive integer of arbitrary size."""
     if n <= 0:
-        raise ValueError("ln_big needs a positive integer")
+        raise InvalidArgument("ln_big needs a positive integer")
     shift = n.bit_length() - 53
     if shift <= 0:
         return math.log(n)
@@ -137,7 +149,7 @@ class QuadraticReal:
     def _coerce(self, other):
         if isinstance(other, QuadraticReal):
             if other.d != self.d:
-                raise ValueError("mixed radicands")
+                raise InvalidArgument("mixed radicands")
             return other
         if isinstance(other, (int, Fraction)):
             return other
@@ -286,7 +298,7 @@ class DecimalSpec:
         if self.declared_bits < 64:
             raise ParseError("decimal precision must be >= 64 bits")
         if not (self.window_lo <= self.value <= self.window_hi):
-            raise ValueError("value outside its window")
+            raise InvalidArgument("value outside its window")
 
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -309,8 +321,7 @@ def make_decimal(
     return DecimalSpec(value, declared_bits, window[0], window[1], text)
 
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
-_INTEGER_RE = re.compile(r"^([+-]?\d+)$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*(\d+))?$")
 _DECIMAL_RE = re.compile(r"^([+-]?\d+)\.(\d+)(?:@(\d+))?$")
 _QUADRATIC_RE = re.compile(
     r"^\(\s*([+-]?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*([+-]?\d+)\s*\)\s*\)\s*/\s*(\d+)$"
@@ -320,35 +331,21 @@ _QUADRATIC_RE = re.compile(
 def parse_real(text: str) -> RealSpec:
     """Parse "p/q", "(a+b*sqrt(d))/c" or a decimal literal with optional @bits."""
     text = text.strip()
-    m = _INTEGER_RE.match(text)
-    if m:
-        return RationalSpec(Fraction(int(m.group(1))))
     m = _RATIONAL_RE.match(text)
     if m:
-        den = int(m.group(2))
+        den = int_of_digits(m.group(2) or "1")
         if den == 0:
             raise ParseError("zero denominator")
-        return RationalSpec(Fraction(int(m.group(1)), den))
+        return RationalSpec(Fraction(int_of_digits(m.group(1)), den))
     m = _DECIMAL_RE.match(text)
     if m:
-        int_part, frac_part, bits = m.group(1), m.group(2), m.group(3)
-        declared = int(bits) if bits else DEFAULT_DECIMAL_BITS
-        scale = 10 ** len(frac_part)
-        sign = -1 if int_part.lstrip("+-") != int_part and int_part[0] == "-" else 1
-        magnitude = abs(int(int_part)) * scale + int(frac_part)
-        value = Fraction(sign * magnitude, scale)
-        return make_decimal(value, declared, text=text)
+        int_part, frac_part, bits = m.groups()  # the sign rides on the digits: "-0" "5" is -5
+        value = Fraction(int_of_digits(int_part + frac_part), 10 ** len(frac_part))
+        return make_decimal(value, int_of_digits(bits) if bits else DEFAULT_DECIMAL_BITS, text=text)
     m = _QUADRATIC_RE.match(text)
     if m:
-        a = int(m.group(1))
-        b = int(m.group(3)) * (-1 if m.group(2) == "-" else 1)
-        d = int(m.group(4))
-        c = int(m.group(5))
-        if c == 0:
-            raise ParseError("zero denominator")
-        if d <= 0:
-            raise InvalidQuadratic(f"radicand must be positive, got {d}")
-        value = quadratic_or_rational(a, b, c, d)
+        a, b, d, c = (int_of_digits(g) for g in m.group(1, 3, 4, 5))
+        value = quadratic_or_rational(a, -b if m.group(2) == "-" else b, c, d)
         if isinstance(value, Fraction):
             return RationalSpec(value)
         return QuadraticSpec(value)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidArgument, PrecisionExceedsInput
 from .hermite import criterion_scan
-from .numeric import DecimalSpec, RealSpec, ln_big, make_decimal, spec_text
+from .numeric import DecimalSpec, RealSpec, int_of_digits, ln_big, make_decimal, spec_text
 
 HERMITE_PROPORTION = math.log(3) / math.log(4)  # 0.79248125036...
 LEVY_RATE = math.pi**2 / (12 * math.log(2))  # 1.18656911041...
@@ -165,14 +165,8 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
         digit_str = "".join(pieces)[:digits]
         if digit_str == "0" * digits:
             digit_str = digit_str[:-1] + "1"
-        n = 0
-        for k in range(0, digits, _CHUNK_DIGITS):
-            part = digit_str[k : k + _CHUNK_DIGITS]
-            n = n * 10 ** len(part) + int(part)
-        text = "0." + digit_str
-        out.append(
-            make_decimal(Fraction(n, 10**digits), precision_bits, text=text)
-        )
+        value = Fraction(int_of_digits(digit_str), 10**digits)
+        out.append(make_decimal(value, precision_bits, text="0." + digit_str))
     return out
 
 

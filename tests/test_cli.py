@@ -6,12 +6,14 @@ import csv
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from hermite_lab import cli
+from hermite_lab.numeric import int_of_digits
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "output.schema.json").read_text()
@@ -65,6 +67,28 @@ class TestExpand:
         code, _ = run_cli(capsys, "expand", "--theta", "5", "--n", "5")
         assert code == 2
 
+    def test_integers_past_the_digit_limit(self, capsys):
+        # CPython 3.10.7+ caps int/str conversions at 4,300 digits; main lifts
+        # the cap while a command runs and restores it for in-process callers
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        theta = "1/1" + "0" * 5000
+        code, out = run_cli(capsys, "expand", "--theta", theta, "--n", "2")
+        assert code == 0
+        assert json.loads(out, parse_int=int_of_digits)["results"]["quotients"] == [10**5000]
+        code, out = run_cli(capsys, "expand", "--theta", theta, "--n", "2", "--format", "csv")
+        assert code == 0
+        assert int_of_digits(list(csv.reader(io.StringIO(out)))[2][1]) == 10**5000
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_internal_value_error_not_masked(self, monkeypatch):
+        # only the package's own errors are input errors (exit 2)
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "cf_expand", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["expand", "--theta", "3/8", "--n", "5"])
+
     def test_shallow_decimal_exit_3(self, capsys):
         code, _ = run_cli(
             capsys, "expand", "--theta", "0.3819660112501051517954131@64", "--n", "70"
@@ -97,6 +121,15 @@ class TestFlags:
             )
             assert code == 0
             assert record["results"]["verified"] is True
+
+    @pytest.mark.parametrize("theta", ["0.1@64", "0.5@64"])
+    def test_verify_under_certified_decimal_exit_3(self, capsys, theta):
+        # the input parses; its declared precision certifies fewer than 3 vectors
+        assert run_cli(capsys, "flags", "--theta", theta, "--n", "200")[0] == 0
+        code = cli.main(["flags", "--theta", theta, "--n", "200", "--verify"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_verify_mismatch_exit_4(self, capsys, monkeypatch):
         from hermite_lab import HermiteFlags
@@ -302,10 +335,10 @@ _FUZZ_THETAS = [
     "5", "-3", "0", "0/5", "3/8", "-22/7", "355/113", "1/1000003",
     "0.5@64", "-0.123456789@64", "-2.75", "0.3819660112501051517954131@64",
     "(1+1*sqrt(5))/2", "(-3+1*sqrt(21))/6", "(1+1*sqrt(4))/2",
-    "(1+1*sqrt(0))/2", "(1+1*sqrt(-5))/2",
+    "(1+1*sqrt(0))/2", "(1+1*sqrt(-5))/2", "1/1" + "0" * 5000,
 ]
 _FUZZ_N = ["-1", "0", "1", "2", "3", "40"]
-_FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7", "1/0"]
+_FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7", "1/0", "1e5000", "abc"]
 
 
 def _fuzz_grid():
@@ -339,7 +372,9 @@ def test_fuzzed_arguments_exit_with_documented_codes(capsys):
             rows = list(csv.reader(io.StringIO(captured.out)))
             assert rows and rows[0][0] == "index", argv
         else:
-            record = json.loads(captured.out, parse_constant=_reject_constant)
+            record = json.loads(
+                captured.out, parse_constant=_reject_constant, parse_int=int_of_digits
+            )
             jsonschema.validate(record, SCHEMA)
             assert record["command"] == argv[0]
 

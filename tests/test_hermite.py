@@ -118,6 +118,14 @@ class TestCriterion:
             flags = flags_via_criterion(spec, 12).flags
             assert flags[0] is True and flags[1] is True
 
+    def test_quotients_past_the_float_range(self):
+        # a quotient above 2**1024 has no float; the three oracles still agree
+        for value in (Fraction(3, 3 * 2**1100 + 1), Fraction(1, 10**5000)):
+            spec = RationalSpec(value)
+            criterion = flags_via_criterion(spec, 40)
+            assert criterion.flags == flags_via_envelope(complete_sequence(spec, 39)).flags
+            assert criterion.flags == flags_via_delta_scan(spec, 40).flags
+
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             flags_via_criterion(GOLDEN, 1)
@@ -488,7 +496,7 @@ class TestScanSweep:
             flags_via_delta_scan(spec, n)
             assert len(line_sets) == 1 + (spec is decimal)
             expected = [(line_set, t) for run in runs for t in run for line_set in line_sets]
-            assert [(line_set, delta) for line_set, _, _, delta in calls] == expected
+            assert [(line_set, delta) for line_set, _, delta in calls] == expected
 
     def test_probes_witness_nothing_the_hand_overs_miss(self):
         # no Delta between or beyond the hand-overs adds a witness

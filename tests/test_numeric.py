@@ -18,7 +18,12 @@ from hermite_lab import (
     parse_real,
     spec_text,
 )
-from hermite_lab.numeric import quadratic_or_rational, squarefree_split, surd_sign
+from hermite_lab.numeric import (
+    int_of_digits,
+    quadratic_or_rational,
+    squarefree_split,
+    surd_sign,
+)
 
 
 class TestParse:
@@ -40,6 +45,29 @@ class TestParse:
         assert isinstance(spec, DecimalSpec)
         assert spec.declared_bits == 128
         assert spec.value == Fraction(381966011250105, 10**15)
+
+    def test_negative_decimals(self):
+        assert parse_real("-0.5").value == Fraction(-1, 2)
+        assert parse_real("-2.75@64").value == Fraction(-11, 4)
+        assert parse_real("+1.25").value == Fraction(5, 4)
+
+    def test_digits_past_the_int_limit(self):
+        # CPython refuses int() on more than 4,300 digits; the paper's samples have 5,840
+        spec = parse_real("0." + "3" * 5000 + "@16000")
+        assert spec.declared_bits == 16000
+        assert spec.value == Fraction(10**5000 - 1, 3 * 10**5000)
+        assert parse_real("-1/1" + "0" * 5000) == RationalSpec(Fraction(-1, 10**5000))
+        spec = parse_real("(1+1" + "0" * 5000 + "*sqrt(5))/2")
+        assert spec == QuadraticSpec(QuadraticReal(1, 10**5000, 2, 5))
+
+    def test_int_of_digits(self):
+        rng = random.Random(331)
+        for length in (1, 639, 640, 641, 1281, 4300):
+            digits = "".join(rng.choice("0123456789") for _ in range(length))
+            for sign in ("", "+", "-"):
+                assert int_of_digits(sign + digits) == int(sign + digits)
+        assert int_of_digits("-" + "9" * 9000) == 1 - 10**9000
+        assert int_of_digits("+0001" + "0" * 9000) == 10**9000
 
     def test_decimal_default_bits(self):
         assert parse_real("0.25").declared_bits == 256
