@@ -41,6 +41,16 @@ EXIT_VERIFY = 4
 _PARSE_ERRORS = HermiteLabError
 _PRECISION_ERRORS = (AmbiguousComparison, PrecisionExceedsInput, TailUnavailable)
 
+ERROR_LINE_MAX = 200  # characters of an error line, its newline not counted
+
+
+def _error_line(message) -> str:
+    """`error: <message>` and a newline, cut to ERROR_LINE_MAX characters."""
+    line = f"error: {message}"
+    if len(line) > ERROR_LINE_MAX:
+        line = line[: ERROR_LINE_MAX - 3] + "..."
+    return line + "\n"
+
 
 def _f15(x: float) -> float:
     return float(f"{x:.15g}")
@@ -233,7 +243,7 @@ class _Parser(argparse.ArgumentParser):
     """Rejects bad arguments with the one line `error: <message>`, exit 2."""
 
     def error(self, message):
-        self.exit(EXIT_PARSE, f"error: {message}\n")
+        self.exit(EXIT_PARSE, _error_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,13 +305,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except VerificationMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_VERIFY
     except _PRECISION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_PRECISION
     except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_PARSE
     finally:
         if limit:

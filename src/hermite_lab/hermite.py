@@ -15,6 +15,8 @@
   none.  Each value is scanned exactly, with no float, on the envelope's
   integer lines compared as p + r*sqrt(d): the argmin moves only up the
   lines as Delta grows, so each search starts at the last value's argmin.
+  A grid value is Delta in units of the gcd of the line sets' c^2, so
+  the common factor of the scales never enters a product.
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -22,6 +24,7 @@ report None where the declared precision cannot decide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -238,11 +241,16 @@ def _envelopes(seq: Sequence[MinimalVector]):
     flags, None where they differ; the last index of a truncated sequence is
     withheld (None), as its status can depend on vectors not yet in the
     candidate set.  The exact ((N, U, V), left, right) hand-overs come as one
-    list per line set.
+    list per line set.  Each set's scale is its c^2 over the gcd of all the
+    sets' c^2, so a tau or grid Delta on these sets is in units of that gcd.
+    The scale is 1 for a rational or quadratic input, and at the
+    smaller-scale end of a decimal literal with fewer digits than bits.
     """
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
     line_sets = [_line_set(seq, value) for value in dict.fromkeys(seq[0].theta.bounds)]
+    unit = math.gcd(*(scale for scale, _, _ in line_sets))
+    line_sets = [(scale // unit, d, lines) for scale, d, lines in line_sets]
     envelopes = [_lower_envelope(lines, d) for _, d, lines in line_sets]
     flags = [
         column[0] if all(f == column[0] for f in column) else None
@@ -254,7 +262,10 @@ def _envelopes(seq: Sequence[MinimalVector]):
 
 
 def _tau(line_set, handover) -> tuple[int, int, int]:
-    """Hand-over (N, U, V) of the line set as (e, f, g): tau = (e + f*sqrt(d))/g, g > 0."""
+    """Hand-over (N, U, V) of the line set as (e, f, g): tau = (e + f*sqrt(d))/g, g > 0.
+
+    tau is in the unit of the line sets' scales (see `_envelopes`).
+    """
     scale, d, _ = line_set
     N, U, V = handover
     if not V:

@@ -374,8 +374,8 @@ def spec_text(spec: RealSpec) -> str:
         return f"{spec.value.numerator}/{spec.value.denominator}"
     if isinstance(spec, QuadraticSpec):
         return str(spec.value)
-    if spec.text:
-        return spec.text
+    if spec.text:  # a sampled decimal's text carries no @bits
+        return spec.text if "@" in spec.text else f"{spec.text}@{spec.declared_bits}"
     max_digits = spec.declared_bits * 30103 // 100000 + 2
     sign = "-" if spec.value < 0 else ""
     return f"{sign}{_decimal_digits(spec.value, max_digits)}@{spec.declared_bits}"

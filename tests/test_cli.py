@@ -368,6 +368,7 @@ def test_fuzzed_arguments_exit_with_documented_codes(capsys):
             assert captured.out == "", argv
             assert len(captured.err.splitlines()) == 1, argv
             assert captured.err.startswith("error: "), argv
+            assert len(captured.err) <= cli.ERROR_LINE_MAX + 1, argv  # 1e5000 and the like
         elif "csv" in argv:
             rows = list(csv.reader(io.StringIO(captured.out)))
             assert rows and rows[0][0] == "index", argv

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -223,11 +224,12 @@ class TestEnvelope:
         # crossing formula: tau = (B_r - B_l) / (A_l - A_r), exact
         taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
         assert all(f == 0 for _, f, _ in taus)
+        # in units of c^2 = 64
         assert [Fraction(e, g) for e, _, g in taus] == [
-            Fraction(64, 55),
-            Fraction(192, 5),
-            Fraction(320, 3),
-            Fraction(3520),
+            Fraction(1, 55),
+            Fraction(3, 5),
+            Fraction(5, 3),
+            Fraction(55),
         ]
 
     def test_short_sequence_rejected(self):
@@ -341,11 +343,19 @@ def _reference_witnesses(line_sets, grid) -> set[int]:
 
 
 def _default_runs(spec, depth: int):
-    """Integer and exact line sets of the spec's vectors, and each set's hand-over run."""
+    """Integer and exact line sets of the spec's vectors, and each set's hand-over run.
+
+    The scan reads a grid value t as Delta = unit*t, with unit the gcd of the
+    theta values' c^2.  The exact lines carry the unit in their slopes, so the
+    reference's A*unit*t + B is the quadratic form at the absolute Delta.
+    """
     seq = complete_sequence(spec, depth)
     _, handovers, line_sets = _envelopes(seq)
     runs = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
-    return line_sets, [exact_lines(seq, value) for value in theta_values(spec)], runs
+    values = theta_values(spec)
+    unit = math.gcd(*(v.denominator if isinstance(v, Fraction) else v.c for v in values)) ** 2
+    exact_sets = [[(A * unit, B) for A, B in exact_lines(seq, value)] for value in values]
+    return line_sets, exact_sets, runs
 
 
 def _scan_inputs(spec, depth: int):
@@ -397,6 +407,27 @@ class TestScanAgainstReference:
             line_sets = [(scale, 2, lines) for scale, _, lines in line_sets]
             grid = [(0, e, g) for e, _, g in taus] + [(0, e, 2 * g) for e, _, g in taus]
             _assert_same(line_sets, exact_sets, grid)
+
+    def test_window_ends_of_different_scales(self):
+        # decimal literals, whose window ends' c^2 are 10^2k and a multiple of
+        # it, and a window whose ends' c^2, a power of 3 and one of 5, are coprime
+        rng = random.Random(175)
+        specs = []
+        for _ in range(8):
+            bits = rng.randint(64, 128)
+            digits = bits * 3 // 10 + 2
+            specs.append(parse_real(f"0.{rng.randrange(10**digits):0{digits}d}@{bits}"))
+        lo = Fraction(rng.randrange(1, 3**40, 3), 3**40)
+        hi = Fraction(math.floor(lo * 5**28) + 2, 5**28)
+        specs.append(make_decimal(lo, 64, window=(lo, hi)))
+        for spec in specs:
+            line_sets, exact_sets, runs = _default_runs(spec, 10**6)
+            assert len(line_sets) == 2 and line_sets[1][0] > 1
+            grid = [t for run in runs for t in run]
+            _assert_same(line_sets, exact_sets, grid + _probes(runs))
+            assert _scan_witnesses(line_sets, runs) == _reference_witnesses(
+                exact_sets, [exact_number(t, line_sets[0][1]) for t in grid]
+            )
 
     def test_planted_three_line_tie(self):
         lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
@@ -450,12 +481,12 @@ class TestScanSweep:
                 assert swept == _reference_witnesses(exact_sets, exact)
 
     def test_600_bit_rational_on_its_whole_grid(self):
-        # c^2 = 2^1200: far past the float range, grid values up to ~2^2000
+        # c^2 = 2^1200, the grid's unit: far past the float range, Delta up to ~2^2000
         spec = RationalSpec(Fraction(random.Random(600).randrange(1, 1 << 600) | 1, 1 << 600))
         line_sets, exact_sets, runs = _default_runs(spec, 10**6)
         assert len(line_sets[0][2]) > 300
         grid = [t for run in runs for t in run]
-        assert max(e // g for e, _, g in grid).bit_length() > 2000
+        assert max((e << 1200) // g for e, _, g in grid).bit_length() > 2000
         start = time.process_time()
         swept = _scan_witnesses(line_sets, runs)
         assert time.process_time() - start < 1.0
@@ -550,13 +581,14 @@ class TestAgreementAtScale:
             assert decided_agree(envelope, scan)
 
     def test_untruncated_deep_sample_at_depth_500(self):
-        # the envelope on a sample of the paper's depth-5000 experiment, all
-        # of its ~19,400 bits; the delta scan stays on short inputs
+        # the envelope and the delta scan on a sample of the paper's
+        # depth-5000 experiment, all of its ~19,400 bits
         spec = sample_thetas(401, 1, auto_precision_bits(5000))[0]
         criterion = flags_via_criterion(spec, 500)
         envelope = flags_via_envelope(complete_sequence(spec, 499))
         assert envelope.decided_count >= 499
         assert decided_agree(criterion, envelope)
+        assert decided_agree(criterion, flags_via_delta_scan(spec, 500))
 
 
 class TestSubsequence:

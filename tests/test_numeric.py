@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import quad_bounds, random_quadratic_specs
+from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
     DecimalSpec,
@@ -24,6 +24,7 @@ from hermite_lab.numeric import (
     squarefree_split,
     surd_sign,
 )
+from hermite_lab.stats import sample_thetas
 
 
 class TestParse:
@@ -91,6 +92,23 @@ class TestParse:
     def test_roundtrip_text(self):
         for text in ("3/8", "(-3+1*sqrt(21))/6", "0.381966011250105@128"):
             assert parse_real(spec_text(parse_real(text))) == parse_real(text)
+
+    def test_roundtrip_keeps_precision_and_bounds(self):
+        # the three grammars, and sampled decimals, whose stored text has no @bits
+        rng = random.Random(91)
+        specs = random_rational_specs(20, 10**12, seed=92) + random_quadratic_specs(20, seed=93)
+        for _ in range(30):
+            digits = rng.randint(1, 60)
+            fraction = f"{rng.randrange(10**digits):0{digits}d}"
+            literal = f"{rng.choice(('', '-'))}{rng.randint(0, 99)}.{fraction}"
+            specs.append(parse_real(literal + rng.choice(("", f"@{rng.randint(64, 4000)}"))))
+        for bits in [64, 125, 126, 256] + [rng.randint(64, 4000) for _ in range(20)]:
+            specs += sample_thetas(rng.randrange(1 << 32), 2, bits)
+        for spec in specs:
+            back = parse_real(spec_text(spec))
+            assert back.bounds == spec.bounds, spec_text(spec)
+            if isinstance(spec, DecimalSpec):
+                assert back.declared_bits == spec.declared_bits, spec_text(spec)
 
 
 class TestQuadraticReal:
