@@ -56,13 +56,9 @@ def _f15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def _num(value):
-    """JSON-ready number: exact rationals as 'p/q', floats at 15 digits."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return _f15(value)
-    return value
+def _num(value: Fraction) -> str:
+    """An exact orbit coordinate as 'p/q'."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _record(command: str, inputs: dict, results: dict) -> dict:

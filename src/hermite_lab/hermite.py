@@ -15,8 +15,11 @@
   none.  Each value is scanned exactly, with no float, on the envelope's
   integer lines compared as p + r*sqrt(d): the argmin moves only up the
   lines as Delta grows, so each search starts at the last value's argmin.
-  A grid value is Delta in units of the gcd of the line sets' c^2, so
-  the common factor of the scales never enters a product.
+
+A hand-over and a grid value are the one integer triple (N, U, V) for
+N/(U + V*sqrt(d)), N > 0 and U + V*sqrt(d) > 0, and `_compare` orders
+them.  A grid value is Delta in units of the gcd of the line sets' c^2, so
+the common factor of the scales never enters a product.
 
 All three run on exact arithmetic; decimal inputs certify per index and
 report None where the declared precision cannot decide.
@@ -53,9 +56,6 @@ class HermiteFlags:
 
     def __len__(self) -> int:
         return len(self.flags)
-
-    def __getitem__(self, k):
-        return self.flags[k]
 
     @property
     def decided_count(self) -> int:
@@ -188,38 +188,44 @@ def _line_set(seq: Sequence[MinimalVector], value: Fraction | QuadraticReal):
     return c * c, d, lines
 
 
+def _compare(a, b, d: int) -> int:
+    """Sign of a - b for values a, b = (N, U, V) = N/(U + V*sqrt(d)), U + V*sqrt(d) > 0."""
+    (N1, U1, V1), (N2, U2, V2) = a, b
+    return surd_sign(N1 * U2 - N2 * U1, N1 * V2 - N2 * V1, d)
+
+
 def _lower_envelope(lines, d: int) -> tuple[list[bool], list[tuple]]:
     """Touch flags and hand-overs of the lower envelope of the lines on tau > 0.
 
     The lines are triples (X, Y, Z) as `_line_set` builds them: slopes
     X + Y*sqrt(d) strictly decrease and intercepts Z strictly increase with
-    the index.  Line m takes over from line j at tau = L*N/(U + V*sqrt(d))
-    with N = Z_m - Z_j, U = X_j - X_m and V = Y_j - Y_m; the denominator is
-    positive, so two hand-overs (N, U, V) compare by one cross-multiplication
-    and `surd_sign`.  A line that meets the envelope in a single point
-    (exact three-line tie) still counts as touching: it is shortest for
-    that norm.
+    the index.  Line m takes over from line j at tau = N/(U + V*sqrt(d))
+    with N = Z_m - Z_j > 0, U = X_j - X_m and V = Y_j - Y_m, so that
+    U + V*sqrt(d) > 0.  The hand-overs (N, U, V) of the envelope's lines
+    after line 0 come strictly ascending.  A line that meets the envelope
+    in a single point (exact three-line tie) still counts as touching: it
+    is shortest for that norm.
     """
     count = len(lines)
     touch = [False] * count
-    stack = [(0, 0, 1, 0)]  # (line, N, U, V) where it starts: line 0 at tau = 0
+    stack = [(0, (0, 1, 0))]  # (line, hand-over where it starts): line 0 at tau = 0
     tentative = []
     for m in range(1, count):
         X_m, Y_m, Z_m = lines[m]
         while True:  # every hand-over lies above 0, so line 0 is never popped
-            j, N_j, U_j, V_j = stack[-1]
+            j, start = stack[-1]
             X_j, Y_j, Z_j = lines[j]
-            N, U, V = Z_m - Z_j, X_j - X_m, Y_j - Y_m
-            side = surd_sign(N * U_j - N_j * U, N * V_j - N_j * V, d)
+            handover = (Z_m - Z_j, X_j - X_m, Y_j - Y_m)
+            side = _compare(handover, start, d)
             if side > 0:
-                stack.append((m, N, U, V))
+                stack.append((m, handover))
                 break
             stack.pop()
             if side == 0:
-                tentative.append((j, N_j, U_j, V_j))
-    for j, *_ in stack:
+                tentative.append((j, start))
+    for j, _ in stack:
         touch[j] = True
-    for j, N, U, V in tentative:
+    for j, (N, U, V) in tentative:
         X_j, Y_j, Z_j = lines[j]
         # no line lies below line j at its hand-over, both sides scaled by U + V*sqrt(d)
         if all(
@@ -227,24 +233,21 @@ def _lower_envelope(lines, d: int) -> tuple[list[bool], list[tuple]]:
             for X, Y, Z in lines
         ):
             touch[j] = True
-    handovers = [
-        (stack[i + 1][1:], stack[i][0], stack[i + 1][0]) for i in range(len(stack) - 1)
-    ]
-    return touch, handovers
+    return touch, [handover for _, handover in stack[1:]]
 
 
 def _envelopes(seq: Sequence[MinimalVector]):
-    """One envelope pass over the sequence: (flags, hand-overs, line sets).
+    """One envelope pass over the sequence: (flags, runs, line sets).
 
     The line sets hold one set per distinct value in theta's bounds (both
     window endpoints of a decimal).  The flags merge the per-value touch
     flags, None where they differ; the last index of a truncated sequence is
     withheld (None), as its status can depend on vectors not yet in the
-    candidate set.  The exact ((N, U, V), left, right) hand-overs come as one
-    list per line set.  Each set's scale is its c^2 over the gcd of all the
-    sets' c^2, so a tau or grid Delta on these sets is in units of that gcd.
-    The scale is 1 for a rational or quadratic input, and at the
-    smaller-scale end of a decimal literal with fewer digits than bits.
+    candidate set.  Each set's scale L is its c^2 over the gcd of all the
+    sets' c^2, so a Delta on these sets is in units of that gcd: a set's
+    run is its ascending hand-overs as grid values (L*N, U, V).  The scale
+    is 1 for a rational or quadratic input, and at the smaller-scale end of
+    a decimal literal with fewer digits than bits.
     """
     if len(seq) < 3:
         raise InsufficientSequence("need at least 3 minimal vectors")
@@ -258,20 +261,11 @@ def _envelopes(seq: Sequence[MinimalVector]):
     ]
     if not seq[-1].is_zero_v1():
         flags[-1] = None
-    return flags, [handovers for _, handovers in envelopes], line_sets
-
-
-def _tau(line_set, handover) -> tuple[int, int, int]:
-    """Hand-over (N, U, V) of the line set as (e, f, g): tau = (e + f*sqrt(d))/g, g > 0.
-
-    tau is in the unit of the line sets' scales (see `_envelopes`).
-    """
-    scale, d, _ = line_set
-    N, U, V = handover
-    if not V:
-        return scale * N, 0, U
-    e, f, g = scale * N * U, -scale * N * V, U * U - V * V * d
-    return (e, f, g) if g > 0 else (-e, -f, -g)
+    runs = [
+        [(scale * N, U, V) for N, U, V in handovers]
+        for (scale, _, _), (_, handovers) in zip(line_sets, envelopes)
+    ]
+    return flags, runs, line_sets
 
 
 def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
@@ -287,29 +281,23 @@ def flags_via_envelope(seq: Sequence[MinimalVector]) -> HermiteFlags:
 # ---------------------------------------------------------------------------
 # method 3: quadratic-form grid scan
 #
-# Grid values, like hand-overs, are integer triples (e, f, g) for the number
-# (e + f*sqrt(d))/g, g > 0, in the field of the line sets' radicand d.
-
-
-def _compare(a, b, d: int) -> int:
-    """Sign of a - b for grid values or hand-overs a, b."""
-    (e1, f1, g1), (e2, f2, g2) = a, b
-    return surd_sign(e1 * g2 - e2 * g1, f1 * g2 - f2 * g1, d)
+# A grid value is a hand-over's triple (N, U, V): Delta = N/(U + V*sqrt(d)),
+# N > 0 and U + V*sqrt(d) > 0, in the field of the line sets' radicand d.
 
 
 def _argmins(line_set, p: int, delta) -> set[int]:
     """Exact argmin set at Delta among the lines from p on (see `_scan_witnesses`)."""
     scale, d, lines = line_set
-    e, f, g = delta
-    fd, Lg = f * d, scale * g
+    N, U, V = delta
+    LU, LV = scale * U, scale * V
     X, Y, Z = lines[p]
-    best, found = (X * e + Y * fd + Z * Lg, X * f + Y * e), {p}
+    best, found = (X * N + Z * LU, Y * N + Z * LV), {p}
     for k in range(p + 1, len(lines)):
         X, Y, Z = lines[k]
-        ZLg = Z * Lg
-        if surd_sign(ZLg - best[0], -best[1], d) > 0:
+        ZLU, ZLV = Z * LU, Z * LV
+        if surd_sign(ZLU - best[0], ZLV - best[1], d) > 0:
             break  # this line and every later one lie above the minimum
-        v = (X * e + Y * fd + ZLg, X * f + Y * e)
+        v = (X * N + ZLU, Y * N + ZLV)
         side = surd_sign(v[0] - best[0], v[1] - best[1], d)
         if side < 0:
             best, found = v, {k}
@@ -319,8 +307,8 @@ def _argmins(line_set, p: int, delta) -> set[int]:
 
 
 def _check_run(run, d: int) -> None:
-    """Raise InvalidArgument unless the run ascends strictly from a positive value."""
-    if surd_sign(run[0][0], run[0][1], d) <= 0:
+    """Raise InvalidArgument unless every N and U + V*sqrt(d) is positive and the run ascends."""
+    if not all(N > 0 and surd_sign(U, V, d) > 0 for N, U, V in run):
         raise InvalidArgument("grid values must be positive")
     if not all(_compare(a, b, d) < 0 for a, b in zip(run, run[1:])):
         raise InvalidArgument("grid runs must be strictly ascending")
@@ -329,15 +317,16 @@ def _check_run(run, d: int) -> None:
 def _scan_witnesses(line_sets, runs) -> set[int]:
     """Indices minimizing A*Delta + B for some grid Delta, on every line set.
 
-    The line sets share one radicand d.  `runs` are lists of grid values,
-    each strictly ascending from a positive first value (InvalidArgument
-    otherwise).  Runs on integers: for a line set (L, d, lines) and
-    Delta = (e + f*sqrt(d))/g, scaling by L*g > 0 turns each line value
-    into p + r*sqrt(d), p = X*e + Y*f*d + Z*L*g and r = X*f + Y*e.  Lines
-    compare by `surd_sign` of their difference, and every line equal to the
-    minimum (p and r both equal, as sqrt(d) is irrational) is kept, so
-    exact ties are all witnessed.  The slopes S_k = X_k + Y_k*sqrt(d) >= 0
-    strictly decrease and the Z_k strictly increase (`_line_set`), so:
+    The line sets share one radicand d.  `runs` are lists of grid values
+    (N, U, V), each strictly ascending, with N > 0 and U + V*sqrt(d) > 0
+    at every value (InvalidArgument otherwise).  Runs on integers: for a
+    line set (L, d, lines) and Delta = N/(U + V*sqrt(d)), scaling by
+    L*(U + V*sqrt(d)) > 0 turns each line value into p + r*sqrt(d),
+    p = X*N + Z*L*U and r = Y*N + Z*L*V.  Lines compare by `surd_sign`
+    of their difference, and every line equal to the minimum (p and r both
+    equal, as sqrt(d) is irrational) is kept, so exact ties are all
+    witnessed.  The slopes S_k = X_k + Y_k*sqrt(d) >= 0 strictly decrease
+    and the Z_k strictly increase (`_line_set`), so:
 
     Fact 1: for Delta1 < Delta2, every argmin i at Delta1 and j at Delta2
     have i <= j.  Were j < i, adding the two minimality inequalities gives
@@ -346,11 +335,11 @@ def _scan_witnesses(line_sets, runs) -> set[int]:
     argmin at the last one, on.
 
     The search from p evaluates each line once and stops before the first
-    line whose term Z_k*L*g alone lies strictly above the least value so
-    far: S_k*Delta >= 0 and the Z_k increase, so every later line lies
-    above it too.  A line whose term only equals that value may still tie
-    (zero slope), so it is evaluated.  The argmins of a value are the
-    intersection over the line sets of its argmin sets.
+    line whose term Z_k*L*(U + V*sqrt(d)) alone lies strictly above the
+    least value so far: S_k*Delta >= 0 and the Z_k increase, so every later
+    line lies above it too.  A line whose term only equals that value may
+    still tie (zero slope), so it is evaluated.  The argmins of a value are
+    the intersection over the line sets of its argmin sets.
     """
     witnessed: set[int] = set()
     for run in filter(None, runs):
@@ -383,9 +372,8 @@ def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
     if n < 3:
         raise InsufficientSequence("need n >= 3")
     seq = complete_sequence(theta, n - 1)
-    envelope, handovers, line_sets = _envelopes(seq)
-    taus = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
-    witnessed = _scan_witnesses(line_sets, taus)
+    envelope, runs, line_sets = _envelopes(seq)
+    witnessed = _scan_witnesses(line_sets, runs)
     missing = [k for k, f in enumerate(envelope) if f is True and k not in witnessed]
     if missing:
         raise GridTooCoarse(f"no single Delta makes vectors {missing} shortest for every theta")

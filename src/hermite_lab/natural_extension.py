@@ -111,34 +111,22 @@ def invariance_residual(p):
     Exactly zero in rational arithmetic; bounded by roundoff in floats.
     """
     x, y = _as_pair(p)
-    _check_in_U(x, y)
-    if x == 0:
-        raise DomainError("forward step undefined at x = 0")
-    inv = 1 / x
-    a = math.floor(inv)
-    x2, y2 = inv - a, 1 / (a + y)
+    x2, y2 = step_T((x, y))
     g_here = 1 / (1 + x * y) ** 2
     g_there = 1 / (1 + x2 * y2) ** 2
-    jac = 1 / (x * x * (a + y) ** 2)
+    jac = (y2 / x) ** 2  # 1/(x*(a + y))^2 with y2 = 1/(a + y)
     return abs(g_there * jac - g_here)
 
 
 def contraction_check(x, y, z) -> tuple:
     """Second-coordinate gaps after one and two forward steps from (x, y), (x, z)."""
-    if any(isinstance(v, float) for v in (x, y, z)):
-        x, y, z = float(x), float(y), float(z)
-    else:
-        x, y, z = (Fraction(v) if isinstance(v, int) else v for v in (x, y, z))
     if not (0 < x < 1 and 0 < y < 1 and 0 < z < 1):
         raise DomainError("need x, y, z in ]0,1[")
-    inv = 1 / x
-    a = math.floor(inv)
-    x1 = inv - a
+    x1, y1 = step_T((x, y))
+    z1 = step_T((x, z)).y
     if x1 == 0:
         raise DomainError("second iterate undefined: 1/x is an integer")
-    y1, z1 = 1 / (a + y), 1 / (a + z)
-    a1 = math.floor(1 / x1)
-    y2, z2 = 1 / (a1 + y1), 1 / (a1 + z1)
+    y2, z2 = step_T((x1, y1)).y, step_T((x1, z1)).y
     return abs(z1 - y1), abs(z2 - y2)
 
 

@@ -175,11 +175,15 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
 
 
 def _short_id(spec: RealSpec) -> str:
-    """Display identifier: full text for small specs, a prefix for long ones."""
-    if isinstance(spec, DecimalSpec) and spec.text and len(spec.text) > 40:
-        return f"{spec.text[:28]}...({spec.declared_bits}b)"
+    """Display identifier: full text for small specs, a prefix for long ones.
+
+    The prefix ends in a decimal's declared bits, or any other text's length.
+    """
     text = spec_text(spec)
-    return text if len(text) <= 40 else f"{text[:28]}...({len(text)})"
+    if len(text) <= 40:
+        return text
+    size = f"{spec.declared_bits}b" if isinstance(spec, DecimalSpec) else len(text)
+    return f"{text[:28]}...({size})"
 
 
 def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:

@@ -33,7 +33,6 @@ from hermite_lab.hermite import (
     _envelopes,
     _lower_envelope,
     _scan_witnesses,
-    _tau,
     criterion_scan,
 )
 from hermite_lab.stats import auto_precision_bits, sample_thetas
@@ -70,9 +69,9 @@ def exact_lines(seq, value) -> list:
 
 
 def exact_number(triple, d):
-    """The grid value or hand-over (e + f*sqrt(d))/g as a Fraction or QuadraticReal."""
-    e, f, g = triple
-    return quadratic_or_rational(e, f, g, d) if f else Fraction(e, g)
+    """The grid value or hand-over N/(U + V*sqrt(d)) as a Fraction or QuadraticReal."""
+    N, U, V = triple
+    return N / quadratic_or_rational(U, V, 1, d) if V else Fraction(N, U)
 
 
 def touch_oracle(lines) -> list[bool]:
@@ -206,26 +205,18 @@ class TestEnvelope:
         flags = flags_via_envelope(seq)
         assert flags.flags == (True, True, True, True, True)
         # the line touching in one point hands over nowhere: hand-overs strictly increase
-        _, handovers, line_sets = _envelopes(seq)
-        taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
-        assert len(taus) == 3
+        _, runs, line_sets = _envelopes(seq)
+        assert len(runs[0]) == 3
         d = line_sets[0][1]
-        assert all(_compare(a, b, d) < 0 for a, b in zip(taus, taus[1:]))
+        assert all(_compare(a, b, d) < 0 for a, b in zip(runs[0], runs[0][1:]))
 
     def test_breakpoints_increase(self):
         seq = complete_sequence(THETA38, 10)
-        _, handovers, line_sets = _envelopes(seq)
-        assert [(left, right) for _, left, right in handovers[0]] == [
-            (0, 1),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-        ]
+        run = _envelopes(seq)[1][0]
         # crossing formula: tau = (B_r - B_l) / (A_l - A_r), exact
-        taus = [_tau(line_sets[0], h) for h, _, _ in handovers[0]]
-        assert all(f == 0 for _, f, _ in taus)
+        assert all(V == 0 for _, _, V in run)
         # in units of c^2 = 64
-        assert [Fraction(e, g) for e, _, g in taus] == [
+        assert [Fraction(N, U) for N, U, _ in run] == [
             Fraction(1, 55),
             Fraction(3, 5),
             Fraction(5, 3),
@@ -270,7 +261,7 @@ class TestDeltaScan:
 
     def test_small_delta_selects_origin(self):
         line_sets = _envelopes(complete_sequence(THETA38, 10))[2]
-        assert _scan_witnesses(line_sets, [[(1, 0, 10**9)]]) == {0}
+        assert _scan_witnesses(line_sets, [[(1, 10**9, 0)]]) == {0}
 
     def test_no_delta_selects_the_skipped_vector(self):
         # q = 3 vector of the period-two fixture is never a minimizer
@@ -350,8 +341,7 @@ def _default_runs(spec, depth: int):
     reference's A*unit*t + B is the quadratic form at the absolute Delta.
     """
     seq = complete_sequence(spec, depth)
-    _, handovers, line_sets = _envelopes(seq)
-    runs = [[_tau(line_set, h) for h, _, _ in hs] for line_set, hs in zip(line_sets, handovers)]
+    _, runs, line_sets = _envelopes(seq)
     values = theta_values(spec)
     unit = math.gcd(*(v.denominator if isinstance(v, Fraction) else v.c for v in values)) ** 2
     exact_sets = [[(A * unit, B) for A, B in exact_lines(seq, value)] for value in values]
@@ -366,7 +356,7 @@ def _scan_inputs(spec, depth: int):
 
 def _probes(runs) -> list:
     """Each hand-over halved and doubled: values between and beyond them."""
-    return [t for e, f, g in chain(*runs) for t in ((e, f, 2 * g), (2 * e, 2 * f, g))]
+    return [t for N, U, V in chain(*runs) for t in ((N, 2 * U, 2 * V), (2 * N, U, V))]
 
 
 def _assert_same(line_sets, exact_sets, grid) -> list[set[int]]:
@@ -405,7 +395,7 @@ class TestScanAgainstReference:
             line_sets, exact_sets, taus = _scan_inputs(spec, 10**6)
             # rational lines read in Q(sqrt 2); grid tau*sqrt(2) and tau/sqrt(2)
             line_sets = [(scale, 2, lines) for scale, _, lines in line_sets]
-            grid = [(0, e, g) for e, _, g in taus] + [(0, e, 2 * g) for e, _, g in taus]
+            grid = [(2 * N, 0, U) for N, U, _ in taus] + [(N, 0, U) for N, U, _ in taus]
             _assert_same(line_sets, exact_sets, grid)
 
     def test_window_ends_of_different_scales(self):
@@ -431,18 +421,18 @@ class TestScanAgainstReference:
 
     def test_planted_three_line_tie(self):
         lines = [(4, 0, 0), (2, 0, 2), (1, 0, 3), (0, 0, 5)]
-        assert _scan_witnesses([(1, 0, lines)], [[(1, 0, 1)]]) == {0, 1, 2}
+        assert _scan_witnesses([(1, 0, lines)], [[(1, 1, 0)]]) == {0, 1, 2}
         # the tie inside the run [1/2, 1, 2]
-        run = [(1, 0, 2), (1, 0, 1), (2, 0, 1)]
+        run = [(1, 2, 0), (1, 1, 0), (2, 1, 0)]
         assert _scan_witnesses([(1, 0, lines)], [run]) == {0, 1, 2, 3}
         exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
-        _assert_same([(1, 0, lines)], [exact], [(1, 0, 1), (1, 0, 2), (1, 0, 3)])
+        _assert_same([(1, 0, lines)], [exact], [(1, 1, 0), (1, 2, 0), (1, 3, 0)])
         # the same tie at Delta = sqrt(5) - 1, on lines with quadratic slopes
         # A = (3 - B)/Delta = (3 - B)*(1 + sqrt(5))/4, so L = 4, X = Y = 3 - B
         surd_lines = [(3 - B, 3 - B, B) for B in (0, 1, 2)] + [(0, 0, 5)]
-        delta = (-1, 1, 1)
+        delta = (4, 1, 1)  # 4/(1 + sqrt(5))
         assert _scan_witnesses([(4, 5, surd_lines)], [[delta]]) == {0, 1, 2}
-        run = [(1, 0, 1), delta, (-2, 2, 1)]
+        run = [(1, 1, 0), delta, (8, 1, 1)]
         assert _scan_witnesses([(4, 5, surd_lines)], [run]) == {0, 1, 2}
         exact = [(Fraction(3 - B) / exact_number(delta, 5), Fraction(B)) for B in (0, 1, 2)]
         exact.append((Fraction(0), Fraction(5)))
@@ -450,7 +440,7 @@ class TestScanAgainstReference:
 
     def test_non_positive_delta_rejected(self):
         line_sets, _, _ = _scan_inputs(parse_real("(1+1*sqrt(2))/3"), 8)
-        for delta in ((0, 0, 1), (-1, 0, 1), (1, -1, 1)):  # 1 - sqrt(2) < 0
+        for delta in ((0, 1, 0), (-1, 1, 0), (1, 1, -1)):  # 1 - sqrt(2) < 0
             with pytest.raises(ValueError, match="positive"):
                 _scan_witnesses(line_sets, [[delta]])
 
@@ -486,7 +476,7 @@ class TestScanSweep:
         line_sets, exact_sets, runs = _default_runs(spec, 10**6)
         assert len(line_sets[0][2]) > 300
         grid = [t for run in runs for t in run]
-        assert max((e << 1200) // g for e, _, g in grid).bit_length() > 2000
+        assert max((N << 1200) // U for N, U, _ in grid).bit_length() > 2000
         start = time.process_time()
         swept = _scan_witnesses(line_sets, runs)
         assert time.process_time() - start < 1.0
@@ -498,7 +488,7 @@ class TestScanSweep:
         # line 1 meets line 0 at 10, line 2 (larger q) already at 8: the
         # scan must not miss 9, where line 2 alone is shortest
         lines = [(10, 0, 0), (9, 0, 10), (1, 0, 72), (0, 0, 82)]
-        run = [(1, 0, 1), (9, 0, 1), (11, 0, 1)]
+        run = [(1, 1, 0), (9, 1, 0), (11, 1, 0)]
         exact = [(Fraction(X), Fraction(Z)) for X, _, Z in lines]
         assert _scan_witnesses([(1, 0, lines)], [run]) == {0, 2, 3}
         _assert_same([(1, 0, lines)], [exact], run)
@@ -506,8 +496,8 @@ class TestScanSweep:
     def test_extreme_values_match_reference(self):
         # Delta = 2^-1100 .. 2^1100, and in between, as one run and alone
         decimal = make_decimal(Fraction(random.Random(195).randrange(1, 1 << 80), 1 << 80), 64)
-        run = [(1, 0, 1 << 1100), (1, 0, 1 << 1000), (1, 0, 1), (1 << 1020, 0, 1)]
-        run.append((1 << 1100, 0, 1))
+        run = [(1, 1 << 1100, 0), (1, 1 << 1000, 0), (1, 1, 0), (1 << 1020, 1, 0)]
+        run.append((1 << 1100, 1, 0))
         for spec, depth in ((Q21, 20), (decimal, 40)):
             line_sets, exact_sets, _ = _scan_inputs(spec, depth)
             d = line_sets[0][1]
@@ -551,14 +541,19 @@ class TestScanSweep:
     def test_bad_runs_rejected(self):
         line_sets, _, _ = _scan_inputs(Q21, 10)
         bad = {
-            # out of order, repeated, and sqrt(21) - 4 < 1
-            "ascending": [[(2, 0, 1), (1, 0, 1)], [(1, 0, 1), (1, 0, 1)], [(1, 0, 1), (-4, 1, 1)]],
-            "positive": [[(0, 0, 1), (1, 0, 1)], [(-1, 0, 1), (1, 0, 1), (2, 0, 1)]],
+            # out of order, repeated, and sqrt(21) - 4 = 5/(4 + sqrt(21)) < 1
+            "ascending": [[(2, 1, 0), (1, 1, 0)], [(1, 1, 0), (1, 1, 0)], [(1, 1, 0), (5, 4, 1)]],
+            # zero, negative, and 2 = -2/-1 with a negative numerator and denominator
+            "positive": [
+                [(0, 1, 0), (1, 1, 0)],
+                [(-1, 1, 0), (1, 1, 0), (2, 1, 0)],
+                [(1, 1, 0), (-2, -1, 0)],
+            ],
         }
         for match, runs in bad.items():
             for run in runs:
                 with pytest.raises(InvalidArgument, match=match):
-                    _scan_witnesses(line_sets, [[(1, 0, 1)], run])
+                    _scan_witnesses(line_sets, [[(1, 1, 0)], run])
 
 
 class TestAgreementAtScale:

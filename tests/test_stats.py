@@ -64,6 +64,12 @@ class TestAnalyze:
         assert report.proportion == 1.0
         assert report.terminated
 
+    def test_long_decimal_id_shows_its_bits(self):
+        # 120 bits: the sampled text fits in 40 characters, with its @bits it does not
+        for bits in (120, 127):
+            spec = sample_thetas(42, 1, bits)[0]
+            assert analyze_theta(spec, 10).theta_id == f"{spec.text[:28]}...({bits}b)"
+
     def test_counts_are_consistent(self):
         for seed in (3, 4, 5):
             spec = sample_thetas(seed, 1, 2048)[0]
