@@ -139,9 +139,11 @@ class _QuadraticSession:
         self.count += 1
         return a
 
-    def tail_gt(self, num: int, den: int):
+    def tail_signs(self, num: int, den: int) -> tuple[int, int]:
+        """Sign of tail - num/den (den > 0) twice: the two ends of a zero-width window."""
         s = surd_sign(den * self.P - num * self.Q, den, self.D)
-        return (s if self.Q > 0 else -s) > 0
+        s = s if self.Q > 0 else -s
+        return s, s
 
     def tail_float_bounds(self):
         # (P*2**64 + root)/(Q*2**64) and the same with root + 1 bracket the
@@ -285,20 +287,12 @@ class _WindowSession:
             self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
         self._batch, self._windows, self._used = [], [], 0
 
-    def _endpoint_cmp(self, n, d, num, den):
-        lhs = n * den
-        rhs = d * num
-        return (lhs > rhs) - (lhs < rhs)
-
-    def tail_gt(self, num: int, den: int):
+    def tail_signs(self, num: int, den: int) -> tuple[int, int]:
+        """Signs of tail - num/den (den > 0) at the two window ends."""
         self._sync()
-        s1 = self._endpoint_cmp(self.an, self.ad, num, den)
-        s2 = self._endpoint_cmp(self.bn, self.bd, num, den)
-        if s1 > 0 and s2 > 0:
-            return True
-        if s1 <= 0 and s2 <= 0:
-            return False
-        return None
+        s1 = self.an * den - self.ad * num
+        s2 = self.bn * den - self.bd * num
+        return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_float_bounds(self):
         if self._batch:

@@ -1,7 +1,10 @@
 """Which minimal vectors are Hermite vectors, decided three independent ways.
 
 * criterion: the pair orbit under the two-dimensional Gauss-map extension,
-  skipping X_{k+1} exactly when the orbit point lands in the region V;
+  skipping X_{k+1} exactly when the orbit point lands in the region V.
+  V lies in x > 1/2, so the next partial quotient decides first: a
+  quotient of 2 or more means the vector is kept, and only after a
+  quotient of 1 is the tail tested against the region;
 * envelope: exact lower envelope of the norms |X_k| under the one-parameter
   family of Euclidean norms (lines A*tau + B in the parameter tau = t^4).
   Each line is built once as an integer triple from the vector's (p, q) and
@@ -85,23 +88,38 @@ class HermiteSubsequence:
 # method 1: orbit criterion
 
 
-def _region_flag(session, q_prev: int, q_cur: int, y_float: float) -> Optional[bool]:
-    """Hermite flag for the pair whose tail is the session's current state.
+def _region_flag(session, a, q_prev: int, q_cur: int, y_float: float) -> Optional[bool]:
+    """Hermite flag at index m, given a = a_m as `session.advance()` returned it.
 
-    The vector is skipped exactly when tail > (2y+1)/(y+2) with
-    y = q_prev/q_cur; floats prefilter, exact integer arithmetic decides
-    anything within the safety margin.
+    The vector is skipped exactly when its tail t = [0; a_m, a_{m+1}, ...]
+    exceeds (2y+1)/(y+2) with y = q_prev/q_cur.  That bound is at least
+    1/2, so the quotient decides first: a_m >= 2 gives t <= 1/2, and the
+    flag is True without a call here.  After a_m = 1 the session holds t'
+    with t = 1/(1 + t'), and the vector is skipped iff
+    t' < (1-y)/(1+2y) = (q_cur - q_prev)/(2*q_prev + q_cur).  Where a_m is
+    not certified (a is None) the session still holds t itself.  Floats
+    prefilter; exact signs at the window ends decide anything within the
+    safety margin: True if no end is skipped, False if both are, None
+    otherwise.  An end on the boundary is not skipped.
     """
+    if a is None:
+        bound, skip = (2.0 * y_float + 1.0) / (y_float + 2.0), 1
+    else:
+        bound, skip = (1.0 - y_float) / (1.0 + 2.0 * y_float), -1
     t_lo, t_hi = session.tail_float_bounds()
-    boundary = (2.0 * y_float + 1.0) / (y_float + 2.0)
-    if t_hi < boundary - _PREFILTER_MARGIN:
+    if t_hi < bound - _PREFILTER_MARGIN:
+        return skip > 0
+    if t_lo > bound + _PREFILTER_MARGIN:
+        return skip < 0
+    if a is None:
+        s1, s2 = session.tail_signs(2 * q_prev + q_cur, q_prev + 2 * q_cur)
+    else:
+        s1, s2 = session.tail_signs(q_cur - q_prev, 2 * q_prev + q_cur)
+    if s1 != skip and s2 != skip:
         return True
-    if t_lo > boundary + _PREFILTER_MARGIN:
+    if s1 == skip and s2 == skip:
         return False
-    verdict = session.tail_gt(2 * q_prev + q_cur, q_prev + 2 * q_cur)
-    if verdict is None:
-        return None
-    return not verdict
+    return None
 
 
 @dataclass(frozen=True)
@@ -135,19 +153,21 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     q_prev, q_cur = 0, 1
     hermite_q = 0
     y_float = 0.0
-    m = 1
-    while m <= n - 1:
-        flag = _region_flag(session, q_prev, q_cur, y_float)
+    advance = session.advance
+    for _ in range(1, n):
+        a = advance()
+        if a is None or a == 1:
+            flag = _region_flag(session, a, q_prev, q_cur, y_float)
+        else:
+            flag = True  # t <= 1/2 <= (2y+1)/(y+2)
         flags.append(flag)
         if flag:
             hermite_q = q_cur
-        a = session.advance()
         if a is None:
             break
         quotients.append(a)
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         y_float = 1.0 / (a + y_float) if a.bit_length() < 1000 else 0.0  # else y < 2**-999
-        m += 1
     state = ScanState(q_cur, session.terminated, hermite_q, tuple(quotients))
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 

@@ -91,7 +91,8 @@ def in_region_V(p) -> bool:
     """Strict membership x > (2y+1)/(y+2); boundary points are not in V.
 
     The certified form of this test on a decimal's tail bounds, which may
-    leave it undecided, is `hermite._region_flag`.
+    leave it undecided, is `hermite._region_flag`; it runs only where the
+    next partial quotient is 1, as V lies in x > 1/2.
     """
     x, y = p
     _check_in_U(x, y)

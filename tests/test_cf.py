@@ -355,7 +355,8 @@ class TestQuadraticSession:
             for _ in range(20):
                 assert session.tail == t
                 for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
-                    assert session.tail_gt(num, den) == ((t - Fraction(num, den)).sign() > 0)
+                    sign = (t - Fraction(num, den)).sign()
+                    assert session.tail_signs(num, den) == (sign, sign)
                 lo, hi = session.tail_float_bounds()
                 box_lo, box_hi = quad_bounds(t.a, t.b, t.c, t.d)
                 assert lo <= box_lo and box_hi <= hi
@@ -563,12 +564,11 @@ class TestWindowEngine:
                 assert copy.copy(session).tail_fraction_bounds() == tuple(sorted(ends))
                 num = rng.randint(1, 999)
                 for cut in (Fraction(num, rng.randint(num + 1, 1000)), ends[0]):
-                    above = [end > cut for end in ends]
-                    expected = True if all(above) else False if not any(above) else None
-                    got = copy.copy(session).tail_gt(cut.numerator, cut.denominator)
+                    expected = tuple((end > cut) - (end < cut) for end in ends)
+                    got = copy.copy(session).tail_signs(cut.numerator, cut.denominator)
                     assert got == expected, (k, cut)
                 if rng.random() < 0.3:
-                    poked.tail_gt(num, 1000)
+                    poked.tail_signs(num, 1000)
                 if rng.random() < 0.3:
                     poked.tail_fraction_bounds()
                 batched += bool(session._batch)

@@ -16,7 +16,9 @@ from hermite_lab import (
     InsufficientSequence,
     InvalidArgument,
     MisalignedInput,
+    QuadraticSpec,
     RationalSpec,
+    cf_expand,
     complete_sequence,
     flags_via_criterion,
     flags_via_delta_scan,
@@ -26,6 +28,7 @@ from hermite_lab import (
     next_minimal,
     parse_real,
     quadratic_or_rational,
+    reduce_theta,
 )
 from hermite_lab import hermite
 from hermite_lab.hermite import (
@@ -42,6 +45,24 @@ Q21 = parse_real("(-3+1*sqrt(21))/6")
 SILVER = parse_real("(1+1*sqrt(2))/1")
 THETA38 = parse_real("3/8")
 BOUNDARY_TIE = parse_real("5/14")  # the pair orbit lands exactly on the V border
+
+
+def boundary_ties(value: Fraction, depth: int = 40) -> list[int]:
+    """Indices m >= 1 whose tail [0; a_m, ...] equals (2y+1)/(y+2), y = q_{m-2}/q_{m-1}.
+
+    Plain Fraction arithmetic on the Gauss map, for a rational in (0, 1/2].
+    """
+    ties, t, q_prev, q_cur = [], value, 0, 1
+    for m in range(1, depth):
+        y = Fraction(q_prev, q_cur)
+        if t == (2 * y + 1) / (y + 2):
+            ties.append(m)
+        if t == 0:
+            break
+        a = math.floor(1 / t)
+        t = 1 / t - a
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return ties
 
 
 def decided_agree(a, b) -> bool:
@@ -152,6 +173,52 @@ class TestCriterion:
         # x_1 = 4/5 equals (2y+1)/(y+2) at y = 1/2: not in V, so X_2 stays
         flags = flags_via_criterion(BOUNDARY_TIE, 10).flags
         assert flags == (True, True, True, True, True)
+        # ties after a unit quotient, at deeper indices: 3/14 = [0; 4, 1, 2],
+        # 11/26 = [0; 2, 2, 1, 3], 17/62 = [0; 3, 1, 1, 1, 4]
+        for literal, index in (("3/14", 2), ("11/26", 3), ("17/62", 4)):
+            spec = parse_real(literal)
+            assert boundary_ties(spec.value) == [index]
+            criterion = flags_via_criterion(spec, 10)
+            assert criterion.flags[index] is True
+            assert criterion.flags == flags_via_envelope(complete_sequence(spec, 10)).flags
+
+    def test_window_end_on_a_boundary_tie(self):
+        # an end exactly on the V border is not skipped; a window of width
+        # 2**-64 next to it keeps that flag where the other end agrees
+        # (5/14 below, 11/26 above) and leaves it undecided where it does not
+        width = Fraction(1, 1 << 64)
+        cases = [
+            (Fraction(5, 14), 0, (True, True, True, True)),
+            (Fraction(5, 14), -1, (True, True, None, True, True)),
+            (Fraction(11, 26), 0, (True, True, True, None, True, True)),
+            (Fraction(11, 26), -1, (True, True, True, True, True)),
+        ]
+        for tie, shift, expected in cases:
+            lo = tie + shift * width
+            spec = make_decimal(lo + width / 2, 64, (lo, lo + width))
+            assert flags_via_criterion(spec, 6).flags == expected, (tie, shift)
+
+    def test_quotient_of_two_or_more_is_hermite(self):
+        # (2y+1)/(y+2) >= 1/2 >= every tail after a quotient a >= 2, so the
+        # vector is never skipped: checked against the envelope, which reads
+        # no quotient, on rationals, quadratics and decimals at their limit
+        rng = random.Random(181)
+        specs = random_rational_specs(60, 10**9, seed=182) + random_quadratic_specs(20, seed=183)
+        for _ in range(40):
+            bits = rng.randint(64, 160)
+            digits = bits * 3 // 10 + 2
+            specs.append(parse_real(f"0.{rng.randrange(10**digits):0{digits}d}@{bits}"))
+        checked = 0
+        for spec in specs:
+            seq = complete_sequence(spec, 40 if isinstance(spec, QuadraticSpec) else 10**6)
+            flags = flags_via_envelope(seq).flags
+            quotients = cf_expand(reduce_theta(spec)[1], len(seq)).quotients
+            for m in range(1, min(len(flags), len(quotients) + 1)):
+                if quotients[m - 1] >= 2:
+                    withheld = m == len(flags) - 1 and not seq[-1].is_zero_v1()
+                    assert flags[m] is (None if withheld else True), (spec, m)
+                    checked += 1
+        assert checked > 1000
 
     def test_decimal_undecidable_boundary_reports_none(self):
         # truncating 5/14 puts the exact boundary inside the uncertainty window
