@@ -91,8 +91,9 @@ def in_region_V(p) -> bool:
     """Strict membership x > (2y+1)/(y+2); boundary points are not in V.
 
     The certified form of this test on a decimal's tail bounds, which may
-    leave it undecided, is `hermite._region_flag`; it runs only where the
-    next partial quotient is 1, as V lies in x > 1/2.
+    leave it undecided, is `hermite._region_flag`.  V lies in x > 1/2, so
+    the criterion calls it only where the next partial quotient is 1 or
+    not yet certified.
     """
     x, y = p
     _check_in_U(x, y)
