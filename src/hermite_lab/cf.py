@@ -6,7 +6,10 @@ on both endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
 window shares it.  Long windows advance in Lehmer batches: quotients are
 certified on a small window of leading bits that contains both endpoints,
-and the long remainders take the batch's cosequence in one step.
+and the long remainders take the batch's cosequence in one step.  Both
+sessions carry the convergent denominators of the quotients emitted so far,
+read through `denominators()`; a batch's cosequence advances them too, in
+four multiplications for the whole batch.
 """
 
 from __future__ import annotations
@@ -129,6 +132,7 @@ class _QuadraticSession:
         self.count = 0
         self.terminated = False
         self.exhausted = False
+        self._q_prev, self._q_cur = 0, 1
 
     def advance(self):
         P, Q = -self.P, (self.D - self.P * self.P) // self.Q
@@ -136,8 +140,13 @@ class _QuadraticSession:
         # -floor((P + r)/|Q|) - 1, as the ratio is irrational
         a = (P + self.r) // Q if Q > 0 else (P + self.r + 1) // Q
         self.P, self.Q = P - a * Q, Q
+        self._q_prev, self._q_cur = self._q_cur, a * self._q_cur + self._q_prev
         self.count += 1
         return a
+
+    def denominators(self) -> tuple[int, int]:
+        """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
+        return self._q_prev, self._q_cur
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
         """Sign of tail - num/den (den > 0) twice: the two ends of a zero-width window."""
@@ -199,10 +208,12 @@ class _WindowSession:
     Long endpoints advance in Lehmer batches.  The leading bits of both give
     a small window that contains them, and lockstep Euclid on that window in
     small ints queues quotients that hold for every real inside it, both true
-    endpoints included.  The long remainders are brought to the current
-    position by the batch's cosequence only when the batch runs out or an
-    exact comparison needs them; meanwhile the float prefilter reads the
-    small window's tails, which bound the true ones.
+    endpoints included.  The long remainders and the convergent denominators
+    are brought to the current position by the batch's cosequence only when
+    the batch runs out or an exact comparison needs them.  Meanwhile the
+    float prefilter reads the small window's tails, which bound the true
+    ones; they are kept only after a quotient of 1, the one place the
+    Hermite criterion reads a tail.  Elsewhere the float bounds sync first.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -211,11 +222,13 @@ class _WindowSession:
         self.count = 0
         self.terminated = False
         self.exhausted = False
-        # quotients of the current batch, the small window before each of
-        # them and after the last, and how many have been emitted: the long
-        # remainders above lag the current position by that many
+        self._q_prev, self._q_cur = 0, 1
+        # quotients of the current batch, the small window after each of
+        # them that is a 1, by position, and how many have been emitted: the
+        # long remainders and denominators above lag the current position by
+        # that many
         self._batch: list[int] = []
-        self._windows: list[tuple[int, int, int, int]] = []
+        self._windows: dict[int, tuple[int, int, int, int]] = {}
         self._used = 0
 
     def advance(self):
@@ -243,6 +256,7 @@ class _WindowSession:
             return None
         self.an, self.ad = ra, self.an
         self.bn, self.bd = rb, self.bn
+        self._q_prev, self._q_cur = self._q_cur, qa * self._q_cur + self._q_prev
         self.count += 1
         return qa
 
@@ -259,33 +273,45 @@ class _WindowSession:
         if un2 * ud > un * ud2:
             un, ud = un2, ud2
         batch = []
-        windows = [(ln, ld, un, ud)]
-        while ln and un and min(ld, ud).bit_length() > _CUT_BITS:
+        windows = {}
+        cut = 1 << _CUT_BITS
+        while ln and un and ld >= cut and ud >= cut:
             qa, ra = divmod(ld, ln)
             qb, rb = divmod(ud, un)
             if qa != qb:
                 break
             ln, ld, un, ud = ra, ln, rb, un
             batch.append(qa)
-            windows.append((ln, ld, un, ud))
+            if qa == 1:
+                windows[len(batch)] = (ln, ld, un, ud)
         self._batch, self._windows = batch, windows
         return bool(batch)
 
     def _sync(self):
-        """Bring the long remainders to the current position; drop the batch.
+        """Bring remainders and denominators to the current position; drop the batch.
 
         After quotients a_1..a_j with convergents p_k/q_k, Euclid's
-        remainders are |q_j n - p_j d| and |q_{j-1} n - p_{j-1} d|.
+        remainders are |q_j n - p_j d| and |q_{j-1} n - p_{j-1} d|, and the
+        denominators (Q', Q) from before the batch become
+        (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q').
         """
-        if self._used:
-            p0, p1, q0, q1 = 1, 0, 0, 1
-            for a in self._batch[: self._used]:
-                p0, p1 = p1, a * p1 + p0
-                q0, q1 = q1, a * q1 + q0
-            an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
-            self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
-            self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
-        self._batch, self._windows, self._used = [], [], 0
+        if not self._batch:
+            return
+        p0, p1, q0, q1 = 1, 0, 0, 1
+        for a in self._batch[: self._used]:
+            p0, p1 = p1, a * p1 + p0
+            q0, q1 = q1, a * q1 + q0
+        an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
+        self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
+        self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
+        Q0, Q1 = self._q_prev, self._q_cur
+        self._q_prev, self._q_cur = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
+        self._batch, self._windows, self._used = [], {}, 0
+
+    def denominators(self) -> tuple[int, int]:
+        """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
+        self._sync()
+        return self._q_prev, self._q_cur
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
         """Signs of tail - num/den (den > 0) at the two window ends."""
@@ -295,10 +321,12 @@ class _WindowSession:
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_float_bounds(self):
-        if self._batch:
-            an, ad, bn, bd = self._windows[self._used]
+        window = self._windows.get(self._used)
+        if window:
+            an, ad, bn, bd = window
             x1, x2 = an / ad, bn / bd
         else:
+            self._sync()
             x1, x2 = _head_ratio(self.an, self.ad), _head_ratio(self.bn, self.bd)
         lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
         return max(0.0, lo - 1e-12), hi + 1e-12

@@ -88,19 +88,21 @@ class HermiteSubsequence:
 # method 1: orbit criterion
 
 
-def _region_flag(session, a, q_prev: int, q_cur: int, y_float: float) -> Optional[bool]:
+def _region_flag(session, a, y_float: float) -> Optional[bool]:
     """Hermite flag at index m, given a = a_m as `session.advance()` returned it.
 
     The vector is skipped exactly when its tail t = [0; a_m, a_{m+1}, ...]
-    exceeds (2y+1)/(y+2) with y = q_prev/q_cur.  That bound is at least
-    1/2, so the quotient decides first: a_m >= 2 gives t <= 1/2, and the
-    flag is True without a call here.  After a_m = 1 the session holds t'
-    with t = 1/(1 + t'), and the vector is skipped iff
-    t' < (1-y)/(1+2y) = (q_cur - q_prev)/(2*q_prev + q_cur).  Where a_m is
-    not certified (a is None) the session still holds t itself.  Floats
-    prefilter; exact signs at the window ends decide anything within the
-    safety margin: True if no end is skipped, False if both are, None
-    otherwise.  An end on the boundary is not skipped.
+    exceeds (2y+1)/(y+2) with y = q_{m-2}/q_{m-1}, of which `y_float` is
+    the float.  That bound is at least 1/2, so the quotient decides first:
+    a_m >= 2 gives t <= 1/2, and the flag is True without a call here.
+    After a_m = 1 the session holds t' with t = 1/(1 + t'), and the vector
+    is skipped iff t' < (1-y)/(1+2y) = (q_{m-1} - q_{m-2})/(2*q_{m-2} + q_{m-1}).
+    Where a_m is not certified (a is None) the session still holds t
+    itself.  Floats prefilter; exact signs at the window ends decide
+    anything within the safety margin: True if no end is skipped, False if
+    both are, None otherwise.  An end on the boundary is not skipped.  Only
+    that exact fallback reads `session.denominators()`, which after an
+    emitted a_m is (q_{m-1}, q_m) = (q_{m-1}, a_m*q_{m-1} + q_{m-2}).
     """
     if a is None:
         bound, skip = (2.0 * y_float + 1.0) / (y_float + 2.0), 1
@@ -111,9 +113,11 @@ def _region_flag(session, a, q_prev: int, q_cur: int, y_float: float) -> Optiona
         return skip > 0
     if t_lo > bound + _PREFILTER_MARGIN:
         return skip < 0
+    q_prev, q_cur = session.denominators()
     if a is None:
         s1, s2 = session.tail_signs(2 * q_prev + q_cur, q_prev + 2 * q_cur)
     else:
+        q_prev, q_cur = q_cur - a * q_prev, q_prev
         s1, s2 = session.tail_signs(q_cur - q_prev, 2 * q_prev + q_cur)
     if s1 != skip and s2 != skip:
         return True
@@ -130,6 +134,8 @@ class ScanState:
     index of 1 or more (0 if there is none); its rank among the Hermite
     vectors is the scan's final count of True flags at those indices.
     `quotients` are the partial quotients the scan certified, in order.
+    Both denominators come from the expansion session, which advances them
+    once per Lehmer batch, not from a recurrence in the scan.
     """
 
     q_cur: int
@@ -143,31 +149,42 @@ class ScanState:
 
 
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
-    """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass."""
+    """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass.
+
+    X_m has denominator q_{m-1}.  The scan keeps no denominators itself: at
+    the end it reads (q_{K-1}, q_K) after the K certified quotients from the
+    session, and steps back to `hermite_q` from there with
+    q_{k-1} = q_{k+1} - a_{k+1}*q_k, over the quotients after the deepest
+    True flag.
+    """
     if n < 2:
         raise InvalidArgument("need n >= 2")
     _, x0, _ = reduce_theta(theta)
     session = expansion(x0)
     flags: list[Optional[bool]] = [True]  # X_0 = (1, 0) by convention
     quotients = []
-    q_prev, q_cur = 0, 1
-    hermite_q = 0
+    deepest = 0  # index of the deepest True flag, 0 if none past X_0
     y_float = 0.0
     advance = session.advance
-    for _ in range(1, n):
+    for m in range(1, n):
         a = advance()
         if a is None or a == 1:
-            flag = _region_flag(session, a, q_prev, q_cur, y_float)
+            flag = _region_flag(session, a, y_float)
         else:
             flag = True  # t <= 1/2 <= (2y+1)/(y+2)
         flags.append(flag)
         if flag:
-            hermite_q = q_cur
+            deepest = m
         if a is None:
             break
         quotients.append(a)
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
         y_float = 1.0 / (a + y_float) if a.bit_length() < 1000 else 0.0  # else y < 2**-999
+    q_prev, q_cur = session.denominators()
+    hermite_q = 0
+    if deepest:
+        lo, hermite_q = q_prev, q_cur
+        for a in reversed(quotients[deepest - 1 :]):
+            lo, hermite_q = hermite_q - a * lo, lo
     state = ScanState(q_cur, session.terminated, hermite_q, tuple(quotients))
     return HermiteFlags(theta, tuple(flags), "criterion"), state
 

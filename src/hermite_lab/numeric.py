@@ -369,14 +369,25 @@ def _decimal_digits(value: Fraction, max_digits: int) -> str:
 
 
 def spec_text(spec: RealSpec) -> str:
-    """Canonical one-line rendering, inverse-compatible with parse_real."""
+    """Canonical one-line rendering, inverse-compatible with parse_real.
+
+    A decimal's text carries its value and declared bits, and parse_real
+    rebuilds the window [value, value + 2**-bits] from them, not a mirrored
+    window such as `reduce_theta` gives a negative theta's x0.  A text-less
+    decimal whose value terminates in base 10 (denominator 2**a * 5**b) is
+    rendered with every digit; any other value is truncated to about its
+    declared precision.
+    """
     if isinstance(spec, RationalSpec):
         return f"{spec.value.numerator}/{spec.value.denominator}"
     if isinstance(spec, QuadraticSpec):
         return str(spec.value)
     if spec.text:  # a sampled decimal's text carries no @bits
         return spec.text if "@" in spec.text else f"{spec.text}@{spec.declared_bits}"
-    max_digits = spec.declared_bits * 30103 // 100000 + 2
+    den = spec.value.denominator
+    max_digits = den.bit_length()  # 2**a * 5**b has max(a, b) < this many digits
+    if 10**max_digits % den:
+        max_digits = spec.declared_bits * 30103 // 100000 + 2
     sign = "-" if spec.value < 0 else ""
     return f"{sign}{_decimal_digits(spec.value, max_digits)}@{spec.declared_bits}"
 

@@ -354,6 +354,7 @@ class TestQuadraticSession:
             q_prev, q_cur = 0, 1
             for _ in range(20):
                 assert session.tail == t
+                assert session.denominators() == (q_prev, q_cur)
                 for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
                     sign = (t - Fraction(num, den)).sign()
                     assert session.tail_signs(num, den) == (sign, sign)
@@ -558,10 +559,17 @@ class TestWindowEngine:
             quotients, states, terminated = _lockstep(lo, hi)
             session = expansion(x0)  # only ever read through copies
             poked = expansion(x0)  # read directly, dropping its batches
-            batched = 0
+            batched = windowless = 0
+            q_prev, q_cur = 0, 1
             for k, (an, ad, bn, bd) in enumerate(states):
                 ends = (Fraction(an, ad), Fraction(bn, bd))
                 assert copy.copy(session).tail_fraction_bounds() == tuple(sorted(ends))
+                for s in (session, poked):
+                    assert copy.copy(s).denominators() == (q_prev, q_cur), k
+                # mid-batch, a small window is kept only after a quotient of 1
+                lo_float, hi_float = copy.copy(session).tail_float_bounds()
+                assert lo_float <= min(ends) and max(ends) <= hi_float, k
+                windowless += bool(session._batch) and quotients[k - 1] >= 2
                 num = rng.randint(1, 999)
                 for cut in (Fraction(num, rng.randint(num + 1, 1000)), ends[0]):
                     expected = tuple((end > cut) - (end < cut) for end in ends)
@@ -575,7 +583,10 @@ class TestWindowEngine:
                 expected_a = quotients[k] if k < len(quotients) else None
                 assert session.advance() == expected_a
                 assert poked.advance() == expected_a
+                if expected_a is not None:
+                    q_prev, q_cur = q_cur, expected_a * q_cur + q_prev
             assert batched > len(states) // 2
+            assert windowless > len(states) // 4
             for s in (session, poked):
                 assert (s.terminated, s.exhausted) == (terminated, not terminated)
 

@@ -161,13 +161,27 @@ class TestCriterion:
         specs = [Q21, THETA38, BOUNDARY_TIE] + decimals + random_rational_specs(
             10, 10**6, seed=104
         )
-        for spec in specs:
-            for n in (40, 41, 60):  # Q21's flags end on False at an odd depth
-                flags, state = criterion_scan(spec, n)
-                seq = complete_sequence(spec, len(flags) - 1)
-                deepest = max(k for k, f in enumerate(flags.flags) if f is True)
-                assert deepest >= 1
-                assert state.hermite_q == seq[deepest].q
+        # batched: the session hands over its denominators after a synced batch
+        den = rng.getrandbits(3000) | 1 << 2999 | 1
+        batched = sample_thetas(105, 3, auto_precision_bits(1000)) + [
+            RationalSpec(Fraction(rng.randrange(1, den), den))
+        ]
+        cases = [(spec, n) for spec in specs for n in (40, 41, 60)]  # Q21 ends on False at 41
+        cases += [(spec, n) for spec in batched for n in (1000, 10**6)]
+        for spec, n in cases:
+            flags, state = criterion_scan(spec, n)
+            seq = complete_sequence(spec, len(flags) - 1)
+            deepest = max(k for k, f in enumerate(flags.flags) if f is True)
+            assert deepest >= 1
+            assert state.hermite_q == seq[deepest].q
+            q_prev, q_cur = 0, 1
+            for a in state.quotients:
+                q_prev, q_cur = q_cur, a * q_cur + q_prev
+            assert state.q_cur == q_cur
+        # no index past X_0 is decided True
+        flags, state = criterion_scan(parse_real("0.5@64"), 10)
+        assert flags.flags == (True, None)
+        assert (state.hermite_q, state.q_cur) == (0, 1)
 
     def test_boundary_tie_is_hermite(self):
         # x_1 = 4/5 equals (2y+1)/(y+2) at y = 1/2: not in V, so X_2 stays

@@ -15,6 +15,7 @@ from hermite_lab import (
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
+    make_decimal,
     parse_real,
     spec_text,
 )
@@ -104,6 +105,8 @@ class TestParse:
             specs.append(parse_real(literal + rng.choice(("", f"@{rng.randint(64, 4000)}"))))
         for bits in [64, 125, 126, 256] + [rng.randint(64, 4000) for _ in range(20)]:
             specs += sample_thetas(rng.randrange(1 << 32), 2, bits)
+        # a text-less decimal with more digits than its bits suggest
+        specs.append(make_decimal(Fraction(123456789123456789123456789, 10**27), 64))
         for spec in specs:
             back = parse_real(spec_text(spec))
             assert back.bounds == spec.bounds, spec_text(spec)
