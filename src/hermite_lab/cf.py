@@ -9,7 +9,10 @@ certified on a small window of leading bits that contains both endpoints,
 and the long remainders take the batch's cosequence in one step.  Both
 sessions carry the convergent denominators of the quotients emitted so far,
 read through `denominators()`; a batch's cosequence advances them too, in
-four multiplications for the whole batch.
+four multiplications for the whole batch.  Besides `advance()`, one
+quotient at a time, both sessions hand out runs: the quotients certified
+together, a batch's rest or a single one, with float bounds on the tail
+after each quotient of 1 for the Hermite criterion.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .numeric import (
     QuadraticSpec,
     RationalSpec,
     RealSpec,
-    make_decimal,
     spec_is_integer,
     surd_sign,
 )
@@ -90,17 +92,14 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
         sign = prime.sign()
         return sign, QuadraticSpec(abs(prime)), m
     if isinstance(spec, DecimalSpec):
+        # the window moves with the value, so it still holds it: no check
         m = math.ceil(spec.value - HALF)
         w_lo = spec.window_lo - m
         w_hi = spec.window_hi - m
         if w_lo >= 0:
-            return 1, make_decimal(
-                spec.value - m, spec.declared_bits, (w_lo, w_hi)
-            ), m
+            return 1, DecimalSpec(spec.value - m, spec.declared_bits, w_lo, w_hi), m
         if w_hi <= 0:
-            return -1, make_decimal(
-                m - spec.value, spec.declared_bits, (-w_hi, -w_lo)
-            ), m
+            return -1, DecimalSpec(m - spec.value, spec.declared_bits, -w_hi, -w_lo), m
         raise AmbiguousComparison(
             "theta is indistinguishable from an integer at its declared precision"
         )
@@ -154,12 +153,19 @@ class _QuadraticSession:
         s = s if self.Q > 0 else -s
         return s, s
 
-    def tail_float_bounds(self):
+    def run(self, limit: int):
+        """One quotient and, after a 1, the float pair (lo, hi) around the tail.
+
+        The recurrence certifies one quotient at a time, so a run is one
+        quotient whatever `limit`; see `_WindowSession.run`.
+        """
+        a = self.advance()
+        if a != 1:
+            return (a,), (None,)
         # (P*2**64 + root)/(Q*2**64) and the same with root + 1 bracket the
         # tail; int true division rounds correctly, whatever the sizes
         n, g = (self.P << 64) + self.root, self.Q << 64
-        lo, hi = (n / g, (n + 1) / g) if g > 0 else ((n + 1) / g, n / g)
-        return max(0.0, lo - 1e-12), hi + 1e-12
+        return (1,), ((n / g, (n + 1) / g) if g > 0 else ((n + 1) / g, n / g),)
 
     @property
     def tail(self) -> QuadraticReal:
@@ -171,7 +177,7 @@ class _QuadraticSession:
 # A batch starts from the leading _HEAD_BITS of each endpoint and stops once
 # a small-window denominator is down to _CUT_BITS: the window's tails are then
 # still within about 2**(_HEAD_BITS - 2*_CUT_BITS) = 2**-48 of each other, far
-# below the float prefilter's 1e-12 margin, so reading them instead of the
+# below the float prefilter's 1e-9 margin, so reading them instead of the
 # exact tails leaves almost no flag to the exact fallback.
 _HEAD_BITS = 256
 _CUT_BITS = 152
@@ -179,16 +185,6 @@ _CUT_BITS = 152
 # a few bits longer than the heads (the CLI's 256-bit decimals), the heads
 # are nearly the whole numbers and a batch saves no big-integer work.
 _BATCH_MIN_BITS = _HEAD_BITS + 64
-_FLOAT_HEAD_BITS = 128
-
-
-def _head_ratio(n: int, d: int) -> float:
-    """Float n/d from the leading _FLOAT_HEAD_BITS of d, for 0 <= n <= d.
-
-    Truncation adds at most 2**-126 to the float division's rounding error.
-    """
-    s = max(0, d.bit_length() - _FLOAT_HEAD_BITS)
-    return (n >> s) / (d >> s)
 
 
 def _head_bounds(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -210,10 +206,10 @@ class _WindowSession:
     small ints queues quotients that hold for every real inside it, both true
     endpoints included.  The long remainders and the convergent denominators
     are brought to the current position by the batch's cosequence only when
-    the batch runs out or an exact comparison needs them.  Meanwhile the
-    float prefilter reads the small window's tails, which bound the true
-    ones; they are kept only after a quotient of 1, the one place the
-    Hermite criterion reads a tail.  Elsewhere the float bounds sync first.
+    the batch runs out or an exact comparison needs them.  `run` hands out
+    the rest of the batch at once, with the floats of the small window's
+    tails after each quotient of 1, the one place the Hermite criterion
+    reads a tail; they bound the true tails at both endpoints.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -223,12 +219,12 @@ class _WindowSession:
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
-        # quotients of the current batch, the small window after each of
-        # them that is a 1, by position, and how many have been emitted: the
-        # long remainders and denominators above lag the current position by
-        # that many
+        # quotients of the current batch, the float tail pair after each of
+        # them that is a 1 (None after the others), and how many have been
+        # emitted: the long remainders and denominators above lag the current
+        # position by that many
         self._batch: list[int] = []
-        self._windows: dict[int, tuple[int, int, int, int]] = {}
+        self._tails: list[tuple[float, float] | None] = []
         self._used = 0
 
     def advance(self):
@@ -260,11 +256,51 @@ class _WindowSession:
         self.count += 1
         return qa
 
+    def run(self, limit: int):
+        """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
+
+        A run is the rest of the live batch, or the one quotient of a
+        full-width step; it is empty once the expansion terminated or the
+        window is exhausted.  Beside each quotient of 1 is a float pair
+        (lo, hi) around the tails at both window ends after it, each end
+        correct to the rounding of one float division; None beside the
+        others.
+        """
+        i = self._used
+        if i == len(self._batch):
+            a = self.advance()
+            if self._batch:  # a new batch, whose first quotient is a
+                i = 0
+            elif a is None:
+                return (), ()
+            elif a != 1:
+                return (a,), (None,)
+            else:
+                x1, x2 = self.an / self.ad, self.bn / self.bd
+                return (1,), ((x1, x2) if x1 <= x2 else (x2, x1),)
+        j = min(i + limit, len(self._batch))
+        self.count += j - self._used
+        self._used = j
+        return self._batch[i:j], self._tails[i:j]
+
+    def rewind(self, j: int) -> None:
+        """Hand back the last j quotients emitted, all of the live batch.
+
+        The session is then placed just after the quotient before them, and
+        emits those j again.
+        """
+        self._used -= j
+        self.count -= j
+
     def _start_batch(self) -> bool:
         """Queue the quotients that the leading bits of both endpoints certify.
 
         Needs both denominators longer than _HEAD_BITS; runs only on those
-        longer than _BATCH_MIN_BITS.
+        longer than _BATCH_MIN_BITS.  Each step divides the small window's
+        lower end ln/ld and checks that the quotient also holds at its upper
+        end un/ud, 0 <= ud - q*un < un, which is the test of a second
+        `divmod`.  A step reverses the order of the tails, so the ends swap
+        roles and ln/ld stays the lower one.
         """
         (ln, ld), (un, ud) = _head_bounds(self.an, self.ad)
         (ln2, ld2), (un2, ud2) = _head_bounds(self.bn, self.bd)
@@ -272,19 +308,17 @@ class _WindowSession:
             ln, ld = ln2, ld2
         if un2 * ud > un * ud2:
             un, ud = un2, ud2
-        batch = []
-        windows = {}
+        batch, tails = [], []
         cut = 1 << _CUT_BITS
         while ln and un and ld >= cut and ud >= cut:
-            qa, ra = divmod(ld, ln)
-            qb, rb = divmod(ud, un)
-            if qa != qb:
+            q, r = divmod(ld, ln)
+            s = ud - un if q == 1 else ud - q * un
+            if s < 0 or s >= un:
                 break
-            ln, ld, un, ud = ra, ln, rb, un
-            batch.append(qa)
-            if qa == 1:
-                windows[len(batch)] = (ln, ld, un, ud)
-        self._batch, self._windows = batch, windows
+            batch.append(q)
+            tails.append((s / un, r / ln) if q == 1 else None)
+            ln, ld, un, ud = s, un, r, ln
+        self._batch, self._tails = batch, tails
         return bool(batch)
 
     def _sync(self):
@@ -306,7 +340,7 @@ class _WindowSession:
         self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
         Q0, Q1 = self._q_prev, self._q_cur
         self._q_prev, self._q_cur = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
-        self._batch, self._windows, self._used = [], {}, 0
+        self._batch, self._tails, self._used = [], [], 0
 
     def denominators(self) -> tuple[int, int]:
         """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
@@ -319,17 +353,6 @@ class _WindowSession:
         s1 = self.an * den - self.ad * num
         s2 = self.bn * den - self.bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
-
-    def tail_float_bounds(self):
-        window = self._windows.get(self._used)
-        if window:
-            an, ad, bn, bd = window
-            x1, x2 = an / ad, bn / bd
-        else:
-            self._sync()
-            x1, x2 = _head_ratio(self.an, self.ad), _head_ratio(self.bn, self.bd)
-        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-        return max(0.0, lo - 1e-12), hi + 1e-12
 
     def tail_fraction_bounds(self) -> tuple[Fraction, Fraction]:
         self._sync()

@@ -4,7 +4,11 @@
   skipping X_{k+1} exactly when the orbit point lands in the region V.
   V lies in x > 1/2, so the next partial quotient decides first: a
   quotient of 2 or more means the vector is kept, and only after a
-  quotient of 1 is the tail tested against the region;
+  quotient of 1 is the tail tested against the region.  The expansion
+  session hands out runs of quotients, a whole Lehmer batch at once, with
+  float bounds on the tail after each 1; the float prefilter runs in
+  `criterion_scan`'s one loop over them, and `_region_flag` decides
+  exactly what the floats leave within their margin;
 * envelope: exact lower envelope of the norms |X_k| under the one-parameter
   family of Euclidean norms (lines A*tau + B in the parameter tau = t^4).
   Each line is built once as an integer triple from the vector's (p, q) and
@@ -46,7 +50,10 @@ from .errors import (
 from .lattice import MinimalVector, complete_sequence
 from .numeric import QuadraticReal, RealSpec, surd_sign
 
+# The float prefilter's margin covers the rounding of the tail floats, of y and
+# of the bound, each near 2**-52 on values in [0, 1], with ample room.
 _PREFILTER_MARGIN = 1e-9
+_FLOAT_QUOTIENT_MAX = 1 << 999
 
 
 @dataclass(frozen=True)
@@ -88,37 +95,30 @@ class HermiteSubsequence:
 # method 1: orbit criterion
 
 
-def _region_flag(session, a, y_float: float) -> Optional[bool]:
-    """Hermite flag at index m, given a = a_m as `session.advance()` returned it.
+def _region_flag(session, a) -> Optional[bool]:
+    """Exact Hermite flag at index m from the signs at the window ends.
 
     The vector is skipped exactly when its tail t = [0; a_m, a_{m+1}, ...]
-    exceeds (2y+1)/(y+2) with y = q_{m-2}/q_{m-1}, of which `y_float` is
-    the float.  That bound is at least 1/2, so the quotient decides first:
-    a_m >= 2 gives t <= 1/2, and the flag is True without a call here.
-    After a_m = 1 the session holds t' with t = 1/(1 + t'), and the vector
-    is skipped iff t' < (1-y)/(1+2y) = (q_{m-1} - q_{m-2})/(2*q_{m-2} + q_{m-1}).
-    Where a_m is not certified (a is None) the session still holds t
-    itself.  Floats prefilter; exact signs at the window ends decide
-    anything within the safety margin: True if no end is skipped, False if
-    both are, None otherwise.  An end on the boundary is not skipped.  Only
-    that exact fallback reads `session.denominators()`, which after an
-    emitted a_m is (q_{m-1}, q_m) = (q_{m-1}, a_m*q_{m-1} + q_{m-2}).
+    exceeds (2y+1)/(y+2) with y = q_{m-2}/q_{m-1}.  That bound is at least
+    1/2, so the quotient decides first: a_m >= 2 gives t <= 1/2, and the
+    flag is True without a call here.  After a_m = 1 (a == 1), with the
+    session placed just after it, the session holds t' with
+    t = 1/(1 + t'), and the vector is skipped iff
+    t' < (1-y)/(1+2y) = (q_{m-1} - q_{m-2})/(2*q_{m-2} + q_{m-1}).  Where
+    a_m is not certified (a is None) the session still holds t itself.
+    True if no end is skipped, False if both are, None otherwise; an end
+    on the boundary is not skipped.  `criterion_scan` calls this only
+    where its float prefilter cannot decide, and at the end of the
+    expansion.
     """
-    if a is None:
-        bound, skip = (2.0 * y_float + 1.0) / (y_float + 2.0), 1
-    else:
-        bound, skip = (1.0 - y_float) / (1.0 + 2.0 * y_float), -1
-    t_lo, t_hi = session.tail_float_bounds()
-    if t_hi < bound - _PREFILTER_MARGIN:
-        return skip > 0
-    if t_lo > bound + _PREFILTER_MARGIN:
-        return skip < 0
     q_prev, q_cur = session.denominators()
     if a is None:
+        skip = 1
         s1, s2 = session.tail_signs(2 * q_prev + q_cur, q_prev + 2 * q_cur)
     else:
-        q_prev, q_cur = q_cur - a * q_prev, q_prev
-        s1, s2 = session.tail_signs(q_cur - q_prev, 2 * q_prev + q_cur)
+        # before a_m = 1 the pair was (q_{m-2}, q_{m-1}) = (q_cur - q_prev, q_prev)
+        skip = -1
+        s1, s2 = session.tail_signs(2 * q_prev - q_cur, 2 * q_cur - q_prev)
     if s1 != skip and s2 != skip:
         return True
     if s1 == skip and s2 == skip:
@@ -151,6 +151,14 @@ class ScanState:
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass.
 
+    The session hands out runs of certified quotients, a whole Lehmer batch
+    at a time for a long window, with float bounds on the tail after each
+    quotient of 1.  A quotient of 2 or more flags its vector True; after a
+    1 the floats are compared with (1-y)/(1+2y), y = q_{m-2}/q_{m-1} as a
+    float, and only a tail within the margin of that bound goes to the
+    exact `_region_flag`, with the session placed just after its quotient;
+    the rest of that run is handed back and certified again.
+
     X_m has denominator q_{m-1}.  The scan keeps no denominators itself: at
     the end it reads (q_{K-1}, q_K) after the K certified quotients from the
     session, and steps back to `hermite_q` from there with
@@ -162,23 +170,39 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     _, x0, _ = reduce_theta(theta)
     session = expansion(x0)
     flags: list[Optional[bool]] = [True]  # X_0 = (1, 0) by convention
-    quotients = []
-    deepest = 0  # index of the deepest True flag, 0 if none past X_0
-    y_float = 0.0
-    advance = session.advance
-    for m in range(1, n):
-        a = advance()
-        if a is None or a == 1:
-            flag = _region_flag(session, a, y_float)
-        else:
-            flag = True  # t <= 1/2 <= (2y+1)/(y+2)
-        flags.append(flag)
-        if flag:
-            deepest = m
-        if a is None:
+    quotients: list[int] = []
+    y = 0.0
+    next_run, append = session.run, flags.append
+    margin, big = _PREFILTER_MARGIN, _FLOAT_QUOTIENT_MAX
+    m = 1  # index of the run's first flag
+    while m < n:
+        run, tails = next_run(n - m)
+        if not run:
+            append(_region_flag(session, None))
             break
-        quotients.append(a)
-        y_float = 1.0 / (a + y_float) if a.bit_length() < 1000 else 0.0  # else y < 2**-999
+        k = 0  # quotients of the run read
+        for a in run:
+            tail = tails[k]
+            k += 1
+            if tail is None:
+                append(True)  # a >= 2: t <= 1/2 <= (2y+1)/(y+2)
+            else:
+                bound = (1.0 - y) / (1.0 + 2.0 * y)
+                if tail[1] < bound - margin:
+                    append(False)
+                elif tail[0] > bound + margin:
+                    append(True)
+                else:
+                    if k < len(run):  # hand back the rest of the run
+                        session.rewind(len(run) - k)
+                        run = run[:k]
+                    append(_region_flag(session, 1))
+                    y = 1.0 / (1.0 + y)
+                    break
+            y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
+        quotients += run
+        m += len(run)
+    deepest = next((i for i in range(len(flags) - 1, 0, -1) if flags[i]), 0)
     q_prev, q_cur = session.denominators()
     hermite_q = 0
     if deepest:

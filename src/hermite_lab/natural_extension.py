@@ -90,10 +90,11 @@ def orbit(p, n: int) -> list[DomainPoint]:
 def in_region_V(p) -> bool:
     """Strict membership x > (2y+1)/(y+2); boundary points are not in V.
 
-    The certified form of this test on a decimal's tail bounds, which may
-    leave it undecided, is `hermite._region_flag`.  V lies in x > 1/2, so
-    the criterion calls it only where the next partial quotient is 1 or
-    not yet certified.
+    The certified form of this test at a decimal's window ends, which may
+    leave it undecided, is `hermite._region_flag`, which
+    `hermite.criterion_scan` calls where its float prefilter cannot
+    decide.  V lies in x > 1/2, so the criterion tests only where the next
+    partial quotient is 1 or not yet certified.
     """
     x, y = p
     _check_in_U(x, y)

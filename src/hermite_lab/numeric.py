@@ -285,7 +285,11 @@ class DecimalSpec:
     """Exact truncated rational plus its uncertainty window.
 
     The digits pin the value exactly; `declared_bits` says how well the
-    *intended* real is known: it lies in [window_lo, window_hi].
+    *intended* real is known: it lies in [window_lo, window_hi].  Build one
+    with `make_decimal`, which checks that the value lies in its window;
+    `cf.reduce_theta` builds x0 directly, as the translate or mirror of a
+    window already checked, which spares two cross-multiplications of
+    numbers as long as the window.
     """
 
     value: Fraction
@@ -297,8 +301,6 @@ class DecimalSpec:
     def __post_init__(self):
         if self.declared_bits < 64:
             raise ParseError("decimal precision must be >= 64 bits")
-        if not (self.window_lo <= self.value <= self.window_hi):
-            raise InvalidArgument("value outside its window")
 
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -318,6 +320,8 @@ def make_decimal(
     if window is None:
         ulp = Fraction(1, 1 << declared_bits)
         window = (value, value + ulp)
+    elif not (window[0] <= value <= window[1]):
+        raise InvalidArgument("value outside its window")
     return DecimalSpec(value, declared_bits, window[0], window[1], text)
 
 

@@ -34,6 +34,8 @@ from hermite_lab.hermite import criterion_scan
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
+# a session's float tail pair is correct to the rounding of one division each
+ROUNDING = Fraction(1, 1 << 53)
 
 
 class TestReduce:
@@ -358,13 +360,17 @@ class TestQuadraticSession:
                 for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
                     sign = (t - Fraction(num, den)).sign()
                     assert session.tail_signs(num, den) == (sign, sign)
-                lo, hi = session.tail_float_bounds()
-                box_lo, box_hi = quad_bounds(t.a, t.b, t.c, t.d)
-                assert lo <= box_lo and box_hi <= hi
                 inv = t.inverse()
                 a = math.floor(inv)
                 t = inv - a
-                assert session.advance() == a
+                run, tails = session.run(5)  # a run of one, whatever the limit
+                assert run == (a,)
+                if a == 1:
+                    lo, hi = tails[0]
+                    box_lo, box_hi = quad_bounds(t.a, t.b, t.c, t.d)
+                    assert lo <= box_lo + ROUNDING and box_hi <= hi + ROUNDING
+                else:
+                    assert tails == (None,)
                 negative_q += session.Q < 0
                 q_prev, q_cur = q_cur, a * q_cur + q_prev
         assert negative_q
@@ -491,6 +497,46 @@ def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
                     assert flag == exact_flags[k], (spec, point, k)
 
 
+def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
+    """Runs of random limits, some partly handed back, against `_lockstep`.
+
+    They concatenate to its quotients; count and denominators agree at every
+    run boundary; the float pair beside each quotient of 1 brackets the
+    tails at both ends after it, None beside the others.
+    """
+    session = expansion(x0)
+    got = []
+    q_prev, q_cur = 0, 1
+    long_runs = 0
+    while True:
+        run, tails = session.run(rng.choice((1, 2, 7, 10**6)))
+        if not run:
+            break
+        if len(run) > 1 and rng.random() < 0.2:
+            back = rng.randrange(1, len(run))
+            session.rewind(back)
+            run, tails = run[:-back], tails[:-back]
+        long_runs += len(run) > 2
+        for a, tail in zip(run, tails):
+            got.append(a)
+            q_prev, q_cur = q_cur, a * q_cur + q_prev
+            an, ad, bn, bd = states[len(got)]
+            if a == 1:
+                lo, hi = tail
+                ends = Fraction(an, ad), Fraction(bn, bd)
+                assert lo <= min(ends) + ROUNDING and max(ends) <= hi + ROUNDING, len(got)
+            else:
+                assert tail is None
+        assert session.count == len(got)
+        # read through a copy, or directly, which drops the batch
+        reader = session if rng.random() < 0.2 else copy.copy(session)
+        assert reader.denominators() == (q_prev, q_cur), len(got)
+    assert got == quotients
+    assert long_runs
+    assert (session.terminated, session.exhausted) == (terminated, not terminated)
+    assert session.count == len(quotients)
+
+
 class TestWindowEngine:
     """Rationals and decimals share one Euclid engine on a window [lo, hi]."""
 
@@ -559,17 +605,13 @@ class TestWindowEngine:
             quotients, states, terminated = _lockstep(lo, hi)
             session = expansion(x0)  # only ever read through copies
             poked = expansion(x0)  # read directly, dropping its batches
-            batched = windowless = 0
+            batched = 0
             q_prev, q_cur = 0, 1
             for k, (an, ad, bn, bd) in enumerate(states):
                 ends = (Fraction(an, ad), Fraction(bn, bd))
                 assert copy.copy(session).tail_fraction_bounds() == tuple(sorted(ends))
                 for s in (session, poked):
                     assert copy.copy(s).denominators() == (q_prev, q_cur), k
-                # mid-batch, a small window is kept only after a quotient of 1
-                lo_float, hi_float = copy.copy(session).tail_float_bounds()
-                assert lo_float <= min(ends) and max(ends) <= hi_float, k
-                windowless += bool(session._batch) and quotients[k - 1] >= 2
                 num = rng.randint(1, 999)
                 for cut in (Fraction(num, rng.randint(num + 1, 1000)), ends[0]):
                     expected = tuple((end > cut) - (end < cut) for end in ends)
@@ -586,9 +628,9 @@ class TestWindowEngine:
                 if expected_a is not None:
                     q_prev, q_cur = q_cur, expected_a * q_cur + q_prev
             assert batched > len(states) // 2
-            assert windowless > len(states) // 4
             for s in (session, poked):
                 assert (s.terminated, s.exhausted) == (terminated, not terminated)
+            _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
 
     def test_one_endpoint_reaching_zero_exhausts_the_window(self):
         # 3/10 = [0; 3, 3]: the lower endpoint terminates while the upper

@@ -31,7 +31,10 @@ from hermite_lab import (
     reduce_theta,
 )
 from hermite_lab import hermite
+from hermite_lab.cf import expansion
 from hermite_lab.hermite import (
+    HermiteFlags,
+    ScanState,
     _compare,
     _envelopes,
     _lower_envelope,
@@ -63,6 +66,27 @@ def boundary_ties(value: Fraction, depth: int = 40) -> list[int]:
         t = 1 / t - a
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     return ties
+
+
+def per_index_scan(spec, n: int):
+    """criterion_scan's result from one `advance()` per index, with no runs
+    and no floats: the exact region test after every quotient of 1 and
+    where the expansion ends, and the denominators from the recurrence."""
+    session = expansion(reduce_theta(spec)[1])
+    flags, quotients = [True], []
+    while len(flags) < n:
+        a = session.advance()
+        flags.append(True if a is not None and a >= 2 else hermite._region_flag(session, a))
+        if a is None:
+            break
+        quotients.append(a)
+    qs = [0, 1]  # q_{-1}, q_0, then q_k at position k + 1
+    for a in quotients:
+        qs.append(a * qs[-1] + qs[-2])
+    deepest = max((m for m, f in enumerate(flags) if m and f), default=0)
+    hermite_q = qs[deepest] if deepest else 0  # X_m has denominator q_{m-1}
+    state = ScanState(qs[-1], session.terminated, hermite_q, tuple(quotients))
+    return HermiteFlags(spec, tuple(flags), "criterion"), state
 
 
 def decided_agree(a, b) -> bool:
@@ -183,6 +207,27 @@ class TestCriterion:
         flags, state = criterion_scan(parse_real("0.5@64"), 10)
         assert flags.flags == (True, None)
         assert (state.hermite_q, state.q_cur) == (0, 1)
+
+    def test_exact_fallback_inside_a_run(self, monkeypatch):
+        # the float prefilter leaves one flag after a 1 to the exact test on
+        # each sample: on the first with a quotient of its batch after it,
+        # which the session hands back and certifies again, on the second at
+        # the batch's last quotient
+        samples = sample_thetas(5, 20, 3000)
+        cases = [(samples[0], 1), (samples[14], 0)]
+        expected = [per_index_scan(spec, 1000) for spec, _ in cases]
+        exact, handed_back = hermite._region_flag, []
+
+        def spy(session, a):
+            if a is not None:
+                handed_back.append(len(session._batch) - session._used)
+            return exact(session, a)
+
+        monkeypatch.setattr(hermite, "_region_flag", spy)
+        for (spec, back), reference in zip(cases, expected):
+            handed_back.clear()
+            assert criterion_scan(spec, 1000) == reference
+            assert handed_back == [back]
 
     def test_boundary_tie_is_hermite(self):
         # x_1 = 4/5 equals (2y+1)/(y+2) at y = 1/2: not in V, so X_2 stays

@@ -10,6 +10,7 @@ from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
     DecimalSpec,
+    InvalidArgument,
     InvalidQuadratic,
     ParseError,
     QuadraticReal,
@@ -47,6 +48,13 @@ class TestParse:
         assert isinstance(spec, DecimalSpec)
         assert spec.declared_bits == 128
         assert spec.value == Fraction(381966011250105, 10**15)
+        # make_decimal, which parse_real and sample_thetas build through,
+        # checks that an explicit window holds the value
+        ulp = spec.window_hi - spec.window_lo
+        above, below = spec.window_hi, spec.value - ulp
+        for window in ((above, above + ulp), (below - ulp, below)):
+            with pytest.raises(InvalidArgument, match="value outside its window"):
+                make_decimal(spec.value, 128, window)
 
     def test_negative_decimals(self):
         assert parse_real("-0.5").value == Fraction(-1, 2)
