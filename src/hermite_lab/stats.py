@@ -2,8 +2,8 @@
 comparison against the three limit constants.
 
 Per-sample work is a single certified scan (quotients, flags, denominator
-logs), under 20 ms at depth 5000 on a 2-core Xeon (`deep_decimal` in
-`BENCH_batch_denominators.json`), so a 200-sample run takes seconds on one
+logs), about 12 ms at depth 5000 on a 2-core Xeon (`deep_decimal` in
+`BENCH_batch_criterion.json`), so a 200-sample run takes seconds on one
 core; samples are independent and can be farmed out to processes without
 changing the result.
 """
