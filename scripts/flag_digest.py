@@ -6,7 +6,8 @@ For each family the script runs `hermite.criterion_scan` on every input and
 hashes `repr((flags, state))` of all of them in order, then prints one line
 `<family> <inputs> <sha256>`.  Run it in two checkouts (copy the script
 into one that lacks it) and compare the lines: equal digests mean equal
-flags, quotients, denominators and stop reasons.  The families:
+flags, quotients, denominators and stop reasons.  The last family,
+`sequences`, hashes the layers below the criterion instead.  The families:
 
 * `criterion5`: the 100 rationals and 10 quadratics of acceptance
   criterion 5, at depths 10**6 and 50;
@@ -18,6 +19,10 @@ flags, quotients, denominators and stop reasons.  The families:
   fixtures, at depths 2, 3, 10 and 183;
 * `deep`: the 40 samples of perfbench's `deep_decimal` workload for
   `--seed`, about 19,400 bits each, at depth 5000.
+* `sequences`: the `criterion5` and `crosscheck` inputs again, hashing
+  `repr` of `cf.reduce_theta(spec)`, the `(p, q)` of
+  `lattice.complete_sequence(spec, depth - 1)` and the flags of
+  `hermite.flags_via_envelope` on that sequence.
 
 `--tiny` takes a few inputs of each family and the deep samples at depth
 300, for a smoke test.  Standard library only.
@@ -33,7 +38,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from hermite_lab import make_decimal, parse_real
-from hermite_lab.hermite import criterion_scan
+from hermite_lab.cf import reduce_theta
+from hermite_lab.hermite import criterion_scan, flags_via_envelope
+from hermite_lab.lattice import complete_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,19 +72,31 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
     if tiny:
         rationals, quadratics = rationals[:5], quadratics[:2]
         cross, decimals = cross[:6], decimals[:20]
+    criterion5 = [(s, 10**6) for s in rationals] + [(s, 50) for s in quadratics]
+    crosscheck = [(s, workloads.FULL.cross_depth) for s in cross]
     return {
-        "criterion5": [(s, 10**6) for s in rationals] + [(s, 50) for s in quadratics],
-        "crosscheck": [(s, workloads.FULL.cross_depth) for s in cross],
+        "criterion5": criterion5,
+        "crosscheck": crosscheck,
         "decimals": [(s, 10**6) for s in decimals],
         "ties": [(parse_real(t), n) for t in TIES for n in (2, 3, 10, 183)],
         "deep": [(s, size.depth) for s in workloads.build_deep(seed, size)],
+        "sequences": criterion5 + crosscheck,
     }
 
 
-def digest(cases) -> str:
+def sequence_record(spec, depth: int) -> tuple:
+    """reduce_theta, the complete sequence's (p, q) and its envelope flags."""
+    seq = complete_sequence(spec, depth - 1)
+    return reduce_theta(spec), [(v.p, v.q) for v in seq], flags_via_envelope(seq).flags
+
+
+RECORDS = {"sequences": sequence_record}  # every other family: criterion_scan
+
+
+def digest(cases, record=criterion_scan) -> str:
     h = hashlib.sha256()
     for spec, depth in cases:
-        h.update(repr(criterion_scan(spec, depth)).encode())
+        h.update(repr(record(spec, depth)).encode())
     return h.hexdigest()
 
 
@@ -91,7 +110,8 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # a deep ScanState's repr passes 4,300 digits
     try:
         for name, cases in families(args.seed, args.tiny).items():
-            print(f"{name} {len(cases)} {digest(cases)}", flush=True)
+            record = RECORDS.get(name, criterion_scan)
+            print(f"{name} {len(cases)} {digest(cases, record)}", flush=True)
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

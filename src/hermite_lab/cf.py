@@ -34,7 +34,7 @@ from .numeric import (
     QuadraticSpec,
     RationalSpec,
     RealSpec,
-    spec_is_integer,
+    surd_floor,
     surd_sign,
 )
 
@@ -74,9 +74,10 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
     """Split theta into (sign of theta', x0 = |theta'|, nearest integer).
 
     theta' = theta - nearest lies in (-1/2, 1/2]; the half-integer tie goes
-    to +1/2 so outputs are deterministic.
+    to +1/2 so outputs are deterministic.  A quadratic has no tie, and its
+    nearest integer is `surd_floor` of theta + 1/2: no field arithmetic.
     """
-    if spec_is_integer(spec):
+    if isinstance(spec, (RationalSpec, DecimalSpec)) and spec.value.denominator == 1:
         raise IntegerInput(f"{spec!r} is an integer")
     if isinstance(spec, RationalSpec):
         m = math.ceil(spec.value - HALF)
@@ -84,13 +85,11 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
         sign = 1 if prime > 0 else -1
         return sign, RationalSpec(abs(prime)), m
     if isinstance(spec, QuadraticSpec):
-        v = spec.value
-        floor = math.floor(v)
-        frac = v - floor
-        m = floor + (1 if frac > HALF else 0)
-        prime = v - m
-        sign = prime.sign()
-        return sign, QuadraticSpec(abs(prime)), m
+        a, b, c, d = spec.value.a, spec.value.b, spec.value.c, spec.value.d
+        m = surd_floor(2 * a + c, 2 * b, 2 * c, d)
+        a -= m * c  # gcd(a, b, c) is unchanged: still the normal form
+        sign = surd_sign(a, b, d)
+        return sign, QuadraticSpec(QuadraticReal(sign * a, sign * b, c, d)), m
     if isinstance(spec, DecimalSpec):
         # the window moves with the value, so it still holds it: no check
         m = math.ceil(spec.value - HALF)
@@ -369,9 +368,8 @@ def _is_reduced(spec: RealSpec) -> bool:
     if isinstance(spec, (RationalSpec, DecimalSpec)):
         return 0 < spec.value <= HALF
     if isinstance(spec, QuadraticSpec):
-        # c > 0: x0 and x0 - 1/2 have the signs of a + b*sqrt(d) and 2a - c + 2b*sqrt(d)
-        a, b, c, d = spec.value.a, spec.value.b, spec.value.c, spec.value.d
-        return surd_sign(a, b, d) > 0 and surd_sign(2 * a - c, 2 * b, d) <= 0
+        v = spec.value  # irrational: x0 lies in (0, 1/2) iff floor(2*x0) = 0
+        return surd_floor(2 * v.a, 2 * v.b, v.c, v.d) == 0
     raise TypeError(f"not a RealSpec: {spec!r}")
 
 

@@ -50,7 +50,8 @@ class MinimalVector:
         return sign
 
     def is_zero_v1(self) -> bool:
-        return self.v1_bounds() == (0, 0)
+        lo, hi = self.theta.bounds  # a quadratic's v1 is never 0, nor its bounds a Fraction
+        return self.q != 0 and lo == hi == Fraction(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,7 @@ def _is_minimal_against_fraction(value: Fraction, p: int, q: int) -> bool:
 
 
 def _is_minimal_against_quadratic(x: QuadraticReal, p: int, q: int) -> bool:
-    c_val = Fraction(p) - x * q
-    if exact_sign(c_val) < 0:
-        c_val = -c_val
+    c_val = abs(p - x * q)
     if exact_sign(c_val - 1) >= 0:
         return False
     for b in range(1, q + 1):

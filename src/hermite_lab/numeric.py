@@ -70,6 +70,17 @@ def surd_sign(p: int, r: int, d: int) -> int:
     return sr if r * r * d > p * p else sp
 
 
+def surd_floor(n: int, b: int, c: int, d: int) -> int:
+    """floor((n + b*sqrt(d))/c) for integers n, b, c > 0 and d as `surd_sign` takes it.
+
+    b*sqrt(d) is irrational unless b = 0, so its floor is s = isqrt(b*b*d) or
+    -s - 1 by b's sign; floor((n + y)/c) = floor((n + floor(y))/c) for integers
+    n and c > 0 (Graham, Knuth and Patashnik, *Concrete Mathematics*, 3.2).
+    """
+    s = isqrt(b * b * d)
+    return (n + (s if b >= 0 else -s - 1)) // c
+
+
 def int_of_digits(text: str) -> int:
     """int(text) for a signed digit string of any length, past CPython's int/str limit."""
     if len(text) <= _INT_PIECE_DIGITS:
@@ -101,6 +112,8 @@ class QuadraticReal:
 
     c > 0, b != 0, gcd(a, b, c) = 1 and d square-free (>= 2); use
     :func:`quadratic_or_rational` to build one from raw coefficients.
+    Sign and floor are integer operations; the field arithmetic and order
+    serve only the reference oracles (lattice, natural_extension) and tests.
     """
 
     a: int
@@ -130,21 +143,9 @@ class QuadraticReal:
         return self if self.sign() > 0 else -self
 
     def __floor__(self) -> int:
-        s = isqrt(self.b * self.b * self.d)
-        low = s if self.b > 0 else -s - 1  # b*sqrt(d) lies in (low, low+1)
-        n = (self.a + low) // self.c
-        return n + 1 if (self - (n + 1)).sign() >= 0 else n
+        return surd_floor(self.a, self.b, self.c, self.d)
 
     # --- field arithmetic (exact; mixed with int / Fraction)
-
-    def _same_field(self, a: int, b: int, c: int):
-        """(a + b*sqrt(d))/c in this number's field, d already square-free."""
-        if b == 0:
-            return Fraction(a, c)
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(gcd(a, b), c)
-        return QuadraticReal(a // g, b // g, c // g, self.d)
 
     def _coerce(self, other):
         if isinstance(other, QuadraticReal):
@@ -162,10 +163,10 @@ class QuadraticReal:
         if isinstance(other, QuadraticReal):
             a = self.a * other.c + other.a * self.c
             b = self.b * other.c + other.b * self.c
-            return self._same_field(a, b, self.c * other.c)
+            return _normal_form(a, b, self.c * other.c, self.d)
         fr = Fraction(other)
         a = self.a * fr.denominator + fr.numerator * self.c
-        return self._same_field(a, self.b * fr.denominator, self.c * fr.denominator)
+        return _normal_form(a, self.b * fr.denominator, self.c * fr.denominator, self.d)
 
     __radd__ = __add__
 
@@ -188,17 +189,17 @@ class QuadraticReal:
         if isinstance(other, QuadraticReal):
             a = self.a * other.a + self.b * other.b * self.d
             b = self.a * other.b + self.b * other.a
-            return self._same_field(a, b, self.c * other.c)
+            return _normal_form(a, b, self.c * other.c, self.d)
         fr = Fraction(other)
-        return self._same_field(
-            self.a * fr.numerator, self.b * fr.numerator, self.c * fr.denominator
+        return _normal_form(
+            self.a * fr.numerator, self.b * fr.numerator, self.c * fr.denominator, self.d
         )
 
     __rmul__ = __mul__
 
     def inverse(self):
         norm = self.a * self.a - self.b * self.b * self.d  # nonzero: value irrational
-        return self._same_field(self.c * self.a, -self.c * self.b, norm)
+        return _normal_form(self.c * self.a, -self.c * self.b, norm, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -249,11 +250,17 @@ def quadratic_or_rational(a: int, b: int, c: int, d: int) -> Union[Fraction, Qua
     if b == 0:
         return Fraction(a, c)
     f, d0 = squarefree_split(d)
-    b *= f
+    return _normal_form(a, b * f, c, d0)
+
+
+def _normal_form(a: int, b: int, c: int, d: int) -> Union[Fraction, QuadraticReal]:
+    """(a + b*sqrt(d))/c for c != 0 and a square-free d; a Fraction when b = 0."""
+    if b == 0:
+        return Fraction(a, c)
     if c < 0:
         a, b, c = -a, -b, -c
-    g = gcd(gcd(abs(a), abs(b)), c)
-    return QuadraticReal(a // g, b // g, c // g, d0)
+    g = gcd(a, b, c)
+    return QuadraticReal(a // g, b // g, c // g, d)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +401,3 @@ def spec_text(spec: RealSpec) -> str:
         max_digits = spec.declared_bits * 30103 // 100000 + 2
     sign = "-" if spec.value < 0 else ""
     return f"{sign}{_decimal_digits(spec.value, max_digits)}@{spec.declared_bits}"
-
-
-def spec_is_integer(spec: RealSpec) -> bool:
-    if isinstance(spec, (RationalSpec, DecimalSpec)):
-        return spec.value.denominator == 1
-    return False

@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise InvalidArgument("precision_bits must be >= 64")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
+        if isinstance(self.theta_source, str) and self.theta_source != "uniform01":
+            raise InvalidArgument("theta_source must be 'uniform01' or a sequence of specs")
 
     @property
     def effective_bits(self) -> int:

@@ -6,6 +6,7 @@ import copy
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
@@ -47,6 +48,24 @@ class TestReduce:
         assert (sign, nearest) == (-1, 2)
         # x0 = (3 - sqrt(5))/2 ~ 0.381966
         assert x0 == QuadraticSpec(QuadraticReal(3, -1, 2, 5))
+        # quadratics within 1e-30 of the half-integer k + 1/2, on both sides:
+        # theta = k + 1/2 + (p - q*sqrt(d))/q with p/q within 2**-110 of sqrt(d)
+        rng = random.Random(46)
+        q = 1 << 110
+        for _ in range(200):
+            d = rng.choice((2, 3, 5, 7, 10, 21, 1000003))
+            k = rng.randint(-10**6, 10**6)
+            p = isqrt(d * q * q) + rng.choice((0, 1))
+            A, B, C = 2 * k * q + q + 2 * p, -2 * q, 2 * q
+            theta = quadratic_or_rational(A, B, C, d)
+            lo, hi = quad_bounds(theta.a, theta.b, theta.c, theta.d, 400)
+            assert abs(lo - k - Fraction(1, 2)) < Fraction(1, 10**30)
+            m = math.floor(lo + Fraction(1, 2))
+            assert m == math.floor(hi + Fraction(1, 2))
+            sign = 1 if lo > m else -1
+            assert sign == (1 if hi > m else -1)
+            x0 = QuadraticSpec(quadratic_or_rational(sign * (A - m * C), sign * B, C, d))
+            assert reduce_theta(QuadraticSpec(theta)) == (sign, x0, m)
 
     def test_half_integer_tie_goes_up(self):
         assert reduce_theta(parse_real("7/2")) == (1, RationalSpec(Fraction(1, 2)), 3)

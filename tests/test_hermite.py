@@ -386,6 +386,10 @@ class TestDeltaScan:
         scan = flags_via_delta_scan(THETA38, 20)
         assert scan.flags == (True,) * 5
 
+    def test_short_depth_rejected(self):
+        with pytest.raises(InsufficientSequence):
+            flags_via_delta_scan(Q21, 2)
+
     def test_small_delta_selects_origin(self):
         line_sets = _envelopes(complete_sequence(THETA38, 10))[2]
         assert _scan_witnesses(line_sets, [[(1, 10**9, 0)]]) == {0}
@@ -740,6 +744,13 @@ class TestSubsequence:
         flags = flags_via_criterion(GOLDEN, 20)
         with pytest.raises(MisalignedInput):
             hermite_subsequence(flags, seq)
+
+    def test_misaligned_indices(self):
+        seq = complete_sequence(GOLDEN, 5)
+        flags = flags_via_criterion(GOLDEN, 6)
+        assert len(flags.flags) == len(seq)
+        with pytest.raises(MisalignedInput):
+            hermite_subsequence(flags, [seq[0], seq[2], seq[1], *seq[3:]])
 
     def test_misaligned_theta(self):
         seq = complete_sequence(GOLDEN, 6)

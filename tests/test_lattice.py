@@ -8,7 +8,9 @@ import pytest
 from helpers import random_quadratic_specs, random_rational_specs
 
 from hermite_lab import (
+    AmbiguousComparison,
     IntegerInput,
+    InvalidArgument,
     NotConsecutive,
     QuadraticReal,
     RationalSpec,
@@ -80,6 +82,10 @@ class TestCompleteSequence:
     def test_length_cap(self):
         assert len(complete_sequence(Q21, 7)) == 8
 
+    def test_length_must_be_positive(self):
+        with pytest.raises(InvalidArgument):
+            complete_sequence(Q21, 0)
+
     def test_decimal_matches_quadratic_prefix(self):
         exact = complete_sequence(GOLDEN, 20)
         approx = complete_sequence(parse_real("1.618033988749894848204586834365@96"), 20)
@@ -106,6 +112,14 @@ class TestBruteForce:
     def test_origin_convention(self):
         assert is_minimal_bruteforce(THETA38, -1, 0)
         assert not is_minimal_bruteforce(THETA38, 2, 0)
+
+    def test_decimal_window_ends_must_agree(self):
+        spec = make_decimal(Fraction(3, 8), 64)  # both ends near 3/8
+        assert is_minimal_bruteforce(spec, 1, 2)
+        assert not is_minimal_bruteforce(spec, 1, 1)
+        # at 1/3, |1 - 2*theta| ties theta itself; just above, (1, 2) is minimal
+        with pytest.raises(AmbiguousComparison):
+            is_minimal_bruteforce(make_decimal(Fraction(1, 3), 64), 1, 2)
 
     def test_oracle_scale_guard(self):
         with pytest.raises(ValueError):

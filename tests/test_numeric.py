@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
@@ -24,6 +25,7 @@ from hermite_lab.numeric import (
     int_of_digits,
     quadratic_or_rational,
     squarefree_split,
+    surd_floor,
     surd_sign,
 )
 from hermite_lab.stats import sample_thetas
@@ -102,6 +104,10 @@ class TestParse:
         for text in ("3/8", "(-3+1*sqrt(21))/6", "0.381966011250105@128"):
             assert parse_real(spec_text(parse_real(text))) == parse_real(text)
 
+    def test_text_of_a_non_terminating_decimal_is_truncated(self):
+        # 1/3 has no finite decimal: its text keeps about 64 bits of digits
+        assert spec_text(make_decimal(Fraction(1, 3), 64)) == "0.333333333333333333333@64"
+
     def test_roundtrip_keeps_precision_and_bounds(self):
         # the three grammars, and sampled decimals, whose stored text has no @bits
         rng = random.Random(91)
@@ -158,6 +164,20 @@ class TestQuadraticReal:
             if abs(approx - round(approx)) < 1e-9:
                 continue
             assert math.floor(v) == math.floor(approx)
+        # exact checks where a float cannot tell: n within a few units of
+        # -b*sqrt(d) + k*c puts (n + b*sqrt(d))/c within a few 1/c of k
+        for _ in range(3000):
+            d = rng.choice((2, 3, 5, 7, 10, 21, 1000003))
+            b = rng.choice((-1, 1)) * rng.randint(1, 10**20)
+            c = rng.randint(1, 10**12)
+            k = rng.randint(-10**6, 10**6)
+            s = isqrt(b * b * d)
+            n = k * c + (-s if b > 0 else s) + rng.randint(-3, 3)
+            v = quadratic_or_rational(n, b, c, d)
+            lo, hi = quad_bounds(v.a, v.b, v.c, v.d, 200)
+            assert math.floor(lo) == math.floor(hi)  # the enclosure decides it
+            assert math.floor(v) == surd_floor(n, b, c, d) == math.floor(lo)
+        assert surd_floor(7, 0, 2, 0) == 3 and surd_floor(-7, 0, 2, 0) == -4
 
     def test_sign_cases(self):
         assert QuadraticReal(-3, 1, 6, 21).sign() == 1  # sqrt(21) > 3

@@ -141,6 +141,10 @@ class TestExperiment:
             lambda: ExperimentConfig(sample_count=1, workers=0),
             lambda: sample_thetas(1, 0, 64),
             lambda: run_experiment(ExperimentConfig(sample_count=2, theta_source=[GOLDEN])),
+            # any other string would be iterated into one-character "specs"
+            lambda: run_experiment(
+                ExperimentConfig(sample_count=3, depth_n=10, theta_source="abc")
+            ),
         ]
         for call in bad_calls:
             with pytest.raises(HermiteLabError):
