@@ -90,9 +90,6 @@ def sequence_record(spec, depth: int) -> tuple:
     return reduce_theta(spec), [(v.p, v.q) for v in seq], flags_via_envelope(seq).flags
 
 
-RECORDS = {"sequences": sequence_record}  # every other family: criterion_scan
-
-
 def digest(cases, record=criterion_scan) -> str:
     h = hashlib.sha256()
     for spec, depth in cases:
@@ -110,7 +107,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # a deep ScanState's repr passes 4,300 digits
     try:
         for name, cases in families(args.seed, args.tiny).items():
-            record = RECORDS.get(name, criterion_scan)
+            record = sequence_record if name == "sequences" else criterion_scan
             print(f"{name} {len(cases)} {digest(cases, record)}", flush=True)
     finally:
         sys.set_int_max_str_digits(limit)
