@@ -6,8 +6,9 @@ For each family the script runs `hermite.criterion_scan` on every input and
 hashes `repr((flags, state))` of all of them in order, then prints one line
 `<family> <inputs> <sha256>`.  Run it in two checkouts (copy the script
 into one that lacks it) and compare the lines: equal digests mean equal
-flags, quotients, denominators and stop reasons.  The last family,
-`sequences`, hashes the layers below the criterion instead.  The families:
+flags, quotients, denominators and stop reasons.  The last two families,
+`sequences` and `expansions`, hash the layers below the criterion instead.
+The families:
 
 * `criterion5`: the 100 rationals and 10 quadratics of acceptance
   criterion 5, at depths 10**6 and 50;
@@ -23,6 +24,10 @@ flags, quotients, denominators and stop reasons.  The last family,
   `repr` of `cf.reduce_theta(spec)`, the `(p, q)` of
   `lattice.complete_sequence(spec, depth - 1)` and the flags of
   `hermite.flags_via_envelope` on that sequence.
+* `expansions`: the `criterion5`, `crosscheck`, `decimals` and `deep`
+  inputs again, hashing `repr` of `cf.cf_expand(x0, depth)` on the reduced
+  input x0 and of the `cf.tail_value` bounds at three indices: 0, the
+  middle and the last quotient's.
 
 `--tiny` takes a few inputs of each family and the deep samples at depth
 300, for a smoke test.  Standard library only.
@@ -38,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from hermite_lab import make_decimal, parse_real
-from hermite_lab.cf import reduce_theta
+from hermite_lab.cf import cf_expand, reduce_theta, tail_value
 from hermite_lab.hermite import criterion_scan, flags_via_envelope
 from hermite_lab.lattice import complete_sequence
 
@@ -74,13 +79,16 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         cross, decimals = cross[:6], decimals[:20]
     criterion5 = [(s, 10**6) for s in rationals] + [(s, 50) for s in quadratics]
     crosscheck = [(s, workloads.FULL.cross_depth) for s in cross]
+    decimals = [(s, 10**6) for s in decimals]
+    deep = [(s, size.depth) for s in workloads.build_deep(seed, size)]
     return {
         "criterion5": criterion5,
         "crosscheck": crosscheck,
-        "decimals": [(s, 10**6) for s in decimals],
+        "decimals": decimals,
         "ties": [(parse_real(t), n) for t in TIES for n in (2, 3, 10, 183)],
-        "deep": [(s, size.depth) for s in workloads.build_deep(seed, size)],
+        "deep": deep,
         "sequences": criterion5 + crosscheck,
+        "expansions": criterion5 + crosscheck + decimals + deep,
     }
 
 
@@ -88,6 +96,17 @@ def sequence_record(spec, depth: int) -> tuple:
     """reduce_theta, the complete sequence's (p, q) and its envelope flags."""
     seq = complete_sequence(spec, depth - 1)
     return reduce_theta(spec), [(v.p, v.q) for v in seq], flags_via_envelope(seq).flags
+
+
+def expansion_record(spec, depth: int) -> tuple:
+    """cf_expand on the reduced input, and tail_value at its first, middle and last index."""
+    x0 = reduce_theta(spec)[1]
+    pq = cf_expand(x0, depth)
+    last = len(pq.quotients) - 1  # -1 when no quotient is certified
+    return pq, [tail_value(x0, pq, n).value for n in (min(0, last), last // 2, last)]
+
+
+RECORDS = {"sequences": sequence_record, "expansions": expansion_record}
 
 
 def digest(cases, record=criterion_scan) -> str:
@@ -107,7 +126,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # a deep ScanState's repr passes 4,300 digits
     try:
         for name, cases in families(args.seed, args.tiny).items():
-            record = sequence_record if name == "sequences" else criterion_scan
+            record = RECORDS.get(name, criterion_scan)
             print(f"{name} {len(cases)} {digest(cases, record)}", flush=True)
     finally:
         sys.set_int_max_str_digits(limit)

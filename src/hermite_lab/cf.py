@@ -9,10 +9,11 @@ certified on a small window of leading bits that contains both endpoints,
 and the long remainders take the batch's cosequence in one step.  Both
 sessions carry the convergent denominators of the quotients emitted so far,
 read through `denominators()`; a batch's cosequence advances them too, in
-four multiplications for the whole batch.  Besides `advance()`, one
-quotient at a time, both sessions hand out runs: the quotients certified
+four multiplications for the whole batch.  Both sessions are read through
+two methods only: `run(limit)` hands out the next quotients certified
 together, a batch's rest or a single one, with float bounds on the tail
-after each quotient of 1 for the Hermite criterion.
+after each quotient of 1 for the Hermite criterion, and `tail_bounds()`
+gives exact bounds on the tail at the current position.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .numeric import (
     QuadraticSpec,
     RationalSpec,
     RealSpec,
+    spec_text,
     surd_floor,
     surd_sign,
 )
@@ -78,7 +80,7 @@ def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
     nearest integer is `surd_floor` of theta + 1/2: no field arithmetic.
     """
     if isinstance(spec, (RationalSpec, DecimalSpec)) and spec.value.denominator == 1:
-        raise IntegerInput(f"{spec!r} is an integer")
+        raise IntegerInput(f"{spec_text(spec)} is an integer")
     if isinstance(spec, RationalSpec):
         m = math.ceil(spec.value - HALF)
         prime = spec.value - m
@@ -127,20 +129,9 @@ class _QuadraticSession:
         self.D = self.f * self.f * self.d
         self.root = math.isqrt(self.D << 128)  # floor(sqrt(D) * 2**64)
         self.r = self.root >> 64
-        self.count = 0
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
-
-    def advance(self):
-        P, Q = -self.P, (self.D - self.P * self.P) // self.Q
-        # floor((P + sqrt(D))/Q) with r = floor(sqrt(D)); for Q < 0 it is
-        # -floor((P + r)/|Q|) - 1, as the ratio is irrational
-        a = (P + self.r) // Q if Q > 0 else (P + self.r + 1) // Q
-        self.P, self.Q = P - a * Q, Q
-        self._q_prev, self._q_cur = self._q_cur, a * self._q_cur + self._q_prev
-        self.count += 1
-        return a
 
     def denominators(self) -> tuple[int, int]:
         """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
@@ -158,7 +149,12 @@ class _QuadraticSession:
         The recurrence certifies one quotient at a time, so a run is one
         quotient whatever `limit`; see `_WindowSession.run`.
         """
-        a = self.advance()
+        P, Q = -self.P, (self.D - self.P * self.P) // self.Q
+        # floor((P + sqrt(D))/Q) with r = floor(sqrt(D)); for Q < 0 it is
+        # -floor((P + r)/|Q|) - 1, as the ratio is irrational
+        a = (P + self.r) // Q if Q > 0 else (P + self.r + 1) // Q
+        self.P, self.Q = P - a * Q, Q
+        self._q_prev, self._q_cur = self._q_cur, a * self._q_cur + self._q_prev
         if a != 1:
             return (a,), (None,)
         # (P*2**64 + root)/(Q*2**64) and the same with root + 1 bracket the
@@ -166,11 +162,12 @@ class _QuadraticSession:
         n, g = (self.P << 64) + self.root, self.Q << 64
         return (1,), ((n / g, (n + 1) / g) if g > 0 else ((n + 1) / g, n / g),)
 
-    @property
-    def tail(self) -> QuadraticReal:
+    def tail_bounds(self) -> tuple[QuadraticReal, QuadraticReal]:
+        """The tail itself, twice: the ends of a zero-width window."""
         P, f, Q = (self.P, self.f, self.Q) if self.Q > 0 else (-self.P, -self.f, -self.Q)
         g = math.gcd(P, f, Q)
-        return QuadraticReal(P // g, f // g, Q // g, self.d)
+        tail = QuadraticReal(P // g, f // g, Q // g, self.d)
+        return tail, tail
 
 
 # A batch starts from the leading _HEAD_BITS of each endpoint and stops once
@@ -206,15 +203,15 @@ class _WindowSession:
     endpoints included.  The long remainders and the convergent denominators
     are brought to the current position by the batch's cosequence only when
     the batch runs out or an exact comparison needs them.  `run` hands out
-    the rest of the batch at once, with the floats of the small window's
-    tails after each quotient of 1, the one place the Hermite criterion
-    reads a tail; they bound the true tails at both endpoints.
+    the rest of the batch at once, or as much of it as its limit allows,
+    with the floats of the small window's tails after each quotient of 1,
+    the one place the Hermite criterion reads a tail; they bound the true
+    tails at both endpoints.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
         self.an, self.ad = lo.numerator, lo.denominator
         self.bn, self.bd = hi.numerator, hi.denominator
-        self.count = 0
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
@@ -226,59 +223,41 @@ class _WindowSession:
         self._tails: list[tuple[float, float] | None] = []
         self._used = 0
 
-    def advance(self):
-        if self._batch:
-            if self._used < len(self._batch):
-                a = self._batch[self._used]
-                self._used += 1
-                self.count += 1
-                return a
-            self._sync()
-        if self.exhausted:
-            return None
-        if self.an == 0 or self.bn == 0:
-            if self.an == self.bn:
-                self.terminated = True
-            else:
-                self.exhausted = True
-            return None
-        if self.ad >> _BATCH_MIN_BITS and self.bd >> _BATCH_MIN_BITS and self._start_batch():
-            return self.advance()
-        qa, ra = divmod(self.ad, self.an)
-        qb, rb = divmod(self.bd, self.bn)
-        if qa != qb:
-            self.exhausted = True
-            return None
-        self.an, self.ad = ra, self.an
-        self.bn, self.bd = rb, self.bn
-        self._q_prev, self._q_cur = self._q_cur, qa * self._q_cur + self._q_prev
-        self.count += 1
-        return qa
-
     def run(self, limit: int):
         """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
 
-        A run is the rest of the live batch, or the one quotient of a
-        full-width step; it is empty once the expansion terminated or the
-        window is exhausted.  Beside each quotient of 1 is a float pair
-        (lo, hi) around the tails at both window ends after it, each end
-        correct to the rounding of one float division; None beside the
-        others.
+        A run is the rest of the live batch, or of a batch started here, or
+        the one quotient of a full-width step; it is empty once the
+        expansion terminated or the window is exhausted.  Beside each
+        quotient of 1 is a float pair (lo, hi) around the tails at both
+        window ends after it, each end correct to the rounding of one float
+        division; None beside the others.
         """
         i = self._used
         if i == len(self._batch):
-            a = self.advance()
-            if self._batch:  # a new batch, whose first quotient is a
-                i = 0
-            elif a is None:
+            if i:
+                self._sync()
+            if self.exhausted or not (self.an and self.bn):
+                # both remainders 0 on the same step: terminated
+                self.terminated = self.an == self.bn == 0
+                self.exhausted = not self.terminated
                 return (), ()
-            elif a != 1:
-                return (a,), (None,)
-            else:
+            long = self.ad >> _BATCH_MIN_BITS and self.bd >> _BATCH_MIN_BITS
+            if not (long and self._start_batch()):
+                qa, ra = divmod(self.ad, self.an)
+                qb, rb = divmod(self.bd, self.bn)
+                if qa != qb:
+                    self.exhausted = True
+                    return (), ()
+                self.an, self.ad = ra, self.an
+                self.bn, self.bd = rb, self.bn
+                self._q_prev, self._q_cur = self._q_cur, qa * self._q_cur + self._q_prev
+                if qa != 1:
+                    return (qa,), (None,)
                 x1, x2 = self.an / self.ad, self.bn / self.bd
                 return (1,), ((x1, x2) if x1 <= x2 else (x2, x1),)
+            i = 0
         j = min(i + limit, len(self._batch))
-        self.count += j - self._used
         self._used = j
         return self._batch[i:j], self._tails[i:j]
 
@@ -289,7 +268,6 @@ class _WindowSession:
         emits those j again.
         """
         self._used -= j
-        self.count -= j
 
     def _start_batch(self) -> bool:
         """Queue the quotients that the leading bits of both endpoints certify.
@@ -353,7 +331,8 @@ class _WindowSession:
         s2 = self.bn * den - self.bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
-    def tail_fraction_bounds(self) -> tuple[Fraction, Fraction]:
+    def tail_bounds(self) -> tuple[Fraction, Fraction]:
+        """Exact tails at the two window ends, in order."""
         self._sync()
         t1 = Fraction(self.an, self.ad)
         t2 = Fraction(self.bn, self.bd)
@@ -391,12 +370,12 @@ def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:
     if n < 1:
         raise InvalidArgument("n must be positive")
     session = expansion(x0)
-    quotients = []
-    for _ in range(n):
-        a = session.advance()
-        if a is None:
+    quotients: list[int] = []
+    while len(quotients) < n:
+        run = session.run(n - len(quotients))[0]
+        if not run:
             break
-        quotients.append(a)
+        quotients += run
     if strict and session.exhausted and len(quotients) < n:
         raise AmbiguousComparison(
             f"only {len(quotients)} of {n} quotients certified at the declared precision"
@@ -435,22 +414,19 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
         raise InvalidArgument("tail index starts at -1")
     x0 = spec if _is_reduced(spec) else reduce_theta(spec)[1]
     session = expansion(x0)
-    for k in range(n + 1):
-        a = session.advance()
-        if a is None:
+    k = 0  # quotients read
+    while k <= n:
+        run = session.run(n + 1 - k)[0]
+        if not run:
             if session.terminated:
-                raise IndexOutOfRange(
-                    f"expansion terminated after {session.count} quotients"
-                )
-            raise TailUnavailable(
-                f"decimal input certifies only {session.count} quotients"
-            )
-        if k < len(pq.quotients) and pq.quotients[k] != a:
+                raise IndexOutOfRange(f"expansion terminated after {k} quotients")
+            raise TailUnavailable(f"decimal input certifies only {k} quotients")
+        # each run is checked as it arrives: a mismatch is reported before
+        # the expansion ends further on
+        if any(a != b for a, b in zip(run, pq.quotients[k : k + len(run)])):
             raise InvalidArgument("partial quotients do not belong to this input")
-    if isinstance(session, _QuadraticSession):
-        tail = session.tail
-        return TailValue(n, (tail, tail))
-    return TailValue(n, session.tail_fraction_bounds())
+        k += len(run)
+    return TailValue(n, session.tail_bounds())
 
 
 def mirror_value(quotients: tuple[int, ...] | list[int]) -> Fraction:

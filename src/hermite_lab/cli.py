@@ -191,8 +191,16 @@ def _cmd_experiment(args) -> int:
         workers=args.workers,
     )
     out_json = Path(args.out)
-    if not out_json.parent.is_dir():
-        raise InvalidArgument(f"output directory does not exist: {out_json.parent}")
+    try:
+        if not out_json.parent.is_dir():
+            raise InvalidArgument(f"output directory does not exist: {out_json.parent}")
+        if out_json.is_dir():  # checked first: '/' and '.' have no suffix to replace
+            raise InvalidArgument(f"output path is a directory: {out_json}")
+        out_csv = out_json.with_suffix(".csv")
+        if out_csv.is_dir():
+            raise InvalidArgument(f"output path is a directory: {out_csv}")
+    except OSError as exc:  # a file name too long, say
+        raise InvalidArgument(f"cannot write output: {exc}") from None
     report = run_experiment(cfg)
     payload = report.as_dict()
     for summary in payload["statistics"].values():
@@ -204,12 +212,14 @@ def _cmd_experiment(args) -> int:
                 row[key] = _f15(row[key])
     columns = list(payload["per_theta"][0])
     rows = [list(row.values()) for row in payload["per_theta"]]
-    out_csv = out_json.with_suffix(".csv")
-    out_json.write_text(json.dumps(payload, indent=2) + "\n")
-    with out_csv.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    try:
+        out_json.write_text(json.dumps(payload, indent=2) + "\n")
+        with out_csv.open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write output: {exc}") from None
     results = dict(payload)
     del results["per_theta"]
     results["out_json"] = str(out_json)

@@ -87,13 +87,14 @@ def complete_sequence(theta: RealSpec, n: int) -> list[MinimalVector]:
     pp, pq = sign, 0  # X_0 oriented so that consecutive v1 signs alternate
     cp, cq = nearest, 1
     session = expansion(x0)
-    while len(vectors) < n + 1:
-        a = session.advance()
-        if a is None:
+    while len(vectors) <= n:
+        run = session.run(n + 1 - len(vectors))[0]
+        if not run:
             break
-        pp, cp = cp, pp + a * cp
-        pq, cq = cq, pq + a * cq
-        vectors.append(MinimalVector(cp, cq, len(vectors), theta))
+        for a in run:
+            pp, cp = cp, pp + a * cp
+            pq, cq = cq, pq + a * cq
+            vectors.append(MinimalVector(cp, cq, len(vectors), theta))
     return vectors
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -244,15 +245,17 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
 
     Samples whose undecided flags exceed 1% of the depth (or that produce no
     statistic at all) are rejected and counted, never silently averaged.
-    Results are bit-identical for a fixed config regardless of `workers`.
+    Results are bit-identical for a fixed config regardless of `workers`,
+    which is capped at the number of samples and of CPUs.
     """
     specs = _experiment_samples(cfg)
     jobs = [(spec, cfg.depth_n) for spec in specs]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool machinery adds about 2 MB to any process importing this module
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_analyze_job, jobs, chunksize=8))
     else:
         reports = [_analyze_job(job) for job in jobs]

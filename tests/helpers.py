@@ -54,6 +54,12 @@ def random_quadratic_specs(count: int, seed: int) -> list[QuadraticSpec]:
     return out
 
 
+def next_quotient(session):
+    """The session's next certified quotient from a run of one; None once it has none."""
+    run = session.run(1)[0]
+    return run[0] if run else None
+
+
 def no_two_consecutive_false(flags) -> bool:
     """At least one of any two adjacent flags is not False (None breaks adjacency)."""
     previous = None

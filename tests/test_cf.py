@@ -9,17 +9,24 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from helpers import quad_bounds, random_quadratic_specs, random_rational_specs
+from helpers import (
+    next_quotient,
+    quad_bounds,
+    random_quadratic_specs,
+    random_rational_specs,
+)
 
 from hermite_lab import (
     AmbiguousComparison,
     HermiteLabError,
     IndexOutOfRange,
     IntegerInput,
+    InvalidArgument,
     PartialQuotients,
     QuadraticReal,
     QuadraticSpec,
     RationalSpec,
+    TailUnavailable,
     cf_expand,
     convergents,
     make_decimal,
@@ -32,6 +39,7 @@ from hermite_lab import (
 )
 from hermite_lab.cf import _BATCH_MIN_BITS, expansion
 from hermite_lab.hermite import criterion_scan
+from hermite_lab.lattice import complete_sequence
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
@@ -106,7 +114,7 @@ class TestExpand:
         with pytest.raises(ValueError):
             cf_expand(RationalSpec(Fraction(2, 3)), 5)
         # (2+sqrt(2))/7 ~ 0.488 is inside (0, 1/2]; the others lie outside
-        assert expansion(parse_real("(2+1*sqrt(2))/7")).advance() == 2
+        assert next_quotient(expansion(parse_real("(2+1*sqrt(2))/7"))) == 2
         for text in ("(3+1*sqrt(2))/7", "(1-1*sqrt(2))/1", "(-2-1*sqrt(2))/7", "(1+1*sqrt(5))/2"):
             with pytest.raises(ValueError, match="x0 must lie in"):
                 expansion(parse_real(text))
@@ -279,12 +287,23 @@ class TestTailValue:
             tail_value(x0, cf_expand(x0, 5), 5)
 
     def test_decimal_exhaustion(self):
-        from hermite_lab import TailUnavailable
-
         spec = parse_real("0.3819660112501051517954131@64")
         pq = cf_expand(spec, 70)
         with pytest.raises(TailUnavailable):
             tail_value(spec, pq, len(pq.quotients) + 5)
+
+    def test_mismatch_is_reported_before_the_end(self):
+        # 0.3@64 certifies [3, 3] and 3/10 ends there: a wrong second
+        # quotient is reported as such, not as the end at the third
+        for spec, end, message in (
+            ("0.3@64", TailUnavailable, "decimal input certifies only 2 quotients"),
+            ("3/10", IndexOutOfRange, "expansion terminated after 2 quotients"),
+        ):
+            with pytest.raises(InvalidArgument, match="do not belong to this input"):
+                tail_value(parse_real(spec), PartialQuotients((3, 4), False), 5)
+            with pytest.raises(end) as raised:
+                tail_value(parse_real(spec), PartialQuotients((3, 3), False), 5)
+            assert str(raised.value) == message
 
     def test_decimal_tail_certified_prefix(self):
         spec = parse_real("0.3819660112501051517954131@64")
@@ -297,13 +316,13 @@ class TestTailValue:
         # tail(n+1) == {1 / tail(n)} for exact inputs
         _, x0, _ = reduce_theta(Q21)
         session = expansion(x0)
-        previous = session.tail
+        previous = session.tail_bounds()[0]
         for _ in range(20):
-            session.advance()
+            next_quotient(session)
             inv = previous.inverse()
             expected = inv - math.floor(inv)
-            assert session.tail == expected
-            previous = session.tail
+            assert session.tail_bounds() == (expected, expected)
+            previous = expected
 
     def test_rational_tails_are_euclid_remainders(self):
         rng = random.Random(8)
@@ -312,11 +331,11 @@ class TestTailValue:
             session = expansion(x0)
             value = x0.value
             while True:
-                a = session.advance()
+                a = next_quotient(session)
                 if a is None:
                     break
                 value = 1 / value - a if value else value
-                assert session.tail_fraction_bounds() == (value, value)
+                assert session.tail_bounds() == (value, value)
 
     def test_exact_inputs_get_the_exact_gauss_iterate_at_every_index(self):
         # tail n is T^(n+1)(x0) with T(t) = 1/t - floor(1/t), in exact arithmetic
@@ -374,7 +393,7 @@ class TestQuadraticSession:
             t = x0.value
             q_prev, q_cur = 0, 1
             for _ in range(20):
-                assert session.tail == t
+                assert session.tail_bounds() == (t, t)
                 assert session.denominators() == (q_prev, q_cur)
                 for num, den in ((1, 2), (2, 3), (2 * q_prev + q_cur, q_prev + 2 * q_cur)):
                     sign = (t - Fraction(num, den)).sign()
@@ -406,7 +425,7 @@ class TestQuadraticSession:
             while (session.P, session.Q) not in seen:
                 assert len(quotients) <= 2 * D + 64
                 seen[session.P, session.Q] = len(quotients)
-                quotients.append(session.advance())
+                quotients.append(next_quotient(session))
             start = seen[session.P, session.Q]
             period = len(quotients) - start
             for (P, Q), k in seen.items():
@@ -414,7 +433,7 @@ class TestQuadraticSession:
                     # the next complete quotient (P' + sqrt(D))/Q' is reduced
                     P, Q = -P, (D - P * P) // Q
                     assert 0 < P and P * P < D and 0 < Q and Q * Q < 4 * D
-            assert [session.advance() for _ in range(period)] == quotients[start:]
+            assert [next_quotient(session) for _ in range(period)] == quotients[start:]
             periods.append(period)
         assert periods[: len(specs)] == [1, 2, 4]
 
@@ -476,7 +495,7 @@ def _assert_plain_euclid(specs) -> None:
         session = expansion(x0)
         quotients = []
         while True:
-            a = session.advance()
+            a = next_quotient(session)
             if a is None:
                 break
             quotients.append(a)
@@ -519,8 +538,8 @@ def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
 def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     """Runs of random limits, some partly handed back, against `_lockstep`.
 
-    They concatenate to its quotients; count and denominators agree at every
-    run boundary; the float pair beside each quotient of 1 brackets the
+    They concatenate to its quotients; denominators agree at every run
+    boundary; the float pair beside each quotient of 1 brackets the
     tails at both ends after it, None beside the others.
     """
     session = expansion(x0)
@@ -546,14 +565,12 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
                 assert lo <= min(ends) + ROUNDING and max(ends) <= hi + ROUNDING, len(got)
             else:
                 assert tail is None
-        assert session.count == len(got)
         # read through a copy, or directly, which drops the batch
         reader = session if rng.random() < 0.2 else copy.copy(session)
         assert reader.denominators() == (q_prev, q_cur), len(got)
     assert got == quotients
     assert long_runs
     assert (session.terminated, session.exhausted) == (terminated, not terminated)
-    assert session.count == len(quotients)
 
 
 class TestWindowEngine:
@@ -628,7 +645,7 @@ class TestWindowEngine:
             q_prev, q_cur = 0, 1
             for k, (an, ad, bn, bd) in enumerate(states):
                 ends = (Fraction(an, ad), Fraction(bn, bd))
-                assert copy.copy(session).tail_fraction_bounds() == tuple(sorted(ends))
+                assert copy.copy(session).tail_bounds() == tuple(sorted(ends))
                 for s in (session, poked):
                     assert copy.copy(s).denominators() == (q_prev, q_cur), k
                 num = rng.randint(1, 999)
@@ -639,11 +656,11 @@ class TestWindowEngine:
                 if rng.random() < 0.3:
                     poked.tail_signs(num, 1000)
                 if rng.random() < 0.3:
-                    poked.tail_fraction_bounds()
+                    poked.tail_bounds()
                 batched += bool(session._batch)
                 expected_a = quotients[k] if k < len(quotients) else None
-                assert session.advance() == expected_a
-                assert poked.advance() == expected_a
+                assert next_quotient(session) == expected_a
+                assert next_quotient(poked) == expected_a
                 if expected_a is not None:
                     q_prev, q_cur = q_cur, expected_a * q_cur + q_prev
             assert batched > len(states) // 2
@@ -651,10 +668,43 @@ class TestWindowEngine:
                 assert (s.terminated, s.exhausted) == (terminated, not terminated)
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
 
+    def test_reads_cut_inside_a_batch_match_plain_euclid(self):
+        # cf_expand, complete_sequence and tail_value each read c quotients,
+        # c strictly inside a Lehmer batch: they give unbatched lockstep
+        # Euclid's prefix, its convergents and its exact tails at both ends
+        rng = random.Random(31)
+        inputs = []
+        for _ in range(8):
+            den = rng.getrandbits(rng.randint(400, 4000)) | 1
+            inputs.append(RationalSpec(Fraction(rng.randrange(1, den // 2), den)))
+            bits = round(300 * (4000 / 300) ** rng.random())
+            inputs.append(make_decimal(Fraction(rng.randrange(1, 1 << bits), 2 << bits), bits))
+        for x0 in inputs:
+            quotients, states, _ = _lockstep(*x0.bounds)
+            batches, k = [], 0  # (first index, length) of each batch
+            session = expansion(x0)
+            while run := session.run(10**9)[0]:
+                if len(run) > 1:
+                    batches.append((k, len(run)))
+                k += len(run)
+            assert batches, x0
+            for first, length in rng.sample(batches, min(4, len(batches))):
+                c = first + rng.randrange(1, length)
+                pq = cf_expand(x0, c)
+                assert pq == PartialQuotients(tuple(quotients[:c]), False)
+                vectors = [(1, 0), (0, 1)]
+                for a in quotients[:c]:
+                    (p0, q0), (p1, q1) = vectors[-2:]
+                    vectors.append((a * p1 + p0, a * q1 + q0))
+                assert [(v.p, v.q) for v in complete_sequence(x0, c + 1)] == vectors
+                an, ad, bn, bd = states[c]
+                ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))
+                assert tail_value(x0, pq, c - 1).value == ends
+
     def test_one_endpoint_reaching_zero_exhausts_the_window(self):
         # 3/10 = [0; 3, 3]: the lower endpoint terminates while the upper
         # one, 2**-64 above it, still shares both quotients
         session = expansion(parse_real("0.3@64"))
-        quotients = [session.advance(), session.advance(), session.advance()]
+        quotients = [next_quotient(session) for _ in range(3)]
         assert quotients == [3, 3, None]
         assert session.exhausted and not session.terminated

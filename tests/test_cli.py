@@ -58,6 +58,10 @@ class TestExpand:
     def test_parse_error_exit_2(self, capsys):
         code, _ = run_cli(capsys, "expand", "--theta", "abc", "--n", "5")
         assert code == 2
+        # an integer is named by its text, not by the repr of its spec
+        code = cli.main(["expand", "--theta", "0.0@64", "--n", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: 0.0@64 is an integer\n"
 
     def test_uncertifiable_radicand_exit_2(self, capsys):
         code, out = run_cli(capsys, "expand", "--theta", "(1+1*sqrt(30001800027))/7", "--n", "5")
@@ -244,6 +248,36 @@ class TestExperiment:
         assert code == 2
         assert len(captured.err.splitlines()) == 1
         assert not out.parent.exists()
+
+    def test_out_that_is_a_directory_exit_2(self, capsys, monkeypatch, tmp_path):
+        # rejected before the experiment runs, as is a name too long to open
+        def must_not_run(cfg):
+            raise AssertionError("experiment ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        (tmp_path / "run.csv").mkdir()
+        for out, reason in (
+            (tmp_path, "output path is a directory"),
+            (tmp_path / "run.json", "output path is a directory"),
+            (tmp_path / ("x" * 300 + ".json"), "cannot write output"),
+        ):
+            code = cli.main(["experiment", "--samples", "2", "--depth", "60", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2, out
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(f"error: {reason}: "), captured.err
+
+    def test_failed_write_exit_2(self, capsys, monkeypatch, tmp_path):
+        def disk_full(path, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        out = tmp_path / "run.json"
+        code = cli.main(["experiment", "--samples", "2", "--depth", "60", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cannot write output: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):

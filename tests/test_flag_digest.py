@@ -16,7 +16,7 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert flag_digest.main(["--tiny"]) == 0
     assert sys.get_int_max_str_digits() != 0  # lifted for the run only
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    names = ["criterion5", "crosscheck", "decimals", "ties", "deep", "sequences"]
+    names = ["criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions"]
     assert [name for name, _, _ in lines] == names
     for name, count, digest in lines:
         assert int(count) > 0 and len(digest) == 64 and int(digest, 16) >= 0, name
@@ -26,3 +26,5 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert len(families["deep"]) == int(lines[4][1])
     sequences = flag_digest.digest(families["sequences"], flag_digest.sequence_record)
     assert sequences == lines[5][2]
+    expansions = flag_digest.digest(families["expansions"], flag_digest.expansion_record)
+    assert expansions == lines[6][2]

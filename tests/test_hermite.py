@@ -9,7 +9,12 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from helpers import no_two_consecutive_false, random_quadratic_specs, random_rational_specs
+from helpers import (
+    next_quotient,
+    no_two_consecutive_false,
+    random_quadratic_specs,
+    random_rational_specs,
+)
 
 from hermite_lab import (
     DecimalSpec,
@@ -69,13 +74,13 @@ def boundary_ties(value: Fraction, depth: int = 40) -> list[int]:
 
 
 def per_index_scan(spec, n: int):
-    """criterion_scan's result from one `advance()` per index, with no runs
-    and no floats: the exact region test after every quotient of 1 and
-    where the expansion ends, and the denominators from the recurrence."""
+    """criterion_scan's result from runs of one quotient, with no floats:
+    the exact region test after every quotient of 1 and where the
+    expansion ends, and the denominators from the recurrence."""
     session = expansion(reduce_theta(spec)[1])
     flags, quotients = [True], []
     while len(flags) < n:
-        a = session.advance()
+        a = next_quotient(session)
         flags.append(True if a is not None and a >= 2 else hermite._region_flag(session, a))
         if a is None:
             break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
@@ -100,6 +101,33 @@ class TestExperiment:
         cfg1 = ExperimentConfig(sample_count=6, depth_n=120, seed=3, workers=1)
         cfg2 = ExperimentConfig(sample_count=6, depth_n=120, seed=3, workers=2)
         assert run_experiment(cfg1).as_dict() == run_experiment(cfg2).as_dict()
+
+    def test_pool_is_no_larger_than_the_samples_or_cpus(self, monkeypatch):
+        # a stand-in pool records its size and maps serially: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial = run_experiment(ExperimentConfig(sample_count=3, depth_n=60, seed=3))
+        for cpus in (8, 2, 1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            cfg = ExperimentConfig(sample_count=3, depth_n=60, seed=3, workers=10**6)
+            assert run_experiment(cfg).as_dict() == serial.as_dict()
+        assert sizes == [3, 2]  # one CPU, or an unknown count, runs serially
 
     def test_stderr_definition(self):
         cfg = ExperimentConfig(sample_count=10, depth_n=120, seed=5)
