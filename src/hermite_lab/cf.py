@@ -127,8 +127,8 @@ class _QuadraticSession:
         # scaling by |c| makes Q = c*|c| divide D - P**2 = c**2 * (b**2*d - a**2)
         self.P, self.f, self.Q, self.d = a * abs(c), b * abs(c), c * abs(c), value.d
         self.D = self.f * self.f * self.d
-        self.root = math.isqrt(self.D << 128)  # floor(sqrt(D) * 2**64)
-        self.r = self.root >> 64
+        self.root = math.isqrt(self.D << 64)  # floor(sqrt(D) * 2**32)
+        self.r = self.root >> 32
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
@@ -157,9 +157,11 @@ class _QuadraticSession:
         self._q_prev, self._q_cur = self._q_cur, a * self._q_cur + self._q_prev
         if a != 1:
             return (a,), (None,)
-        # (P*2**64 + root)/(Q*2**64) and the same with root + 1 bracket the
-        # tail; int true division rounds correctly, whatever the sizes
-        n, g = (self.P << 64) + self.root, self.Q << 64
+        # (P*2**32 + root)/(Q*2**32) and the same with root + 1 bracket the
+        # tail within 2**-32, far inside the criterion's 1e-9 margin; int
+        # true division rounds correctly, and on ints below 2**53, as they
+        # are for radicands below about 2**40, it is one float division
+        n, g = (self.P << 32) + self.root, self.Q << 32
         return (1,), ((n / g, (n + 1) / g) if g > 0 else ((n + 1) / g, n / g),)
 
     def tail_bounds(self) -> tuple[QuadraticReal, QuadraticReal]:
