@@ -6,9 +6,9 @@ For each family the script runs `hermite.criterion_scan` on every input and
 hashes `repr((flags, state))` of all of them in order, then prints one line
 `<family> <inputs> <sha256>`.  Run it in two checkouts (copy the script
 into one that lacks it) and compare the lines: equal digests mean equal
-flags, quotients, denominators and stop reasons.  The last two families,
-`sequences` and `expansions`, hash the layers below the criterion instead.
-The families:
+flags, quotients, denominators and stop reasons.  The families
+`sequences` and `expansions` hash the layers below the criterion instead,
+and `cli` the command line above it.  The families:
 
 * `criterion5`: the 100 rationals and 10 quadratics of acceptance
   criterion 5, at depths 10**6 and 50;
@@ -28,21 +28,28 @@ The families:
   inputs again, hashing `repr` of `cf.cf_expand(x0, depth)` on the reduced
   input x0 and of the `cf.tail_value` bounds at three indices: 0, the
   middle and the last quotient's.
+* `cli`: the 1,280 calls of perfbench's `cli_mixed` workload for `--seed`,
+  then the argument rejections of `tests/test_cli.py` and `--help`, all
+  through `cli.main` in this one process, hashing `repr` of each call's
+  exit code, standard output and standard error.  `experiment` is left
+  out, as it writes files.
 
-`--tiny` takes a few inputs of each family and the deep samples at depth
-300, for a smoke test.  Standard library only.
+`--tiny` takes a few inputs of each family, the deep samples at depth 300
+and the first 20 calls of `cli`, for a smoke test.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from hermite_lab import make_decimal, parse_real
+from hermite_lab import cli, make_decimal, parse_real
 from hermite_lab.cf import cf_expand, reduce_theta, tail_value
 from hermite_lab.hermite import criterion_scan, flags_via_envelope
 from hermite_lab.lattice import complete_sequence
@@ -53,6 +60,8 @@ TIES = (
     "5/14", "3/8", "(-3+1*sqrt(21))/6", "(-320874+987817*sqrt(11))/158177",
     "3/14", "11/26", "17/62", "0.5@64", "4/5",
 )
+# TestArgumentRejections' argument lists, and the help text
+REJECTIONS = (("measure", "--tol", "-inf"), ("expand", "--theta", "3/8"), ("bogus",), ("--help",))
 
 
 def _random_decimals(count: int) -> list:
@@ -81,6 +90,9 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
     crosscheck = [(s, workloads.FULL.cross_depth) for s in cross]
     decimals = [(s, 10**6) for s in decimals]
     deep = [(s, size.depth) for s in workloads.build_deep(seed, size)]
+    calls = [call.argv for call in workloads.build_cli(seed, workloads.FULL)]
+    if tiny:
+        calls = calls[:20]
     return {
         "criterion5": criterion5,
         "crosscheck": crosscheck,
@@ -89,6 +101,7 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         "deep": deep,
         "sequences": criterion5 + crosscheck,
         "expansions": criterion5 + crosscheck + decimals + deep,
+        "cli": [(argv,) for argv in calls + list(REJECTIONS)],
     }
 
 
@@ -106,13 +119,25 @@ def expansion_record(spec, depth: int) -> tuple:
     return pq, [tail_value(x0, pq, n).value for n in (min(0, last), last // 2, last)]
 
 
-RECORDS = {"sequences": sequence_record, "expansions": expansion_record}
+def cli_record(argv: tuple) -> tuple:
+    """Exit code, standard output and standard error of `cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's rejections and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+RECORDS = {"sequences": sequence_record, "expansions": expansion_record, "cli": cli_record}
 
 
 def digest(cases, record=criterion_scan) -> str:
+    """SHA-256 of `repr(record(*case))` over the cases, in order."""
     h = hashlib.sha256()
-    for spec, depth in cases:
-        h.update(repr(record(spec, depth)).encode())
+    for case in cases:
+        h.update(repr(record(*case)).encode())
     return h.hexdigest()
 
 

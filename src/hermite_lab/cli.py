@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -197,6 +198,8 @@ def _cmd_experiment(args) -> int:
         if out_json.is_dir():  # checked first: '/' and '.' have no suffix to replace
             raise InvalidArgument(f"output path is a directory: {out_json}")
         out_csv = out_json.with_suffix(".csv")
+        if out_csv == out_json:  # the table would overwrite the record
+            raise InvalidArgument(f"output path is also the CSV path: {out_json}")
         if out_csv.is_dir():
             raise InvalidArgument(f"output path is a directory: {out_csv}")
     except OSError as exc:  # a file name too long, say
@@ -252,7 +255,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, _error_line(message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on `main`'s first call.
+
+    Building it costs more than most commands, so it is built once and
+    reused.  That is safe: a parse keeps no state on the parser and makes a
+    fresh namespace, the `_cmd_*` functions look up the library's functions
+    when they run, and argparse writes help and errors to `sys.stdout` and
+    `sys.stderr` as they are at call time.
+    """
     parser = _Parser(
         prog="hermite-lab",
         description="Minimal vectors, Hermite best approximations, Gauss-map statistics",

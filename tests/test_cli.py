@@ -267,6 +267,21 @@ class TestExperiment:
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith(f"error: {reason}: "), captured.err
 
+    def test_out_that_is_the_csv_path_exit_2(self, capsys, monkeypatch, tmp_path):
+        # run.csv would hold the table written over the record
+        def must_not_run(cfg):
+            raise AssertionError("experiment ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "same.csv"
+        code = cli.main(["experiment", "--samples", "2", "--depth", "20", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: output path is also the CSV path: ")
+        assert not out.exists()
+
     def test_failed_write_exit_2(self, capsys, monkeypatch, tmp_path):
         def disk_full(path, *args, **kwargs):
             raise OSError(28, "No space left on device")
@@ -359,6 +374,46 @@ class TestArgumentRejections:
         assert exc.value.code == 0
         assert captured.out.startswith("usage: hermite-lab")
         assert "experiment" in captured.out
+
+
+class TestParserReuse:
+    def test_reused_parser_carries_nothing_between_calls(self, capsys):
+        def call(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def fresh_rejection(argv):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser.__wrapped__().parse_args(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        valid = ["flags", "--theta", "(-3+1*sqrt(21))/6", "--n", "10", "--verify"]
+        shallow = ["expand", "--theta", "0.3819660112501051517954131@64", "--n", "70"]
+        missing, bogus = ["expand", "--theta", "3/8"], ["bogus"]
+        cli.build_parser.cache_clear()
+        first_rejection = call(missing)
+        help_code, help_text, _ = call(["--help"])
+        first = call(valid)
+        second_rejection = call(bogus)
+        shallow_code, shallow_out, shallow_err = call(shallow)
+        again = call(valid)
+
+        assert first_rejection == fresh_rejection(missing)
+        assert second_rejection == fresh_rejection(bogus)
+        assert first_rejection[0] == second_rejection[0] == 2
+        assert help_code == 0 and help_text.startswith("usage: hermite-lab")
+        assert first[0] == 0 and first[2] == ""
+        assert again == first
+        assert shallow_code == 3 and shallow_out == ""
+        assert len(shallow_err.splitlines()) == 1
+        # main builds the parser on its first call and reuses it after
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
 
 def _reject_constant(token):

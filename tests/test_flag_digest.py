@@ -16,7 +16,9 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert flag_digest.main(["--tiny"]) == 0
     assert sys.get_int_max_str_digits() != 0  # lifted for the run only
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    names = ["criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions"]
+    names = [
+        "criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions", "cli",
+    ]
     assert [name for name, _, _ in lines] == names
     for name, count, digest in lines:
         assert int(count) > 0 and len(digest) == 64 and int(digest, 16) >= 0, name
@@ -28,3 +30,5 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert sequences == lines[5][2]
     expansions = flag_digest.digest(families["expansions"], flag_digest.expansion_record)
     assert expansions == lines[6][2]
+    assert len(families["cli"]) == int(lines[7][1]) == 20 + len(flag_digest.REJECTIONS)
+    assert flag_digest.digest(families["cli"], flag_digest.cli_record) == lines[7][2]
