@@ -29,10 +29,11 @@ and `cli` the command line above it.  The families:
   input x0 and of the `cf.tail_value` bounds at three indices: 0, the
   middle and the last quotient's.
 * `cli`: the 1,280 calls of perfbench's `cli_mixed` workload for `--seed`,
-  then the argument rejections of `tests/test_cli.py` and `--help`, all
-  through `cli.main` in this one process, hashing `repr` of each call's
-  exit code, standard output and standard error.  `experiment` is left
-  out, as it writes files.
+  then `helpers.ARGUMENT_REJECTIONS` (the argument rejections of
+  `tests/test_cli.py`) and `--help`, all through `cli.main` in this one
+  process, hashing `repr` of each call's exit code, standard output and
+  standard error.  Help text is formatted 80 columns wide, whatever the
+  terminal.  `experiment` is left out, as it writes files.
 
 `--tiny` takes a few inputs of each family, the deep samples at depth 300
 and the first 20 calls of `cli`, for a smoke test.  Standard library only.
@@ -44,10 +45,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from hermite_lab import cli, make_decimal, parse_real
 from hermite_lab.cf import cf_expand, reduce_theta, tail_value
@@ -60,8 +63,6 @@ TIES = (
     "5/14", "3/8", "(-3+1*sqrt(21))/6", "(-320874+987817*sqrt(11))/158177",
     "3/14", "11/26", "17/62", "0.5@64", "4/5",
 )
-# TestArgumentRejections' argument lists, and the help text
-REJECTIONS = (("measure", "--tol", "-inf"), ("expand", "--theta", "3/8"), ("bogus",), ("--help",))
 
 
 def _random_decimals(count: int) -> list:
@@ -76,7 +77,7 @@ def _random_decimals(count: int) -> list:
 def families(seed: int, tiny: bool) -> dict[str, list]:
     """Family name -> list of (spec, depth); needs tests/ and perfbench/ on the path."""
     import workloads
-    from helpers import random_quadratic_specs, random_rational_specs
+    from helpers import ARGUMENT_REJECTIONS, random_quadratic_specs, random_rational_specs
 
     size = workloads.TINY if tiny else workloads.FULL
     rationals = random_rational_specs(100, 10**6, seed=501)
@@ -101,7 +102,7 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         "deep": deep,
         "sequences": criterion5 + crosscheck,
         "expansions": criterion5 + crosscheck + decimals + deep,
-        "cli": [(argv,) for argv in calls + list(REJECTIONS)],
+        "cli": [(tuple(argv),) for argv in calls + ARGUMENT_REJECTIONS + [["--help"]]],
     }
 
 
@@ -120,9 +121,15 @@ def expansion_record(spec, depth: int) -> tuple:
 
 
 def cli_record(argv: tuple) -> tuple:
-    """Exit code, standard output and standard error of `cli.main(argv)`."""
+    """Exit code, standard output and standard error of `cli.main(argv)`.
+
+    `workloads.invoke` makes the same call but keeps no standard error.
+    argparse wraps help to the terminal width, read from COLUMNS at call
+    time, so the width is pinned for the call.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse's rejections and --help

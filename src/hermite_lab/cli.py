@@ -197,9 +197,9 @@ def _cmd_experiment(args) -> int:
             raise InvalidArgument(f"output directory does not exist: {out_json.parent}")
         if out_json.is_dir():  # checked first: '/' and '.' have no suffix to replace
             raise InvalidArgument(f"output path is a directory: {out_json}")
+        if out_json.suffix.lower() == ".csv":  # the table would overwrite the record
+            raise InvalidArgument(f"output path ends in .csv, the CSV table's path: {out_json}")
         out_csv = out_json.with_suffix(".csv")
-        if out_csv == out_json:  # the table would overwrite the record
-            raise InvalidArgument(f"output path is also the CSV path: {out_json}")
         if out_csv.is_dir():
             raise InvalidArgument(f"output path is a directory: {out_csv}")
     except OSError as exc:  # a file name too long, say
@@ -259,10 +259,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on `main`'s first call.
 
-    Building it costs more than most commands, so it is built once and
-    reused.  That is safe: a parse keeps no state on the parser and makes a
-    fresh namespace, the `_cmd_*` functions look up the library's functions
-    when they run, and argparse writes help and errors to `sys.stdout` and
+    A build costs more than most commands, so a process that calls `main`
+    more than once (the tests, the benchmark harness, a script driving the
+    CLI in process) builds it once and reuses it.  A `hermite-lab` process
+    calls `main` once, so it builds the parser once as it always did.
+    Reuse is safe: a parse keeps no state on the parser and makes a fresh
+    namespace, the `_cmd_*` functions look up the library's functions when
+    they run, and argparse writes help and errors to `sys.stdout` and
     `sys.stderr` as they are at call time.
     """
     parser = _Parser(

@@ -54,6 +54,15 @@ def random_quadratic_specs(count: int, seed: int) -> list[QuadraticSpec]:
     return out
 
 
+# Command lines that argparse rejects with one `error:` line and exit 2;
+# scripts/flag_digest.py hashes the CLI's answers to them as well
+ARGUMENT_REJECTIONS = [
+    ["measure", "--tol", "-inf"],  # argparse reads -inf as an option
+    ["expand", "--theta", "3/8"],  # --n missing
+    ["bogus"],  # unknown subcommand
+]
+
+
 def next_quotient(session):
     """The session's next certified quotient from a run of one; None once it has none."""
     run = session.run(1)[0]

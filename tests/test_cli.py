@@ -11,6 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from helpers import ARGUMENT_REJECTIONS
 
 from hermite_lab import cli
 from hermite_lab.numeric import int_of_digits
@@ -268,19 +269,21 @@ class TestExperiment:
             assert captured.err.startswith(f"error: {reason}: "), captured.err
 
     def test_out_that_is_the_csv_path_exit_2(self, capsys, monkeypatch, tmp_path):
-        # run.csv would hold the table written over the record
+        # run.csv would hold the table written over the record, and so would
+        # run.CSV on a case-insensitive file system
         def must_not_run(cfg):
             raise AssertionError("experiment ran before --out was checked")
 
         monkeypatch.setattr(cli, "run_experiment", must_not_run)
-        out = tmp_path / "same.csv"
-        code = cli.main(["experiment", "--samples", "2", "--depth", "20", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: output path is also the CSV path: ")
-        assert not out.exists()
+        for name in ("same.csv", "run.CSV"):
+            out = tmp_path / name
+            code = cli.main(["experiment", "--samples", "2", "--depth", "20", "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: output path ends in .csv, the CSV table's path: ")
+            assert not out.exists()
 
     def test_failed_write_exit_2(self, capsys, monkeypatch, tmp_path):
         def disk_full(path, *args, **kwargs):
@@ -350,14 +353,7 @@ def test_every_record_validates(capsys, tmp_path):
 
 
 class TestArgumentRejections:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["measure", "--tol", "-inf"],  # argparse reads -inf as an option
-            ["expand", "--theta", "3/8"],  # --n missing
-            ["bogus"],  # unknown subcommand
-        ],
-    )
+    @pytest.mark.parametrize("argv", ARGUMENT_REJECTIONS)
     def test_one_line_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+from helpers import ARGUMENT_REJECTIONS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -30,5 +32,5 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert sequences == lines[5][2]
     expansions = flag_digest.digest(families["expansions"], flag_digest.expansion_record)
     assert expansions == lines[6][2]
-    assert len(families["cli"]) == int(lines[7][1]) == 20 + len(flag_digest.REJECTIONS)
+    assert len(families["cli"]) == int(lines[7][1]) == 20 + len(ARGUMENT_REJECTIONS) + 1  # --help
     assert flag_digest.digest(families["cli"], flag_digest.cli_record) == lines[7][2]
