@@ -4,16 +4,17 @@ Expansion runs through one of two sessions: the classical integer
 recurrence on (P + sqrt(D))/Q for quadratic irrationals, and lockstep Euclid
 on both endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
-window shares it.  Long windows advance in Lehmer batches: quotients are
-certified on a small window of leading bits that contains both endpoints,
-and the long remainders take the batch's cosequence in one step.  Both
-sessions carry the convergent denominators of the quotients emitted so far,
-read through `denominators()`; a batch's cosequence advances them too, in
-four multiplications for the whole batch.  Both sessions are read through
-two methods only: `run(limit)` hands out the next quotients certified
-together, a batch's rest or a single one, with float bounds on the tail
-after each quotient of 1 for the Hermite criterion, and `tail_bounds()`
-gives exact bounds on the tail at the current position.
+window shares it.  The window session certifies every quotient in a batch,
+lockstep Euclid in small steps on a window around both ends: a long
+window's leading bits (Lehmer batches) or a short window's exact ends.  The
+remainders then take the batch's cosequence in one step, with the ends kept
+in order, the lower first.  Both sessions carry the convergent denominators
+of the quotients emitted so far, read through `denominators()`; a batch's
+cosequence advances them too, in four multiplications for the whole batch.
+Both sessions are read through two methods only: `run(limit)` hands out the
+next quotients certified together, with float bounds on the tail after each
+quotient of 1 for the Hermite criterion, and `tail_bounds()` gives exact
+bounds on the tail at the current position.
 """
 
 from __future__ import annotations
@@ -172,43 +173,35 @@ class _QuadraticSession:
         return tail, tail
 
 
-# A batch starts from the leading _HEAD_BITS of each endpoint and stops once
-# a small-window denominator is down to _CUT_BITS: the window's tails are then
-# still within about 2**(_HEAD_BITS - 2*_CUT_BITS) = 2**-48 of each other, far
-# below the float prefilter's 1e-9 margin, so reading them instead of the
-# exact tails leaves almost no flag to the exact fallback.
+# A Lehmer batch starts from the leading _HEAD_BITS of each endpoint and stops
+# once a small-window denominator is down to _CUT_BITS: the window's tails are
+# then still within about 2**(_HEAD_BITS - 2*_CUT_BITS) = 2**-48 of each
+# other, far below the float prefilter's 1e-9 margin, so reading them instead
+# of the exact tails leaves almost no flag to the exact fallback.
 _HEAD_BITS = 256
 _CUT_BITS = 152
-# Batches start only on denominators past _BATCH_MIN_BITS: on a window only
-# a few bits longer than the heads (the CLI's 256-bit decimals), the heads
-# are nearly the whole numbers and a batch saves no big-integer work.
+# Lehmer batches run only on denominators past _BATCH_MIN_BITS: on a window
+# only a few bits longer than the heads (the CLI's 256-bit decimals), the
+# heads are nearly the whole numbers and a batch saves no big-integer work.
 _BATCH_MIN_BITS = _HEAD_BITS + 64
-
-
-def _head_bounds(n: int, d: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Small fractions strictly below and above n/d, from d's leading _HEAD_BITS."""
-    s = d.bit_length() - _HEAD_BITS
-    n, d = n >> s, d >> s
-    return (n, d + 1), (n + 1, d)
 
 
 class _WindowSession:
     """Lockstep Euclid on both window endpoints; emits only shared quotients.
 
-    A rational is the zero-width window (value, value).  Both remainders
+    A rational is the zero-width window (value, value).  The ends are kept
+    in order: (an, ad) is the tail at the lower end and (bn, bd) the tail at
+    the upper one.  A step maps t to 1/t - a, which reverses the order, so
+    the ends swap after an odd number of quotients.  Both remainders
     reaching 0 on the same step means the expansion terminated; one alone,
     or differing quotients, means the window is exhausted.
 
-    Long endpoints advance in Lehmer batches.  The leading bits of both give
-    a small window that contains them, and lockstep Euclid on that window in
-    small ints queues quotients that hold for every real inside it, both true
-    endpoints included.  The long remainders and the convergent denominators
-    are brought to the current position by the batch's cosequence only when
-    the batch runs out or an exact comparison needs them.  `run` hands out
-    the rest of the batch at once, or as much of it as its limit allows,
-    with the floats of the small window's tails after each quotient of 1,
-    the one place the Hermite criterion reads a tail; they bound the true
-    tails at both endpoints.
+    Every quotient comes from a batch of `_start_batch`.  `_sync` brings the
+    remainders and the convergent denominators to the current position by
+    the batch's cosequence, only when the batch runs out or an exact
+    comparison needs them.  `run` hands out the rest of the batch, or as
+    much of it as its limit allows, with the floats of the batch window's
+    tails after each quotient of 1; they bound the true tails at both ends.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -228,36 +221,20 @@ class _WindowSession:
     def run(self, limit: int):
         """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
 
-        A run is the rest of the live batch, or of a batch started here, or
-        the one quotient of a full-width step; it is empty once the
-        expansion terminated or the window is exhausted.  Beside each
-        quotient of 1 is a float pair (lo, hi) around the tails at both
-        window ends after it, each end correct to the rounding of one float
-        division; None beside the others.
+        A run is the rest of the live batch, or of a batch started here; it
+        is empty once the expansion terminated or the window is exhausted.
+        Beside each quotient of 1 is a float pair (lo, hi) around the tails
+        at both window ends after it, each end correct to the rounding of
+        one float division; None beside the others.
         """
         i = self._used
         if i == len(self._batch):
-            if i:
-                self._sync()
-            if self.exhausted or not (self.an and self.bn):
+            self._sync()
+            if self.exhausted or not self._start_batch():
                 # both remainders 0 on the same step: terminated
                 self.terminated = self.an == self.bn == 0
                 self.exhausted = not self.terminated
                 return (), ()
-            long = self.ad >> _BATCH_MIN_BITS and self.bd >> _BATCH_MIN_BITS
-            if not (long and self._start_batch()):
-                qa, ra = divmod(self.ad, self.an)
-                qb, rb = divmod(self.bd, self.bn)
-                if qa != qb:
-                    self.exhausted = True
-                    return (), ()
-                self.an, self.ad = ra, self.an
-                self.bn, self.bd = rb, self.bn
-                self._q_prev, self._q_cur = self._q_cur, qa * self._q_cur + self._q_prev
-                if qa != 1:
-                    return (qa,), (None,)
-                x1, x2 = self.an / self.ad, self.bn / self.bd
-                return (1,), ((x1, x2) if x1 <= x2 else (x2, x1),)
             i = 0
         j = min(i + limit, len(self._batch))
         self._used = j
@@ -272,31 +249,36 @@ class _WindowSession:
         self._used -= j
 
     def _start_batch(self) -> bool:
-        """Queue the quotients that the leading bits of both endpoints certify.
+        """Queue the quotients that a small window around both ends certifies.
 
-        Needs both denominators longer than _HEAD_BITS; runs only on those
-        longer than _BATCH_MIN_BITS.  Each step divides the small window's
-        lower end ln/ld and checks that the quotient also holds at its upper
-        end un/ud, 0 <= ud - q*un < un, which is the test of a second
-        `divmod`.  A step reverses the order of the tails, so the ends swap
-        roles and ln/ld stays the lower one.
+        A long window, both denominators past _BATCH_MIN_BITS, runs on the
+        lower end's leading _HEAD_BITS rounded down and the upper end's
+        rounded up until a denominator is down to _CUT_BITS; if that
+        certifies nothing, the exact ends take one step.  A short window runs
+        on its exact ends to the window's end.  Each step divides the lower
+        end ln/ld, checks that the quotient holds at the upper end un/ud,
+        0 <= ud - q*un < un, and swaps the ends, as it reverses their order.
         """
-        (ln, ld), (un, ud) = _head_bounds(self.an, self.ad)
-        (ln2, ld2), (un2, ud2) = _head_bounds(self.bn, self.bd)
-        if ln2 * ld < ln * ld2:
-            ln, ld = ln2, ld2
-        if un2 * ud > un * ud2:
-            un, ud = un2, ud2
-        batch, tails = [], []
-        cut = 1 << _CUT_BITS
-        while ln and un and ld >= cut and ud >= cut:
-            q, r = divmod(ld, ln)
-            s = ud - un if q == 1 else ud - q * un
-            if s < 0 or s >= un:
+        an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
+        windows = [(an, ad, bn, bd, 0)]
+        if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
+            s, t = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
+            windows = [(an >> s, (ad >> s) + 1, (bn >> t) + 1, bd >> t, 1 << _CUT_BITS)]
+            # each new denominator is an old numerator, below its end's old
+            # denominator: a cut at the lesser old one stops after one step
+            windows.append((an, ad, bn, bd, min(ad, bd)))
+        for ln, ld, un, ud, cut in windows:
+            batch, tails = [], []
+            while ln and un and ld >= cut and ud >= cut:
+                q, r = divmod(ld, ln)
+                s = ud - un if q == 1 else ud - q * un
+                if s < 0 or s >= un:
+                    break
+                batch.append(q)
+                tails.append((s / un, r / ln) if q == 1 else None)
+                ln, ld, un, ud = s, un, r, ln
+            if batch:
                 break
-            batch.append(q)
-            tails.append((s / un, r / ln) if q == 1 else None)
-            ln, ld, un, ud = s, un, r, ln
         self._batch, self._tails = batch, tails
         return bool(batch)
 
@@ -306,7 +288,8 @@ class _WindowSession:
         After quotients a_1..a_j with convergents p_k/q_k, Euclid's
         remainders are |q_j n - p_j d| and |q_{j-1} n - p_{j-1} d|, and the
         denominators (Q', Q) from before the batch become
-        (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q').
+        (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q').  After an odd j the ends
+        swap, as the lower end's tail is then the upper one.
         """
         if not self._batch:
             return
@@ -315,6 +298,8 @@ class _WindowSession:
             p0, p1 = p1, a * p1 + p0
             q0, q1 = q1, a * q1 + q0
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
+        if self._used & 1:
+            an, ad, bn, bd = bn, bd, an, ad
         self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
         self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
         Q0, Q1 = self._q_prev, self._q_cur
@@ -327,18 +312,16 @@ class _WindowSession:
         return self._q_prev, self._q_cur
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
-        """Signs of tail - num/den (den > 0) at the two window ends."""
+        """Signs of tail - num/den (den > 0) at the lower and the upper window end."""
         self._sync()
         s1 = self.an * den - self.ad * num
         s2 = self.bn * den - self.bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact tails at the two window ends, in order."""
+        """Exact tails at the lower and the upper window end."""
         self._sync()
-        t1 = Fraction(self.an, self.ad)
-        t2 = Fraction(self.bn, self.bd)
-        return (t1, t2) if t1 <= t2 else (t2, t1)
+        return Fraction(self.an, self.ad), Fraction(self.bn, self.bd)
 
 
 ExpansionSession = _WindowSession | _QuadraticSession

@@ -92,6 +92,17 @@ def int_of_digits(text: str) -> int:
     return int_of_digits(text[:half]) * 10 ** (len(text) - half) + int_of_digits(text[half:])
 
 
+def digits_of_int(n: int) -> str:
+    """str(n) for an int of any size, past CPython's int/str limit: `int_of_digits`' inverse."""
+    if n < 0:
+        return "-" + digits_of_int(-n)
+    if n.bit_length() <= 2000:  # below 10**603, well inside any limit CPython lets a caller set
+        return str(n)
+    low_digits = n.bit_length() * 30103 // 200000  # about half of n's digits
+    high, low = divmod(n, 10**low_digits)
+    return digits_of_int(high) + digits_of_int(low).zfill(low_digits)
+
+
 def ln_big(n: int) -> float:
     """Natural log of a positive integer of arbitrary size."""
     if n <= 0:
@@ -235,7 +246,8 @@ class QuadraticReal:
         return self._diff_sign(other) >= 0
 
     def __str__(self) -> str:
-        return f"({self.a}{self.b:+}*sqrt({self.d}))/{self.c}"
+        a, b, c, d = (digits_of_int(k) for k in (self.a, self.b, self.c, self.d))
+        return f"({a}{'+' if self.b > 0 else ''}{b}*sqrt({d}))/{c}"
 
 
 def quadratic_or_rational(a: int, b: int, c: int, d: int) -> Union[Fraction, QuadraticReal]:
@@ -292,8 +304,8 @@ class DecimalSpec:
     """Exact truncated rational plus its uncertainty window.
 
     The digits pin the value exactly; `declared_bits` says how well the
-    *intended* real is known: it lies in [window_lo, window_hi].  Build one
-    with `make_decimal`, which checks that the value lies in its window;
+    *intended* real is known: it lies in [window_lo, window_hi], and takes
+    64 to MAX_BITS bits.  Build one with `make_decimal`, which checks that the value lies in its window;
     `cf.reduce_theta` builds x0 directly, as the translate or mirror of a
     window already checked, which spares two cross-multiplications of
     numbers as long as the window.
@@ -304,10 +316,10 @@ class DecimalSpec:
     window_lo: Fraction
     window_hi: Fraction
     text: str = ""
+    MAX_BITS = 1 << 20  # 54 times the 19,400 bits of a depth-5000 sample
 
     def __post_init__(self):
-        if self.declared_bits < 64:
-            raise ParseError("decimal precision must be >= 64 bits")
+        _check_declared_bits(self.declared_bits)
 
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -318,12 +330,18 @@ class DecimalSpec:
 RealSpec = Union[RationalSpec, QuadraticSpec, DecimalSpec]
 
 
+def _check_declared_bits(bits: int) -> None:
+    if not 64 <= bits <= DecimalSpec.MAX_BITS:
+        raise ParseError("decimal precision must be 64 to 2**20 bits")
+
+
 def make_decimal(
     value: Fraction,
     declared_bits: int = DEFAULT_DECIMAL_BITS,
     window: tuple[Fraction, Fraction] | None = None,
     text: str = "",
 ) -> DecimalSpec:
+    _check_declared_bits(declared_bits)  # before 2**declared_bits is formed
     if window is None:
         ulp = Fraction(1, 1 << declared_bits)
         window = (value, value + ulp)
@@ -376,7 +394,7 @@ def _decimal_digits(value: Fraction, max_digits: int) -> str:
         pieces.append(f"{digit_block:0{take}d}")
         produced += take
     frac_part = "".join(pieces) or "0"
-    return f"{whole}.{frac_part}"
+    return f"{digits_of_int(whole)}.{frac_part}"
 
 
 def spec_text(spec: RealSpec) -> str:
@@ -390,7 +408,7 @@ def spec_text(spec: RealSpec) -> str:
     declared precision.
     """
     if isinstance(spec, RationalSpec):
-        return f"{spec.value.numerator}/{spec.value.denominator}"
+        return f"{digits_of_int(spec.value.numerator)}/{digits_of_int(spec.value.denominator)}"
     if isinstance(spec, QuadraticSpec):
         return str(spec.value)
     if spec.text:  # a sampled decimal's text carries no @bits

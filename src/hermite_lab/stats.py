@@ -47,8 +47,9 @@ class ExperimentConfig:
             raise InvalidArgument("sample_count must be positive")
         if self.depth_n < 10:
             raise InvalidArgument("depth_n must be >= 10")
-        if self.precision_bits is not None and self.precision_bits < 64:
-            raise InvalidArgument("precision_bits must be >= 64")
+        bits = self.precision_bits
+        if bits is not None and not 64 <= bits <= DecimalSpec.MAX_BITS:
+            raise InvalidArgument("precision_bits must be 64 to 2**20")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
         if isinstance(self.theta_source, str) and self.theta_source != "uniform01":
@@ -128,13 +129,6 @@ class AggregateReport:
 # sampling
 
 
-def _digit_count(bits: int) -> int:
-    digits = bits * 30103 // 100000 + 1
-    while 10**digits < 1 << bits:
-        digits += 1
-    return digits
-
-
 _CHUNK_DIGITS = 18
 _CHUNK_BYTES = 15  # 120 random bits per 18-digit chunk: mod bias ~ 1e-18
 
@@ -148,7 +142,7 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
     """
     if count < 1:
         raise InvalidArgument("count must be >= 1")
-    digits = _digit_count(precision_bits)
+    digits = precision_bits * 30103 // 100000 + 1  # 0.30103 > log10(2): 10**digits > 2**bits
     chunks = -(-digits // _CHUNK_DIGITS)
     need_bytes = chunks * _CHUNK_BYTES
     key = seed.to_bytes(8, "big", signed=False)

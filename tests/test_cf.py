@@ -644,8 +644,8 @@ class TestWindowEngine:
             batched = 0
             q_prev, q_cur = 0, 1
             for k, (an, ad, bn, bd) in enumerate(states):
-                ends = (Fraction(an, ad), Fraction(bn, bd))
-                assert copy.copy(session).tail_bounds() == tuple(sorted(ends))
+                ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))  # (lower, upper)
+                assert copy.copy(session).tail_bounds() == ends
                 for s in (session, poked):
                     assert copy.copy(s).denominators() == (q_prev, q_cur), k
                 num = rng.randint(1, 999)
@@ -700,6 +700,75 @@ class TestWindowEngine:
                 an, ad, bn, bd = states[c]
                 ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))
                 assert tail_value(x0, pq, c - 1).value == ends
+
+    def test_short_window_is_one_batch(self):
+        # a window with a denominator of at most _BATCH_MIN_BITS is its own
+        # batch window: the whole expansion comes in one run, and runs of
+        # random limits, some handed back, concatenate to lockstep Euclid's
+        rng = random.Random(37)
+        inputs = []
+        for _ in range(20):
+            den = rng.getrandbits(rng.randint(64, _BATCH_MIN_BITS)) | 1
+            inputs.append(RationalSpec(Fraction(rng.randrange(den // 8, den // 2), den)))
+            value = Fraction(rng.randrange(1 << 252, 1 << 255), 1 << 256)
+            inputs.append(make_decimal(value, 256))
+        for x0 in inputs:
+            quotients, states, terminated = _lockstep(*x0.bounds)
+            assert len(quotients) > 10
+            session = expansion(x0)
+            assert session.run(10**6)[0] == quotients
+            assert session.run(10**6) == ((), ())
+            _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
+
+    def test_ends_stay_in_order(self):
+        # (an, ad) is the lower end at every position, read mid-batch through
+        # a copy: tail_signs reads 0 at each end and the order at the other
+        rng = random.Random(41)
+        inputs = [
+            make_decimal(Fraction(rng.randrange(1, 10**80), 2 * 10**80), 256),
+            make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
+            RationalSpec(Fraction(rng.getrandbits(2000), (1 << 2001) + 1)),
+        ]
+        for x0 in inputs:
+            session = expansion(x0)
+            positions = 0  # quotients read
+            while True:
+                lower, upper = copy.copy(session).tail_bounds()
+                gap = (lower < upper) - (lower > upper)
+                assert gap == (0 if isinstance(x0, RationalSpec) else 1), positions
+                for end, signs in ((lower, (0, gap)), (upper, (-gap, 0))):
+                    got = copy.copy(session).tail_signs(end.numerator, end.denominator)
+                    assert got == signs, positions
+                run = session.run(rng.choice((1, 3)))[0]
+                if not run:
+                    break
+                positions += len(run)
+            assert positions > 60
+
+    def test_paper_width_rational_next_to_a_quotient_boundary_is_plain_euclid(self):
+        # p/q + 2**-19400, as wide as a depth-5000 sample: after p/q's
+        # quotients comes one of about 19,340 bits, which the exact ends take
+        rng = random.Random(43)
+        specs = []
+        for _ in range(3):
+            q = rng.randint(10**8, 10**9)
+            p = rng.randint(1, q // 2 - 1)
+            specs.append(RationalSpec(Fraction(p, q) + Fraction(rng.choice((-1, 1)), 1 << 19400)))
+        _assert_plain_euclid(specs)
+
+    def test_long_window_fallback_takes_one_step(self):
+        # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is
+        # 0, so the exact ends certify a, and they take that one step only
+        rng = random.Random(47)
+        a = rng.getrandbits(2000) | 1 << 1999
+        x0 = RationalSpec(1 / (a + Fraction(rng.getrandbits(1000), (1 << 1000) + 1)))
+        session = expansion(x0)
+        assert session.run(10**6) == ([a], [None])
+        assert len(session._batch) == 1
+        rest = []
+        while run := session.run(10**6)[0]:
+            rest += run
+        assert [a] + rest == _euclid(x0.value)
 
     def test_one_endpoint_reaching_zero_exhausts_the_window(self):
         # 3/10 = [0; 3, 3]: the lower endpoint terminates while the upper

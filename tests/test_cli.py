@@ -307,6 +307,20 @@ class TestExperiment:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_precision_past_the_maximum_exit_2(self, capsys, tmp_path):
+        # 2**20 + 1 bits, one past DecimalSpec.MAX_BITS: rejected before the run
+        out = tmp_path / "run.json"
+        for argv in (
+            ["flags", "--theta", "0.5@1048577", "--n", "5"],
+            ["experiment", "--samples", "1", "--depth", "10", "--out", str(out),
+             "--precision-bits", "1048577"],
+        ):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_every_sample_rejected_exit_3(self, capsys, tmp_path):
         # 64 bits cannot certify 400 flags: running out of precision is exit 3
         out = tmp_path / "run.json"

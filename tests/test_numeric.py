@@ -22,6 +22,7 @@ from hermite_lab import (
     spec_text,
 )
 from hermite_lab.numeric import (
+    digits_of_int,
     int_of_digits,
     quadratic_or_rational,
     squarefree_split,
@@ -78,8 +79,34 @@ class TestParse:
             digits = "".join(rng.choice("0123456789") for _ in range(length))
             for sign in ("", "+", "-"):
                 assert int_of_digits(sign + digits) == int(sign + digits)
+                assert digits_of_int(int(sign + digits)) == str(int(sign + digits))
         assert int_of_digits("-" + "9" * 9000) == 1 - 10**9000
         assert int_of_digits("+0001" + "0" * 9000) == 10**9000
+        assert digits_of_int(1 - 10**9000) == "-" + "9" * 9000
+        assert digits_of_int(10**9000) == "1" + "0" * 9000
+        for _ in range(20):
+            n = rng.getrandbits(rng.randint(2001, 40000))
+            assert int_of_digits(digits_of_int(n)) == n
+
+    def test_text_past_the_int_limit(self):
+        # spec_text writes what parse_real reads, past CPython's 4,300-digit
+        # int/str limit, which only the CLI lifts
+        big = 10**5000
+        specs = [
+            RationalSpec(Fraction(big + 1, 3 * big)),
+            QuadraticSpec(QuadraticReal(-1, -big, 2 * big + 1, 5)),
+            QuadraticSpec(QuadraticReal(big, 1, 3, 7)),
+            make_decimal(Fraction(big + 1, 2), 64),
+        ]
+        assert spec_text(specs[0]) == f"1{'0' * 4999}1/3{'0' * 5000}"
+        for spec in specs:
+            assert parse_real(spec_text(spec)).bounds == spec.bounds
+
+    def test_declared_precision_up_to_the_maximum(self):
+        assert DecimalSpec.MAX_BITS == 1 << 20
+        assert parse_real("0.5@1048576").declared_bits == 1 << 20
+        with pytest.raises(ParseError):
+            make_decimal(Fraction(1, 3), (1 << 20) + 1)
 
     def test_decimal_default_bits(self):
         assert parse_real("0.25").declared_bits == 256
@@ -90,7 +117,10 @@ class TestParse:
     def test_zero_b_folds_to_rational(self):
         assert parse_real("(3+0*sqrt(5))/2") == RationalSpec(Fraction(3, 2))
 
-    @pytest.mark.parametrize("text", ["abc", "1/0", "(1+1*sqrt(5))/0", "0.5@32", ""])
+    # a precision past DecimalSpec.MAX_BITS = 2**20 is rejected before 2**bits is formed
+    @pytest.mark.parametrize(
+        "text", ["abc", "1/0", "(1+1*sqrt(5))/0", "0.5@32", "0.5@1048577", ""]
+    )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_real(text)

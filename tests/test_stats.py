@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from hermite_lab import (
     LEVY_RATE,
     ExperimentConfig,
     HermiteLabError,
+    RationalSpec,
     analyze_theta,
     parse_real,
     run_experiment,
@@ -70,6 +72,13 @@ class TestAnalyze:
         for bits in (120, 127):
             spec = sample_thetas(42, 1, bits)[0]
             assert analyze_theta(spec, 10).theta_id == f"{spec.text[:28]}...({bits}b)"
+
+    def test_id_of_a_rational_past_the_int_limit(self):
+        # its text has 10,003 characters, past CPython's 4,300-digit int/str
+        # limit, which only the CLI lifts
+        spec = RationalSpec(Fraction(10**5000 + 1, 3 * 10**5000))
+        cfg = ExperimentConfig(sample_count=1, depth_n=10, theta_source=[spec])
+        assert run_experiment(cfg).reports[0].theta_id == f"1{'0' * 27}...(10003)"
 
     def test_counts_are_consistent(self):
         for seed in (3, 4, 5):
@@ -158,6 +167,8 @@ class TestExperiment:
             ExperimentConfig(sample_count=1, depth_n=5)
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, precision_bits=32)
+        with pytest.raises(ValueError):  # past DecimalSpec.MAX_BITS = 2**20
+            ExperimentConfig(sample_count=1, precision_bits=(1 << 20) + 1)
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, workers=0)
 
