@@ -262,8 +262,8 @@ class _WindowSession:
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         windows = [(an, ad, bn, bd, 0)]
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
-            s, t = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
-            windows = [(an >> s, (ad >> s) + 1, (bn >> t) + 1, bd >> t, 1 << _CUT_BITS)]
+            sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
+            windows = [(an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb, 1 << _CUT_BITS)]
             # each new denominator is an old numerator, below its end's old
             # denominator: a cut at the lesser old one stops after one step
             windows.append((an, ad, bn, bd, min(ad, bd)))
