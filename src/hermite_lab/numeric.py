@@ -331,8 +331,10 @@ RealSpec = Union[RationalSpec, QuadraticSpec, DecimalSpec]
 
 
 def _check_declared_bits(bits: int) -> None:
-    if not 64 <= bits <= DecimalSpec.MAX_BITS:
-        raise ParseError("decimal precision must be 64 to 2**20 bits")
+    if bits < 64:
+        raise ParseError("decimal precision must be >= 64 bits")
+    if bits > DecimalSpec.MAX_BITS:
+        raise ParseError("decimal precision must be <= 2**20 bits")
 
 
 def make_decimal(

@@ -47,9 +47,10 @@ class ExperimentConfig:
             raise InvalidArgument("sample_count must be positive")
         if self.depth_n < 10:
             raise InvalidArgument("depth_n must be >= 10")
-        bits = self.precision_bits
-        if bits is not None and not 64 <= bits <= DecimalSpec.MAX_BITS:
-            raise InvalidArgument("precision_bits must be 64 to 2**20")
+        if self.precision_bits is not None and self.precision_bits < 64:
+            raise InvalidArgument("precision_bits must be >= 64")
+        if self.precision_bits is not None and self.precision_bits > DecimalSpec.MAX_BITS:
+            raise InvalidArgument("precision_bits must be <= 2**20")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
         if isinstance(self.theta_source, str) and self.theta_source != "uniform01":
