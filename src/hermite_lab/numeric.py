@@ -305,10 +305,10 @@ class DecimalSpec:
 
     The digits pin the value exactly; `declared_bits` says how well the
     *intended* real is known: it lies in [window_lo, window_hi], and takes
-    64 to MAX_BITS bits.  Build one with `make_decimal`, which checks that the value lies in its window;
-    `cf.reduce_theta` builds x0 directly, as the translate or mirror of a
-    window already checked, which spares two cross-multiplications of
-    numbers as long as the window.
+    64 to MAX_BITS bits.  Build one with `make_decimal`, which checks that
+    the value lies in its window; `cf.reduce_theta` builds x0 directly, as
+    the translate or mirror of a window already checked, which spares two
+    cross-multiplications of numbers as long as the window.
     """
 
     value: Fraction

@@ -310,11 +310,9 @@ class TestExperiment:
     def test_precision_past_the_maximum_exit_2(self, capsys, tmp_path):
         # 2**20 + 1 bits, one past DecimalSpec.MAX_BITS: rejected before the run
         out = tmp_path / "run.json"
-        for argv in (
-            ["flags", "--theta", "0.5@1048577", "--n", "5"],
-            ["experiment", "--samples", "1", "--depth", "10", "--out", str(out),
-             "--precision-bits", "1048577"],
-        ):
+        flags = ["flags", "--theta", "0.5@1048577", "--n", "5"]
+        experiment = ["experiment", "--samples", "1", "--depth", "10", "--out", str(out)]
+        for argv in (flags, experiment + ["--precision-bits", "1048577"]):
             code = cli.main(argv)
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
