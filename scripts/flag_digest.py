@@ -34,9 +34,12 @@ and `cli` the command line above it.  The families:
   process, hashing `repr` of each call's exit code, standard output and
   standard error.  Help text is formatted 80 columns wide, whatever the
   terminal.  `experiment` is left out, as it writes files.
+* `cli_csv`: the `cli_mixed` calls of `cli` again, each with `--format
+  csv`, hashing the same record per call.
 
 `--tiny` takes a few inputs of each family, the deep samples at depth 300
-and the first 20 calls of `cli`, for a smoke test.  Standard library only.
+and the first 20 calls of `cli` and `cli_csv`, for a smoke test.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         "sequences": criterion5 + crosscheck,
         "expansions": criterion5 + crosscheck + decimals + deep,
         "cli": [(tuple(argv),) for argv in calls + ARGUMENT_REJECTIONS + [["--help"]]],
+        "cli_csv": [(tuple(argv) + ("--format", "csv"),) for argv in calls],
     }
 
 
@@ -137,7 +141,10 @@ def cli_record(argv: tuple) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-RECORDS = {"sequences": sequence_record, "expansions": expansion_record, "cli": cli_record}
+RECORDS = {
+    "sequences": sequence_record, "expansions": expansion_record,
+    "cli": cli_record, "cli_csv": cli_record,
+}
 
 
 def digest(cases, record=criterion_scan) -> str:

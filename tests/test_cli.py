@@ -85,6 +85,18 @@ class TestExpand:
         assert int_of_digits(list(csv.reader(io.StringIO(out)))[2][1]) == 10**5000
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
+    @pytest.mark.parametrize("theta", ["-22/7", "-0.123456789@64"])
+    def test_negative_theta_needs_the_equals_form(self, capsys, theta):
+        # argparse takes a '-'-led token that is not a plain number for an option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "--theta", theta, "--n", "3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == "error: argument --theta: expected one argument\n"
+        code, record = run_json(capsys, "expand", f"--theta={theta}", "--n", "3")
+        assert code == 0
+        assert record["inputs"]["theta"] == theta and record["results"]["sign"] == -1
+
     def test_internal_value_error_not_masked(self, monkeypatch):
         # only the package's own errors are input errors (exit 2)
         def broken(*args, **kwargs):
@@ -339,6 +351,34 @@ class TestExperiment:
         assert a.read_text() == b.read_text()
 
 
+def test_csv_tables_of_every_command(capsys, tmp_path):
+    # the exact bytes of each command's table under --format csv
+    theta_ids = ["0.56471573693357493793270311...(307b)", "0.95414547944083664752789546...(307b)"]
+    tables = [
+        (
+            ("expand", "--theta", "3/8", "--n", "3"),
+            "index,quotient,p,q\n0,,0,1\n1,2,1,2\n2,1,1,3\n3,2,3,8\n",
+        ),
+        (
+            ("flags", "--theta", "3/8", "--n", "5", "--verify"),
+            "index,flag,p,q\n0,true,1,0\n1,true,0,1\n2,true,1,2\n3,true,1,3\n4,true,3,8\n",
+        ),
+        (("orbit", "--x", "1/3", "--y", "1/4", "--n", "2"), "step,x,y\n0,1/3,1/4\n1,0/1,4/13\n"),
+        (("measure",), "mu_V,complement,abs_tol\n0.207518749639786,0.792481250360214,1e-08\n"),
+        (
+            ("experiment", "--samples", "2", "--depth", "30", "--seed", "3",
+             "--out", str(tmp_path / "e.json")),
+            "theta_id,n,decided,hermite_count,proportion,levy_rate,hermite_growth,undecided\n"
+            f"{theta_ids[0]},30,29,24,0.827586206896552,1.09323631833914,1.16974471112757,0\n"
+            f"{theta_ids[1]},30,29,23,0.793103448275862,1.33548689743881,1.64449603333409,0\n",
+        ),
+    ]
+    for argv, table in tables:
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (0, table), argv
+    assert (tmp_path / "e.csv").read_text() == tables[-1][1]  # the file holds the same table
+
+
 def test_every_record_validates(capsys, tmp_path):
     # belt and braces: one record per command through the schema
     invocations = [
@@ -440,10 +480,13 @@ _FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7", "1/0", "1e500
 
 def _fuzz_grid():
     for theta in _FUZZ_THETAS:
-        for n in _FUZZ_N:
-            yield ["expand", "--theta", theta, "--n", n]
-            yield ["flags", "--theta", theta, "--n", n, "--verify"]
-            yield ["flags", "--theta", theta, "--n", n, "--format", "csv"]
+        # '--theta -22/7' is an argparse rejection; '--theta=-22/7' reaches parse_real
+        spellings = [["--theta", theta]] + ([[f"--theta={theta}"]] if theta[0] == "-" else [])
+        for spelled in spellings:
+            for n in _FUZZ_N:
+                yield ["expand", *spelled, "--n", n]
+                yield ["flags", *spelled, "--n", n, "--verify"]
+                yield ["flags", *spelled, "--n", n, "--format", "csv"]
     for x in _FUZZ_COORDS:
         for y in _FUZZ_COORDS:
             yield ["orbit", "--x", x, "--y", y, "--n", "3"]

@@ -20,6 +20,7 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     names = [
         "criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions", "cli",
+        "cli_csv",
     ]
     assert [name for name, _, _ in lines] == names
     for name, count, digest in lines:
