@@ -1,9 +1,10 @@
 """Command-line surface with machine-readable output.
 
-Every command prints one OutputRecord (JSON by default, CSV with --format
-csv).  Exit codes: 0 ok, 2 parse or domain error, 3 precision exhausted,
-4 verification mismatch.  Floats carry 15 significant digits; exact
-rationals are printed as "p/q".
+Every command returns its inputs, its results and its table, and `main`
+prints them as one OutputRecord (JSON by default) or as the table (CSV with
+--format csv).  Exit codes: 0 ok, 2 parse or domain error, 3 precision
+exhausted, 4 verification mismatch.  Floats carry 15 significant digits;
+exact rationals are printed as "p/q".
 """
 
 from __future__ import annotations
@@ -62,30 +63,19 @@ def _num(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _record(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
-def _emit(record: dict, fmt: str, csv_rows: tuple[list[str], list[list]] | None):
-    if fmt == "json":
-        print(json.dumps(record, indent=2))
-        return
-    header, rows = csv_rows
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+def _write_csv(handle, header, rows) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (inputs, results, (header, rows)).  Only --format
+# csv reads the rows, so a command builds them lazily unless it also writes
+# them to a file.
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     theta = parse_real(args.theta)
     sign, x0, nearest = reduce_theta(theta)
     pq = cf_expand(x0, args.n, strict=True)
@@ -98,18 +88,13 @@ def _cmd_expand(args) -> int:
         "terminated": pq.terminated,
         "convergents": [{"index": c.index, "p": c.p, "q": c.q} for c in conv],
     }
-    csv_rows = (
-        ["index", "quotient", "p", "q"],
-        [
-            [c.index, pq.quotients[c.index - 1] if c.index >= 1 else "", c.p, c.q]
-            for c in conv
-        ],
+    rows = (
+        [c.index, pq.quotients[c.index - 1] if c.index >= 1 else "", c.p, c.q] for c in conv
     )
-    _emit(_record("expand", {"theta": args.theta, "n": args.n}, results), args.format, csv_rows)
-    return EXIT_OK
+    return {"theta": args.theta, "n": args.n}, results, (["index", "quotient", "p", "q"], rows)
 
 
-def _cmd_flags(args) -> int:
+def _cmd_flags(args):
     theta = parse_real(args.theta)
     flags = flags_via_criterion(theta, args.n)
     seq = complete_sequence(theta, max(args.n - 1, 2))
@@ -133,18 +118,15 @@ def _cmd_flags(args) -> int:
                     f"criterion and envelope disagree at index {k}: {a} vs {b}"
                 )
         results["verified"] = True
-    csv_rows = (
-        ["index", "flag", "p", "q"],
-        [
-            [k, "" if f is None else str(f).lower(), seq[k].p, seq[k].q]
-            for k, f in enumerate(flags.flags)
-        ],
+    rows = (
+        [k, "" if f is None else str(f).lower(), seq[k].p, seq[k].q]
+        for k, f in enumerate(flags.flags)
     )
-    _emit(_record("flags", {"theta": args.theta, "n": args.n, "verify": args.verify}, results), args.format, csv_rows)
-    return EXIT_OK
+    inputs = {"theta": args.theta, "n": args.n, "verify": args.verify}
+    return inputs, results, (["index", "flag", "p", "q"], rows)
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     try:
         x, y = Fraction(args.x), Fraction(args.y)
     except ZeroDivisionError:
@@ -163,27 +145,21 @@ def _cmd_orbit(args) -> int:
         ],
         "terminated_at": terminated_at,
     }
-    csv_rows = (
-        ["step", "x", "y"],
-        [[k, _num(p.x), _num(p.y)] for k, p in enumerate(points)],
-    )
-    _emit(_record("orbit", {"x": args.x, "y": args.y, "n": args.n}, results), args.format, csv_rows)
-    return EXIT_OK
+    rows = (point.values() for point in results["points"])
+    return {"x": args.x, "y": args.y, "n": args.n}, results, (["step", "x", "y"], rows)
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args):
     value = next_mod.mu_measure_V(args.tol)
     results = {
         "mu_V": _f15(value),
         "complement": _f15(1.0 - value),
         "abs_tol": args.tol,
     }
-    csv_rows = (["mu_V", "complement", "abs_tol"], [[_f15(value), _f15(1.0 - value), args.tol]])
-    _emit(_record("measure", {"tol": args.tol}, results), args.format, csv_rows)
-    return EXIT_OK
+    return {"tol": args.tol}, results, (list(results), [results.values()])
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     cfg = ExperimentConfig(
         sample_count=args.samples,
         depth_n=args.depth,
@@ -214,34 +190,19 @@ def _cmd_experiment(args) -> int:
             if row[key] is not None:
                 row[key] = _f15(row[key])
     columns = list(payload["per_theta"][0])
-    rows = [list(row.values()) for row in payload["per_theta"]]
+    rows = [list(row.values()) for row in payload["per_theta"]]  # read by the file and by CSV
     try:
         out_json.write_text(json.dumps(payload, indent=2) + "\n")
         with out_csv.open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
+            _write_csv(handle, columns, rows)
     except OSError as exc:
         raise InvalidArgument(f"cannot write output: {exc}") from None
     results = dict(payload)
     del results["per_theta"]
     results["out_json"] = str(out_json)
     results["out_csv"] = str(out_csv)
-    _emit(
-        _record(
-            "experiment",
-            {
-                "samples": args.samples,
-                "depth": args.depth,
-                "seed": args.seed,
-                "out": str(out_json),
-            },
-            results,
-        ),
-        args.format,
-        (columns, rows),
-    )
-    return EXIT_OK
+    inputs = {"samples": args.samples, "depth": args.depth, "seed": args.seed, "out": str(out_json)}
+    return inputs, results, (columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +285,18 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        inputs, results, (header, rows) = args.func(args)
+        if args.format == "csv":
+            _write_csv(sys.stdout, header, rows)
+        else:
+            record = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": inputs,
+                "results": results,
+            }
+            print(json.dumps(record, indent=2))
+        return EXIT_OK
     except VerificationMismatch as exc:
         sys.stderr.write(_error_line(exc))
         return EXIT_VERIFY
