@@ -230,7 +230,7 @@ class _WindowSession:
         i = self._used
         if i == len(self._batch):
             self._sync()
-            if self.exhausted or not self._start_batch():
+            if self.exhausted or not self._start_batch(limit):
                 # both remainders 0 on the same step: terminated
                 self.terminated = self.an == self.bn == 0
                 self.exhausted = not self.terminated
@@ -248,20 +248,22 @@ class _WindowSession:
         """
         self._used -= j
 
-    def _start_batch(self) -> bool:
+    def _start_batch(self, limit: int) -> bool:
         """Queue the quotients that a small window around both ends certifies.
 
         A long window, both denominators past _BATCH_MIN_BITS, runs on the
         lower end's leading _HEAD_BITS rounded down and the upper end's
         rounded up until a denominator is down to _CUT_BITS; if that
         certifies nothing, the exact ends take one step.  A short window runs
-        on its exact ends to the window's end.  Each step divides the lower
+        on its exact ends for at most `limit` steps.  Each step divides the lower
         end ln/ld, checks that the quotient holds at the upper end un/ud,
         0 <= ud - q*un < un, and swaps the ends, as it reverses their order.
         """
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         windows = [(an, ad, bn, bd, 0)]
+        steps = limit
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
+            steps = 2 * _HEAD_BITS  # more than Euclid takes on _HEAD_BITS-bit numbers
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
             windows = [(an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb, 1 << _CUT_BITS)]
             # each new denominator is an old numerator, below its end's old
@@ -269,7 +271,9 @@ class _WindowSession:
             windows.append((an, ad, bn, bd, min(ad, bd)))
         for ln, ld, un, ud, cut in windows:
             batch, tails = [], []
-            while ln and un and ld >= cut and ud >= cut:
+            for _ in range(steps):
+                if not (ln and un and ld >= cut and ud >= cut):
+                    break
                 q, r = divmod(ld, ln)
                 s = ud - un if q == 1 else ud - q * un
                 if s < 0 or s >= un:

@@ -12,6 +12,7 @@ a decimal, the value itself twice for a rational or quadratic.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,6 +102,70 @@ def digits_of_int(n: int) -> str:
     low_digits = n.bit_length() * 30103 // 200000  # about half of n's digits
     high, low = divmod(n, 10**low_digits)
     return digits_of_int(high) + digits_of_int(low).zfill(low_digits)
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already prime to each other.
+
+    `Fraction(x)` for a `numbers.Rational` x copies x.numerator and
+    x.denominator as they stand, where `Fraction(n, d)` would divide out
+    gcd(n, d): on a 19,400-bit sample that gcd costs more than the rest of
+    building it.  `_fraction` alone builds one, from a pair it knows to be
+    in lowest terms.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for a coprime pair, denominator > 0, with no gcd."""
+    return Fraction(_LowestTerms(numerator, denominator))
+
+
+def decimal_fraction(n: int, digits: int) -> Fraction:
+    """n / 10**digits in lowest terms, with no gcd of long integers.
+
+    The gcd of n and 10**digits has only 2s and 5s: the 2s are counted from
+    n's lowest set bit, and the 5s divided out one at a time, 1.25 divisions
+    on average for a random n.
+    """
+    if n == 0:
+        return Fraction(0)
+    twos = min((n & -n).bit_length() - 1, digits)
+    n >>= twos
+    fives = 0
+    while fives < digits:
+        quotient, rem = divmod(n, 5)
+        if rem:
+            break
+        n = quotient
+        fives += 1
+    return _fraction(n, 5 ** (digits - fives) << (digits - twos))
+
+
+def _plus_ulp(value: Fraction, bits: int) -> Fraction:
+    """value + 2**-bits in lowest terms, with no gcd of long integers.
+
+    Write value = n/(o * 2**t) with o odd, and k = max(t, bits).  The sum is
+    (n*2**(k-t) + o*2**(k-bits)) / (o*2**k).  Its numerator is prime to o,
+    as n is, so only the 2s it shares with 2**k are left to cast out.
+    """
+    n, d = value.numerator, value.denominator
+    t = (d & -d).bit_length() - 1
+    o = d >> t
+    k = max(t, bits)
+    num = (n << (k - t)) + (o << (k - bits))
+    if num == 0:
+        return Fraction(0)
+    twos = min((num & -num).bit_length() - 1, k)
+    return _fraction(num >> twos, o << (k - twos))
 
 
 def ln_big(n: int) -> float:
@@ -345,8 +410,7 @@ def make_decimal(
 ) -> DecimalSpec:
     _check_declared_bits(declared_bits)  # before 2**declared_bits is formed
     if window is None:
-        ulp = Fraction(1, 1 << declared_bits)
-        window = (value, value + ulp)
+        window = (value, _plus_ulp(value, declared_bits))
     elif not (window[0] <= value <= window[1]):
         raise InvalidArgument("value outside its window")
     return DecimalSpec(value, declared_bits, window[0], window[1], text)
@@ -371,7 +435,7 @@ def parse_real(text: str) -> RealSpec:
     m = _DECIMAL_RE.match(text)
     if m:
         int_part, frac_part, bits = m.groups()  # the sign rides on the digits: "-0" "5" is -5
-        value = Fraction(int_of_digits(int_part + frac_part), 10 ** len(frac_part))
+        value = decimal_fraction(int_of_digits(int_part + frac_part), len(frac_part))
         return make_decimal(value, int_of_digits(bits) if bits else DEFAULT_DECIMAL_BITS, text=text)
     m = _QUADRATIC_RE.match(text)
     if m:

@@ -14,12 +14,19 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InvalidArgument, PrecisionExceedsInput
 from .hermite import criterion_scan
-from .numeric import DecimalSpec, RealSpec, int_of_digits, ln_big, make_decimal, spec_text
+from .numeric import (
+    DecimalSpec,
+    RealSpec,
+    decimal_fraction,
+    int_of_digits,
+    ln_big,
+    make_decimal,
+    spec_text,
+)
 
 HERMITE_PROPORTION = math.log(3) / math.log(4)  # 0.79248125036...
 LEVY_RATE = math.pi**2 / (12 * math.log(2))  # 1.18656911041...
@@ -49,12 +56,16 @@ class ExperimentConfig:
             raise InvalidArgument("depth_n must be >= 10")
         if self.precision_bits is not None and self.precision_bits < 64:
             raise InvalidArgument("precision_bits must be >= 64")
-        if self.precision_bits is not None and self.precision_bits > DecimalSpec.MAX_BITS:
-            raise InvalidArgument("precision_bits must be <= 2**20")
         if self.workers < 1:
             raise InvalidArgument("workers must be >= 1")
         if isinstance(self.theta_source, str) and self.theta_source != "uniform01":
             raise InvalidArgument("theta_source must be 'uniform01' or a sequence of specs")
+        # checked before the sampler forms numbers of this many bits
+        if self.effective_bits > DecimalSpec.MAX_BITS:
+            raise InvalidArgument(
+                f"effective_bits must be <= 2**20, got {self.effective_bits}:"
+                " lower depth_n or precision_bits"
+            )
 
     @property
     def effective_bits(self) -> int:
@@ -164,7 +175,7 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
         digit_str = "".join(pieces)[:digits]
         if digit_str == "0" * digits:
             digit_str = digit_str[:-1] + "1"
-        value = Fraction(int_of_digits(digit_str), 10**digits)
+        value = decimal_fraction(int_of_digits(digit_str), digits)
         out.append(make_decimal(value, precision_bits, text="0." + digit_str))
     return out
 

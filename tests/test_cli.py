@@ -331,6 +331,16 @@ class TestExperiment:
             assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_depth_past_the_maximum_precision_exit_2(self, capsys, tmp_path):
+        # depth 10**8 would sample numbers of 384,160,192 bits: rejected before the run
+        out = tmp_path / "run.json"
+        argv = ["experiment", "--samples", "1", "--depth", "100000000", "--out", str(out)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
     def test_every_sample_rejected_exit_3(self, capsys, tmp_path):
         # 64 bits cannot certify 400 flags: running out of precision is exit 3
         out = tmp_path / "run.json"

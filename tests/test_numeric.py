@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -22,6 +23,7 @@ from hermite_lab import (
     spec_text,
 )
 from hermite_lab.numeric import (
+    decimal_fraction,
     digits_of_int,
     int_of_digits,
     quadratic_or_rational,
@@ -156,6 +158,66 @@ class TestParse:
             assert back.bounds == spec.bounds, spec_text(spec)
             if isinstance(spec, DecimalSpec):
                 assert back.declared_bits == spec.declared_bits, spec_text(spec)
+
+
+class TestLowestTerms:
+    """`decimal_fraction` and `make_decimal`'s default upper end build their
+    Fractions in lowest terms without a gcd; they must be the very Fractions
+    that Fraction's normalizing constructor and arithmetic give."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is Fraction
+        assert got.numerator == want.numerator
+        assert got.denominator == want.denominator
+        assert hash(got) == hash(want)
+
+    def test_decimals_and_upper_ends_match_fraction_arithmetic(self):
+        rng = random.Random(2026)
+        cases = [(0, 1), (0, 40), (-1, 1), (-10**30, 30), (10**30, 30), (-15, 1)]
+        cases += [(2**e, d) for e in (0, 1, 63, 64, 65, 200) for d in (1, 19, 64, 65)]
+        cases += [(-(5**e), d) for e in (0, 1, 27, 28, 90) for d in (1, 27, 28, 29)]
+        cases += [(7 * 10**z, d) for z in (1, 5, 40) for d in (3, 40, 41)]  # trailing zeros
+        for _ in range(400):
+            digits = rng.randint(1, 120)
+            n = rng.randrange(-(10**digits), 10**digits) * 10 ** rng.choice((0, 0, 1, 7))
+            cases.append((n, digits))
+        values = []
+        for n, digits in cases:
+            value = decimal_fraction(n, digits)
+            self.assert_same(value, Fraction(n, 10**digits))
+            values.append(value)
+        # t, the 2s in value's denominator, below, at and past the bits
+        for bits in (64, 65, 100):
+            for t in (0, 1, bits - 1, bits, bits + 1, 3 * bits):
+                for odd in (1, 3, 5 * 7**20):
+                    for n in (1, -1, 3, -(2**bits) - 1, rng.randrange(1, 2**200) | 1):
+                        values.append(Fraction(n, odd << t))
+        for _ in range(400):
+            values.append(Fraction(rng.randrange(-(2**150), 2**150), rng.randrange(1, 2**150)))
+        for bits in (64, 65, 100):
+            values.append(Fraction(-1, 2**bits))  # its upper end is 0
+            for value in values:
+                upper = make_decimal(value, bits).window_hi
+                self.assert_same(upper, value + Fraction(1, 2**bits))
+        assert make_decimal(Fraction(-1, 2**64), 64).window_hi == 0
+
+    def test_samples_match_the_normalizing_construction(self):
+        # the construction before decimal_fraction, written out: Fraction
+        # normalizes n/10**digits and value + 2**-bits by a gcd each
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # repr of a 19,400-bit window passes 4,300 digits
+        try:
+            for bits in (64, 256, 19400):
+                for spec in sample_thetas(26, 3, bits):
+                    digit_str = spec.text[2:]
+                    value = Fraction(int_of_digits(digit_str), 10 ** len(digit_str))
+                    ulp = Fraction(1, 1 << bits)
+                    built = DecimalSpec(value, bits, value, value + ulp, "0." + digit_str)
+                    assert spec == built
+                    assert repr(spec) == repr(built)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestQuadraticReal:

@@ -14,6 +14,7 @@ from hermite_lab import (
     LEVY_RATE,
     ExperimentConfig,
     HermiteLabError,
+    InvalidArgument,
     RationalSpec,
     analyze_theta,
     parse_real,
@@ -169,6 +170,11 @@ class TestExperiment:
             ExperimentConfig(sample_count=1, precision_bits=32)
         with pytest.raises(ValueError):  # past DecimalSpec.MAX_BITS = 2**20
             ExperimentConfig(sample_count=1, precision_bits=(1 << 20) + 1)
+        # without precision_bits the depth sets the bits: 272,903 is the
+        # deepest whose auto_precision_bits fits in DecimalSpec.MAX_BITS
+        assert ExperimentConfig(1, 272903).effective_bits == 1 << 20
+        with pytest.raises(InvalidArgument, match="effective_bits must be <= 2"):
+            ExperimentConfig(1, 272904)
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, workers=0)
 
