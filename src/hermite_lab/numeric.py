@@ -110,8 +110,8 @@ class _LowestTerms:
     `Fraction(x)` for a `numbers.Rational` x copies x.numerator and
     x.denominator as they stand, where `Fraction(n, d)` would divide out
     gcd(n, d): on a 19,400-bit sample that gcd costs more than the rest of
-    building it.  `_fraction` alone builds one, from a pair it knows to be
-    in lowest terms.
+    building it.  Only `decimal_fraction` and `_plus_ulp` build one, from a
+    pair they know to be in lowest terms.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -122,11 +122,6 @@ class _LowestTerms:
 
 
 numbers.Rational.register(_LowestTerms)
-
-
-def _fraction(numerator: int, denominator: int) -> Fraction:
-    """Fraction(numerator, denominator) for a coprime pair, denominator > 0, with no gcd."""
-    return Fraction(_LowestTerms(numerator, denominator))
 
 
 def decimal_fraction(n: int, digits: int) -> Fraction:
@@ -147,7 +142,7 @@ def decimal_fraction(n: int, digits: int) -> Fraction:
             break
         n = quotient
         fives += 1
-    return _fraction(n, 5 ** (digits - fives) << (digits - twos))
+    return Fraction(_LowestTerms(n, 5 ** (digits - fives) << (digits - twos)))
 
 
 def _plus_ulp(value: Fraction, bits: int) -> Fraction:
@@ -165,7 +160,7 @@ def _plus_ulp(value: Fraction, bits: int) -> Fraction:
     if num == 0:
         return Fraction(0)
     twos = min((num & -num).bit_length() - 1, k)
-    return _fraction(num >> twos, o << (k - twos))
+    return Fraction(_LowestTerms(num >> twos, o << (k - twos)))
 
 
 def ln_big(n: int) -> float:
