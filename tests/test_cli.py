@@ -320,26 +320,18 @@ class TestExperiment:
         assert not out.exists()
 
     def test_precision_past_the_maximum_exit_2(self, capsys, tmp_path):
-        # 2**20 + 1 bits, one past DecimalSpec.MAX_BITS: rejected before the run
+        # 2**20 + 1 bits, one past DecimalSpec.MAX_BITS, and depth 10**8, whose
+        # samples would have 384,160,192 bits: rejected before the run
         out = tmp_path / "run.json"
         flags = ["flags", "--theta", "0.5@1048577", "--n", "5"]
         experiment = ["experiment", "--samples", "1", "--depth", "10", "--out", str(out)]
-        for argv in (flags, experiment + ["--precision-bits", "1048577"]):
+        deep = ["experiment", "--samples", "1", "--depth", "100000000", "--out", str(out)]
+        for argv in (flags, experiment + ["--precision-bits", "1048577"], deep):
             code = cli.main(argv)
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert len(captured.err.splitlines()) == 1
         assert not out.exists()
-
-    def test_depth_past_the_maximum_precision_exit_2(self, capsys, tmp_path):
-        # depth 10**8 would sample numbers of 384,160,192 bits: rejected before the run
-        out = tmp_path / "run.json"
-        argv = ["experiment", "--samples", "1", "--depth", "100000000", "--out", str(out)]
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_every_sample_rejected_exit_3(self, capsys, tmp_path):
         # 64 bits cannot certify 400 flags: running out of precision is exit 3
