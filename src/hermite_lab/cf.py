@@ -4,17 +4,21 @@ Expansion runs through one of two sessions: the classical integer
 recurrence on (P + sqrt(D))/Q for quadratic irrationals, and lockstep Euclid
 on both endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
-window shares it.  The window session certifies every quotient in a batch,
-lockstep Euclid in small steps on a window around both ends: a long
-window's leading bits (Lehmer batches) or a short window's exact ends.  The
-remainders then take the batch's cosequence in one step, with the ends kept
-in order, the lower first.  Both sessions carry the convergent denominators
-of the quotients emitted so far, read through `denominators()`; a batch's
-cosequence advances them too, in four multiplications for the whole batch.
-Both sessions are read through two methods only: `run(limit)` hands out the
-next quotients certified together, with float bounds on the tail after each
-quotient of 1 for the Hermite criterion, and `tail_bounds()` gives exact
-bounds on the tail at the current position.
+window shares it.  The window session certifies each batch of quotients
+in one loop of small steps on a window around both ends: a long window's
+leading bits (Lehmer batches) or a short window's exact ends.  The loop
+carries the batch's cosequence, which then moves the remainders, the ends
+kept in order, the lower first, and the convergent denominators past the
+batch in a few multiplications.
+
+Both sessions keep their state at the current position, after the
+quotients emitted so far, and only `run(limit)` advances it: it hands out
+the next quotients certified together, with float bounds on the tail after
+each quotient of 1 for the Hermite criterion.  The other methods read the
+state: `denominators()` gives the last two convergent denominators,
+`tail_signs(num, den)` the signs of tail - num/den at both ends, and
+`tail_bounds()` exact bounds on the tail.  A window session can also
+`rewind(j)`, handing back the last j quotients of its last run.
 """
 
 from __future__ import annotations
@@ -196,12 +200,8 @@ class _WindowSession:
     reaching 0 on the same step means the expansion terminated; one alone,
     or differing quotients, means the window is exhausted.
 
-    Every quotient comes from a batch of `_start_batch`.  `_sync` brings the
-    remainders and the convergent denominators to the current position by
-    the batch's cosequence, only when the batch runs out or an exact
-    comparison needs them.  `run` hands out the rest of the batch, or as
-    much of it as its limit allows, with the floats of the batch window's
-    tails after each quotient of 1; they bound the true tails at both ends.
+    Each run is one batch of `_start_batch`, which moves the remainders and
+    the convergent denominators past the batch before it is handed out.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -210,121 +210,104 @@ class _WindowSession:
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
-        # quotients of the current batch, the float tail pair after each of
-        # them that is a 1 (None after the others), and how many have been
-        # emitted: the long remainders and denominators above lag the current
-        # position by that many
-        self._batch: list[int] = []
-        self._tails: list[tuple[float, float] | None] = []
-        self._used = 0
+        # the state before the last run, and that run's length, for `rewind`
+        self._before = (self.an, self.ad, self.bn, self.bd, 0, 1), 0
 
     def run(self, limit: int):
         """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
 
-        A run is the rest of the live batch, or of a batch started here; it
-        is empty once the expansion terminated or the window is exhausted.
-        Beside each quotient of 1 is a float pair (lo, hi) around the tails
-        at both window ends after it, each end correct to the rounding of
-        one float division; None beside the others.
+        A run is one batch; it is empty once the expansion terminated or the
+        window is exhausted.  Beside each quotient of 1 is a float pair
+        (lo, hi) around the tails at both window ends after it, each end
+        correct to the rounding of one float division; None beside the
+        others.
         """
-        i = self._used
-        if i == len(self._batch):
-            self._sync()
-            if self.exhausted or not self._start_batch(limit):
-                # both remainders 0 on the same step: terminated
-                self.terminated = self.an == self.bn == 0
-                self.exhausted = not self.terminated
-                return (), ()
-            i = 0
-        j = min(i + limit, len(self._batch))
-        self._used = j
-        return self._batch[i:j], self._tails[i:j]
+        before = self.an, self.ad, self.bn, self.bd, self._q_prev, self._q_cur
+        batch, tails = self._start_batch(limit)
+        self._before = before, len(batch)
+        if batch:
+            return batch, tails
+        # both remainders 0 on the same step: terminated
+        self.terminated = self.an == self.bn == 0
+        self.exhausted = not self.terminated
+        return (), ()
 
     def rewind(self, j: int) -> None:
-        """Hand back the last j quotients emitted, all of the live batch.
+        """Hand back the last j quotients of the last run.
 
-        The session is then placed just after the quotient before them, and
-        emits those j again.
+        The state from before that run comes back, and its first len - j
+        quotients are certified again from the same window: the session is
+        then placed just after the quotient before the j, and emits those j
+        again.
         """
-        self._used -= j
+        before, length = self._before
+        self.an, self.ad, self.bn, self.bd, self._q_prev, self._q_cur = before
+        self._before = before, length - j
+        self._start_batch(length - j)
 
-    def _start_batch(self, limit: int) -> bool:
-        """Queue the quotients that a small window around both ends certifies.
+    def _start_batch(self, limit: int):
+        """Certify at most `limit` quotients on a small window around both ends.
 
         A long window, both denominators past _BATCH_MIN_BITS, runs on the
         lower end's leading _HEAD_BITS rounded down and the upper end's
         rounded up until a denominator is down to _CUT_BITS; if that
         certifies nothing, the exact ends take one step.  A short window runs
-        on its exact ends for at most `limit` steps.  Each step divides the lower
-        end ln/ld, checks that the quotient holds at the upper end un/ud,
-        0 <= ud - q*un < un, and swaps the ends, as it reverses their order.
+        on its exact ends.  Each step divides the lower end ln/ld, checks
+        that the quotient holds at the upper end un/ud, 0 <= ud - a*un < un,
+        and swaps the ends, as it reverses their order.
+
+        The loop carries the cosequence.  After quotients a_1..a_j with
+        convergents p_k/q_k, Euclid's remainders are |q_j n - p_j d| and
+        |q_{j-1} n - p_{j-1} d|, and the denominators (Q', Q) from before the
+        batch become (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q'); after an odd j
+        the ends swap, as the lower end's tail is then the upper one.
         """
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         windows = [(an, ad, bn, bd, 0)]
-        steps = limit
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
-            steps = 2 * _HEAD_BITS  # more than Euclid takes on _HEAD_BITS-bit numbers
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
-            windows = [(an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb, 1 << _CUT_BITS)]
             # each new denominator is an old numerator, below its end's old
             # denominator: a cut at the lesser old one stops after one step
-            windows.append((an, ad, bn, bd, min(ad, bd)))
+            windows = [
+                (an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb, 1 << _CUT_BITS),
+                (an, ad, bn, bd, min(ad, bd)),
+            ]
         for ln, ld, un, ud, cut in windows:
             batch, tails = [], []
-            for _ in range(steps):
+            p0, p1, q0, q1 = 1, 0, 0, 1
+            for _ in range(limit):
                 if not (ln and un and ld >= cut and ud >= cut):
                     break
-                q, r = divmod(ld, ln)
-                s = ud - un if q == 1 else ud - q * un
+                a, r = divmod(ld, ln)
+                s = ud - un if a == 1 else ud - a * un
                 if s < 0 or s >= un:
                     break
-                batch.append(q)
-                tails.append((s / un, r / ln) if q == 1 else None)
+                batch.append(a)
+                tails.append((s / un, r / ln) if a == 1 else None)
+                p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
                 ln, ld, un, ud = s, un, r, ln
             if batch:
                 break
-        self._batch, self._tails = batch, tails
-        return bool(batch)
-
-    def _sync(self):
-        """Bring remainders and denominators to the current position; drop the batch.
-
-        After quotients a_1..a_j with convergents p_k/q_k, Euclid's
-        remainders are |q_j n - p_j d| and |q_{j-1} n - p_{j-1} d|, and the
-        denominators (Q', Q) from before the batch become
-        (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q').  After an odd j the ends
-        swap, as the lower end's tail is then the upper one.
-        """
-        if not self._batch:
-            return
-        p0, p1, q0, q1 = 1, 0, 0, 1
-        for a in self._batch[: self._used]:
-            p0, p1 = p1, a * p1 + p0
-            q0, q1 = q1, a * q1 + q0
-        an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
-        if self._used & 1:
+        if len(batch) & 1:
             an, ad, bn, bd = bn, bd, an, ad
         self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
         self.bn, self.bd = abs(q1 * bn - p1 * bd), abs(q0 * bn - p0 * bd)
         Q0, Q1 = self._q_prev, self._q_cur
         self._q_prev, self._q_cur = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
-        self._batch, self._tails, self._used = [], [], 0
+        return batch, tails
 
     def denominators(self) -> tuple[int, int]:
         """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
-        self._sync()
         return self._q_prev, self._q_cur
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
         """Signs of tail - num/den (den > 0) at the lower and the upper window end."""
-        self._sync()
         s1 = self.an * den - self.ad * num
         s2 = self.bn * den - self.bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact tails at the lower and the upper window end."""
-        self._sync()
         return Fraction(self.an, self.ad), Fraction(self.bn, self.bd)
 
 

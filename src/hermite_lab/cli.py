@@ -45,6 +45,10 @@ _PRECISION_ERRORS = (AmbiguousComparison, PrecisionExceedsInput, TailUnavailable
 
 ERROR_LINE_MAX = 200  # characters of an error line, its newline not counted
 
+# expand and flags print every convergent, so their output grows as n**2 on a
+# quadratic irrational: 43 MB at n = 10,000, and a larger --n exits 2
+_N_MAX = 10_000
+
 
 def _error_line(message) -> str:
     """`error: <message>` and a newline, cut to ERROR_LINE_MAX characters."""
@@ -75,7 +79,13 @@ def _write_csv(handle, header, rows) -> None:
 # them to a file.
 
 
+def _check_n(n: int) -> None:
+    if n > _N_MAX:
+        raise InvalidArgument(f"--n is at most {_N_MAX} for expand and flags")
+
+
 def _cmd_expand(args):
+    _check_n(args.n)
     theta = parse_real(args.theta)
     sign, x0, nearest = reduce_theta(theta)
     pq = cf_expand(x0, args.n, strict=True)
@@ -95,6 +105,7 @@ def _cmd_expand(args):
 
 
 def _cmd_flags(args):
+    _check_n(args.n)
     theta = parse_real(args.theta)
     flags = flags_via_criterion(theta, args.n)
     seq = complete_sequence(theta, max(args.n - 1, 2))

@@ -490,8 +490,10 @@ def _lockstep(lo: Fraction, hi: Fraction):
 
 
 def _assert_plain_euclid(specs) -> None:
+    """Quotients one at a time and whole runs, each a batch, both give Euclid's."""
     for spec in specs:
         _, x0, _ = reduce_theta(spec)
+        expected = _euclid(x0.value)
         session = expansion(x0)
         quotients = []
         while True:
@@ -499,7 +501,13 @@ def _assert_plain_euclid(specs) -> None:
             if a is None:
                 break
             quotients.append(a)
-        assert quotients == _euclid(x0.value)
+        assert quotients == expected
+        assert session.terminated and not session.exhausted
+        session = expansion(x0)
+        quotients = []
+        while run := session.run(10**9)[0]:
+            quotients += run
+        assert quotients == expected
         assert session.terminated and not session.exhausted
 
 
@@ -538,9 +546,10 @@ def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
 def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     """Runs of random limits, some partly handed back, against `_lockstep`.
 
-    They concatenate to its quotients; denominators agree at every run
-    boundary; the float pair beside each quotient of 1 brackets the
-    tails at both ends after it, None beside the others.
+    They concatenate to its quotients; denominators and exact tails at both
+    ends agree at every run boundary, after a rewind too; the float pair
+    beside each quotient of 1 brackets the tails at both ends after it,
+    None beside the others.
     """
     session = expansion(x0)
     got = []
@@ -565,9 +574,12 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
                 assert lo <= min(ends) + ROUNDING and max(ends) <= hi + ROUNDING, len(got)
             else:
                 assert tail is None
-        # read through a copy, or directly, which drops the batch
+        # read through a copy, or directly, which changes nothing
         reader = session if rng.random() < 0.2 else copy.copy(session)
         assert reader.denominators() == (q_prev, q_cur), len(got)
+        an, ad, bn, bd = states[len(got)]
+        ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))
+        assert session.tail_bounds() == ends, len(got)
     assert got == quotients
     assert long_runs
     assert (session.terminated, session.exhausted) == (terminated, not terminated)
@@ -640,8 +652,7 @@ class TestWindowEngine:
             )
             quotients, states, terminated = _lockstep(lo, hi)
             session = expansion(x0)  # only ever read through copies
-            poked = expansion(x0)  # read directly, dropping its batches
-            batched = 0
+            poked = expansion(x0)  # read directly too
             q_prev, q_cur = 0, 1
             for k, (an, ad, bn, bd) in enumerate(states):
                 ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))  # (lower, upper)
@@ -657,13 +668,11 @@ class TestWindowEngine:
                     poked.tail_signs(num, 1000)
                 if rng.random() < 0.3:
                     poked.tail_bounds()
-                batched += bool(session._batch)
                 expected_a = quotients[k] if k < len(quotients) else None
                 assert next_quotient(session) == expected_a
                 assert next_quotient(poked) == expected_a
                 if expected_a is not None:
                     q_prev, q_cur = q_cur, expected_a * q_cur + q_prev
-            assert batched > len(states) // 2
             for s in (session, poked):
                 assert (s.terminated, s.exhausted) == (terminated, not terminated)
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
@@ -745,6 +754,25 @@ class TestWindowEngine:
                 positions += len(run)
             assert positions > 60
 
+    def test_reads_change_no_attribute(self):
+        # the state is always at the current position, after every run of a
+        # long or a short window: denominators, tail_signs and tail_bounds
+        # only read it
+        rng = random.Random(53)
+        inputs = [
+            make_decimal(Fraction(rng.randrange(1, 10**80), 2 * 10**80), 256),
+            make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
+            RationalSpec(Fraction(rng.getrandbits(2000), (1 << 2001) + 1)),
+        ]
+        for x0 in inputs:
+            session = expansion(x0)
+            while session.run(rng.choice((1, 5, 10**6)))[0]:
+                before = dict(vars(session))
+                session.denominators()
+                session.tail_signs(rng.randint(1, 999), 1000)
+                session.tail_bounds()
+                assert vars(session) == before
+
     def test_paper_width_rational_next_to_a_quotient_boundary_is_plain_euclid(self):
         # p/q + 2**-19400, as wide as a depth-5000 sample: after p/q's
         # quotients comes one of about 19,340 bits, which the exact ends take
@@ -764,7 +792,6 @@ class TestWindowEngine:
         x0 = RationalSpec(1 / (a + Fraction(rng.getrandbits(1000), (1 << 1000) + 1)))
         session = expansion(x0)
         assert session.run(10**6) == ([a], [None])
-        assert len(session._batch) == 1
         rest = []
         while run := session.run(10**6)[0]:
             rest += run

@@ -476,7 +476,7 @@ _FUZZ_THETAS = [
     "(1+1*sqrt(5))/2", "(-3+1*sqrt(21))/6", "(1+1*sqrt(4))/2",
     "(1+1*sqrt(0))/2", "(1+1*sqrt(-5))/2", "1/1" + "0" * 5000,
 ]
-_FUZZ_N = ["-1", "0", "1", "2", "3", "40"]
+_FUZZ_N = ["-1", "0", "1", "2", "3", "40", "10001", "100000000"]
 _FUZZ_COORDS = ["0", "1", "-1", "1/2", "0.999", "2", "1/1", "0/7", "1/0", "1e5000", "abc"]
 
 
@@ -520,6 +520,23 @@ def test_fuzzed_arguments_exit_with_documented_codes(capsys):
             )
             jsonschema.validate(record, SCHEMA)
             assert record["command"] == argv[0]
+
+
+def test_n_past_the_cap_exits_2_before_any_work(capsys, monkeypatch):
+    # expand and flags print O(n**2) digits on a quadratic irrational: an
+    # --n past the cap is refused before the input is even parsed
+    def no_work(text):
+        raise AssertionError(f"parsed {text} past the --n cap")
+
+    monkeypatch.setattr(cli, "parse_real", no_work)
+    for command in ("expand", "flags"):
+        for n in ("10001", "100000000"):
+            code = cli.main([command, "--theta", "(-3+1*sqrt(21))/6", "--n", n])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (command, n)
+            assert captured.err == "error: --n is at most 10000 for expand and flags\n"
+    monkeypatch.undo()
+    assert cli.main(["expand", "--theta", "3/8", "--n", "10000"]) == 0  # the cap itself
 
 
 def _experiment_fuzz_grid(tmp_path):

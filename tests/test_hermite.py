@@ -35,7 +35,7 @@ from hermite_lab import (
     quadratic_or_rational,
     reduce_theta,
 )
-from hermite_lab import hermite
+from hermite_lab import cf, hermite
 from hermite_lab.cf import expansion
 from hermite_lab.hermite import (
     HermiteFlags,
@@ -222,12 +222,19 @@ class TestCriterion:
         cases = [(samples[0], 1), (samples[14], 0)]
         expected = [per_index_scan(spec, 1000) for spec, _ in cases]
         exact, handed_back = hermite._region_flag, []
+        rewind, rewound = cf._WindowSession.rewind, []
+
+        def spy_rewind(session, j):
+            rewound.append(j)
+            rewind(session, j)
 
         def spy(session, a):
             if a is not None:
-                handed_back.append(len(session._batch) - session._used)
+                handed_back.append(sum(rewound))  # 0 without a rewind
+                rewound.clear()
             return exact(session, a)
 
+        monkeypatch.setattr(cf._WindowSession, "rewind", spy_rewind)
         monkeypatch.setattr(hermite, "_region_flag", spy)
         for (spec, back), reference in zip(cases, expected):
             handed_back.clear()
