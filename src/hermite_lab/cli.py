@@ -2,9 +2,12 @@
 
 Every command returns its inputs, its results and its table, and `main`
 prints them as one OutputRecord (JSON by default) or as the table (CSV with
---format csv).  Exit codes: 0 ok, 2 parse or domain error, 3 precision
-exhausted, 4 verification mismatch.  Floats carry 15 significant digits;
-exact rationals are printed as "p/q".
+--format csv).  `_json` writes the record, and `experiment`'s --out file,
+with the bytes of `json.dumps(value, indent=2)`, but raises ValueError on a
+NaN or an infinity rather than print a token that is not JSON.  Exit codes:
+0 ok, 2 parse or domain error, 3 precision exhausted, 4 verification
+mismatch.  Floats carry 15 significant digits; exact rationals are printed
+as "p/q".
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import natural_extension as next_mod
@@ -65,6 +69,51 @@ def _f15(x: float) -> float:
 def _num(value: Fraction) -> str:
     """An exact orbit coordinate as 'p/q'."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def _float_json(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+# the C-level text of each JSON scalar, by exact type: a bool is not an int here
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """The bytes of `json.dumps(value, indent=2)`, without its Python encoder.
+
+    With an indent, `json.dumps` runs the pure-Python encoder, one generator
+    step per token; here each dict and list (or tuple) is one `str.join` of
+    its items, and a scalar item is formatted inline, in no frame of its
+    own.  Dict keys must be `str`.  A NaN or an infinity raises ValueError,
+    and any other type TypeError.
+    """
+    get = _SCALARS.get
+    if scalar := get(type(value)):
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {s(v) if (s := get(type(v))) else _json(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [s(v) if (s := get(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_csv(handle, header, rows) -> None:
@@ -203,7 +252,7 @@ def _cmd_experiment(args):
     columns = list(payload["per_theta"][0])
     rows = [list(row.values()) for row in payload["per_theta"]]  # read by the file and by CSV
     try:
-        out_json.write_text(json.dumps(payload, indent=2) + "\n")
+        out_json.write_text(_json(payload) + "\n")
         with out_csv.open("w", newline="") as handle:
             _write_csv(handle, columns, rows)
     except OSError as exc:
@@ -306,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
                 "inputs": inputs,
                 "results": results,
             }
-            print(json.dumps(record, indent=2))
+            print(_json(record))
         return EXIT_OK
     except VerificationMismatch as exc:
         sys.stderr.write(_error_line(exc))

@@ -110,8 +110,8 @@ class _LowestTerms:
     `Fraction(x)` for a `numbers.Rational` x copies x.numerator and
     x.denominator as they stand, where `Fraction(n, d)` would divide out
     gcd(n, d): on a 19,400-bit sample that gcd costs more than the rest of
-    building it.  Only `decimal_fraction` and `_plus_ulp` build one, from a
-    pair they know to be in lowest terms.
+    building it.  Only `decimal_fraction`, `_plus_ulp` and
+    `_unpickle_decimal` build one, from a pair they know to be in lowest terms.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -381,10 +381,26 @@ class DecimalSpec:
     def __post_init__(self):
         _check_declared_bits(self.declared_bits)
 
+    def __reduce__(self):
+        # a pickled Fraction comes back as Fraction(n, d), whose gcd on a
+        # 19,400-bit sample costs more than building the sample did
+        pairs = [(f.numerator, f.denominator) for f in (self.value, self.window_lo, self.window_hi)]
+        return _unpickle_decimal, (*pairs, self.declared_bits, self.text)
+
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Exact bounds (lo, hi) on the intended real: its window."""
         return self.window_lo, self.window_hi
+
+
+def _unpickle_decimal(value, window_lo, window_hi, declared_bits, text) -> DecimalSpec:
+    """A pickled DecimalSpec from its (numerator, denominator) pairs.
+
+    A Fraction's pair is already in lowest terms, so it is copied as it
+    stands; the constructor checks `declared_bits` again.
+    """
+    value, lo, hi = (Fraction(_LowestTerms(n, d)) for n, d in (value, window_lo, window_hi))
+    return DecimalSpec(value, declared_bits, lo, hi, text)
 
 
 RealSpec = Union[RationalSpec, QuadraticSpec, DecimalSpec]

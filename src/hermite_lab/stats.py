@@ -66,6 +66,15 @@ class ExperimentConfig:
                 f"effective_bits must be <= 2**20, got {self.effective_bits}:"
                 " lower depth_n or precision_bits"
             )
+        # the sampler's cost rule, checked before it runs: the samples are
+        # held at once, about one byte per bit of effective_bits each (their
+        # Fractions and digit text), so sample_count * effective_bits is at
+        # most 2**30, about 1.1 GB: 55,347 samples of 19,400 bits at depth 5000
+        if isinstance(self.theta_source, str) and self.sample_count * self.effective_bits > 1 << 30:
+            raise InvalidArgument(
+                f"sample_count * effective_bits must be <= 2**30, got {self.sample_count}"
+                f" * {self.effective_bits}: lower sample_count, depth_n or precision_bits"
+            )
 
     @property
     def effective_bits(self) -> int:

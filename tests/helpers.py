@@ -54,6 +54,45 @@ def random_quadratic_specs(count: int, seed: int) -> list[QuadraticSpec]:
     return out
 
 
+_JSON_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0.1, -2.5)
+_JSON_CHARS = "aZ09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600"
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json_scalar(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice((True, False, None))
+    if kind == 1:
+        return rng.randint(-(10**20), 10**20)
+    if kind == 2:  # past CPython's 4,300-digit int/str limit
+        return rng.choice((1, -1)) * rng.randrange(10**4300, 10**4400)
+    if kind == 3:
+        return rng.choice(_JSON_FLOATS)
+    if kind == 4:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300)
+    return _random_text(rng)
+
+
+def random_json_value(rng: random.Random, depth: int = 4):
+    """A nested value of dicts (str keys), lists and tuples over JSON scalars.
+
+    It covers the corners of `json.dumps`'s output: ints past 4,300 digits,
+    `-0.0`, subnormal and exponent floats, quotes, backslashes, control and
+    non-ASCII characters (outside the BMP too), empty containers and tuples.
+    """
+    kind = rng.randrange(4) if depth > 0 else 3
+    if kind == 3:
+        return _random_json_scalar(rng)
+    items = [random_json_value(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if kind == 0:
+        return {_random_text(rng): item for item in items}
+    return items if kind == 1 else tuple(items)
+
+
 # Command lines that argparse rejects with one `error:` line and exit 2;
 # scripts/flag_digest.py hashes the CLI's answers to them as well
 ARGUMENT_REJECTIONS = [

@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
-from helpers import ARGUMENT_REJECTIONS
+from helpers import ARGUMENT_REJECTIONS, random_json_value
 
 from hermite_lab import cli
 from hermite_lab.numeric import int_of_digits
@@ -381,6 +383,54 @@ def test_csv_tables_of_every_command(capsys, tmp_path):
     assert (tmp_path / "e.csv").read_text() == tables[-1][1]  # the file holds the same table
 
 
+def test_json_records_of_every_command(capsys, tmp_path):
+    # the exact bytes of each command's JSON record, as json.dumps(record,
+    # indent=2) printed them, kept in tests/cli_records
+    records = Path(__file__).parent / "cli_records"
+    invocations = [
+        ("expand", "--theta", "3/8", "--n", "3"),
+        ("flags", "--theta", "3/8", "--n", "5", "--verify"),
+        ("orbit", "--x", "1/3", "--y", "1/4", "--n", "2"),
+        ("measure",),
+    ]
+    for argv in invocations:
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == (0, (records / f"{argv[0]}.json").read_text()), argv
+    out = tmp_path / "e.json"
+    argv = ["experiment", "--samples", "2", "--depth", "30", "--seed", "3", "--out", str(out)]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.read_text() == (records / "experiment.json").read_text()
+
+
+class TestJsonWriter:
+    def test_same_bytes_as_json_dumps(self):
+        edges = [
+            {}, [], (), [{}], {"": []}, [[[]]], (1, (2.5, "x")), True, False, None,
+            -0.0, 5e-324, 1e16, 1e-7, 0, -(10**5000), "\"\\\x00\u00e9\U0001f600",
+        ]
+        rng = random.Random(28)
+        values = edges + [random_json_value(rng) for _ in range(600)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # as cli.main lifts it around a command
+        try:
+            for value in values:
+                assert cli._json(value) == json.dumps(value, indent=2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_raise(self, value):
+        for record in (value, {"results": [1, value]}):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli._json(record)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), {1: 2}, [{(1,): 2}], {1, 2}, b"x"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
 def test_every_record_validates(capsys, tmp_path):
     # belt and braces: one record per command through the schema
     invocations = [
@@ -539,9 +589,25 @@ def test_n_past_the_cap_exits_2_before_any_work(capsys, monkeypatch):
     assert cli.main(["expand", "--theta", "3/8", "--n", "10000"]) == 0  # the cap itself
 
 
+def test_samples_past_the_cost_rule_exit_2_before_any_work(capsys, monkeypatch, tmp_path):
+    # samples x bits past 2**30 is refused before the sampler runs
+    def no_work(cfg):
+        raise AssertionError(f"ran {cfg.sample_count} samples past the cost rule")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    out = tmp_path / "run.json"
+    for samples, depth in (("55348", "5000"), ("100000000", "10")):
+        argv = ["experiment", "--samples", samples, "--depth", depth, "--out", str(out)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("error: sample_count * effective_bits must be <= 2**30")
+    assert not out.exists()
+
+
 def _experiment_fuzz_grid(tmp_path):
     outs = [tmp_path / "fuzz.json", tmp_path / "missing" / "fuzz.json"]
-    for samples in ["1", "2"]:
+    for samples in ["1", "2", "100000000"]:  # 10**8 samples break the cost rule at any bits
         for depth in ["-1", "0", "9", "10", "12"]:
             for bits in [[], ["--precision-bits", "32"], ["--precision-bits", "64"]]:
                 for workers in ["0", "1"]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from hermite_lab.numeric import (
     surd_floor,
     surd_sign,
 )
+from hermite_lab.cf import reduce_theta
 from hermite_lab.stats import sample_thetas
 
 
@@ -218,6 +220,40 @@ class TestLowestTerms:
                     assert repr(spec) == repr(built)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestPickle:
+    def test_decimal_round_trip_keeps_equality_hash_repr_and_text(self):
+        # a DecimalSpec pickles as integer pairs, copied back without a gcd
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # repr of a 19,400-bit window passes 4,300 digits
+        try:
+            value = Fraction(-7, 20)
+            specs = [
+                *sample_thetas(42, 3, 19400),
+                *sample_thetas(5, 2, 64),
+                parse_real("0.3819660112501051517954131@64"),
+                parse_real("-2.75"),
+                make_decimal(value, 80, window=(Fraction(-3, 8), Fraction(-1, 3)), text="w"),
+                make_decimal(value, 64, window=(value, value)),
+                reduce_theta(parse_real("-0.123456789@64"))[1],  # a mirrored window
+            ]
+            for spec in specs:
+                back = pickle.loads(pickle.dumps(spec))
+                assert type(back) is DecimalSpec
+                assert back == spec and hash(back) == hash(spec)
+                assert repr(back) == repr(spec)
+                assert back.text == spec.text and spec_text(back) == spec_text(spec)
+                for got, want in zip(back.bounds + (back.value,), spec.bounds + (spec.value,)):
+                    assert type(got) is Fraction
+                    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_unpickling_checks_the_declared_bits(self):
+        rebuild, (value, lo, hi, _, text) = parse_real("0.5@64").__reduce__()
+        with pytest.raises(ParseError):
+            rebuild(value, lo, hi, 63, text)
 
 
 class TestQuadraticReal:

@@ -178,6 +178,18 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(sample_count=1, workers=0)
 
+    def test_samples_times_bits_cost_rule(self):
+        # at depth 5000 each sample has 19,400 bits: 55,347 fit in 2**30
+        assert ExperimentConfig(55347, 5000).effective_bits * 55347 <= 1 << 30
+        with pytest.raises(InvalidArgument, match=r"sample_count \* effective_bits must be <= 2"):
+            ExperimentConfig(55348, 5000)
+        assert ExperimentConfig(1 << 24, 10, precision_bits=64).sample_count == 1 << 24
+        for bits in (64, 1 << 20):
+            with pytest.raises(InvalidArgument, match="lower sample_count"):
+                ExperimentConfig(((1 << 30) // bits) + 1, 10, precision_bits=bits)
+        # the rule bounds the sampler: given specs are not sampled
+        assert ExperimentConfig(55348, 5000, theta_source=[GOLDEN] * 55348).sample_count == 55348
+
     def test_argument_errors_are_typed(self):
         bad_calls = [
             lambda: ExperimentConfig(sample_count=0),
