@@ -14,8 +14,9 @@ and `cli` the command line above it.  The families:
   criterion 5, at depths 10**6 and 50;
 * `crosscheck`: the inputs of perfbench's `exact_crosscheck` workload for
   `--seed`, at its depth of 20;
-* `decimals`: 1,200 random decimals of 64-128 bits (seed 7), each scanned
-  until its window is exhausted;
+* `decimals`: 1,200 random decimals of 64-128 bits
+  (`helpers.random_decimal_specs`, seed 7), each scanned until its window
+  is exhausted;
 * `ties`: flags that land on the border of the skip region, and shallow
   fixtures, at depths 2, 3, 10 and 183;
 * `deep`: the 40 samples of perfbench's `deep_decimal` workload for
@@ -49,13 +50,11 @@ import contextlib
 import hashlib
 import io
 import os
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from hermite_lab import cli, make_decimal, parse_real
+from hermite_lab import cli, parse_real
 from hermite_lab.cf import cf_expand, reduce_theta, tail_value
 from hermite_lab.hermite import criterion_scan, flags_via_envelope
 from hermite_lab.lattice import complete_sequence
@@ -68,25 +67,21 @@ TIES = (
 )
 
 
-def _random_decimals(count: int) -> list:
-    rng = random.Random(7)
-    out = []
-    for _ in range(count):
-        bits = rng.randint(64, 128)
-        out.append(make_decimal(Fraction(rng.randrange(1, 1 << bits), 2 << bits), bits))
-    return out
-
-
 def families(seed: int, tiny: bool) -> dict[str, list]:
     """Family name -> list of (spec, depth); needs tests/ and perfbench/ on the path."""
     import workloads
-    from helpers import ARGUMENT_REJECTIONS, random_quadratic_specs, random_rational_specs
+    from helpers import (
+        ARGUMENT_REJECTIONS,
+        random_decimal_specs,
+        random_quadratic_specs,
+        random_rational_specs,
+    )
 
     size = workloads.TINY if tiny else workloads.FULL
     rationals = random_rational_specs(100, 10**6, seed=501)
     quadratics = random_quadratic_specs(10, seed=502)
     cross = workloads.build_cross(seed, workloads.FULL)
-    decimals = _random_decimals(1200)
+    decimals = random_decimal_specs(1200, 64, 128, seed=7)
     if tiny:
         rationals, quadratics = rationals[:5], quadratics[:2]
         cross, decimals = cross[:6], decimals[:20]

@@ -11,14 +11,14 @@ carries the batch's cosequence, which then moves the remainders, the ends
 kept in order, the lower first, and the convergent denominators past the
 batch in a few multiplications.
 
-Both sessions keep their state at the current position, after the
-quotients emitted so far, and only `run(limit)` advances it: it hands out
-the next quotients certified together, with float bounds on the tail after
-each quotient of 1 for the Hermite criterion.  The other methods read the
-state: `denominators()` gives the last two convergent denominators,
+Both sessions only move forward, and only `run(limit)` moves them: it
+hands out the next quotients certified together, with float bounds on the
+tail after each quotient of 1 for the Hermite criterion; `take(session,
+n)` runs one until it has n quotients or the expansion ends.  The other
+methods read the state after the quotients emitted so far:
+`denominators()` gives the last two convergent denominators,
 `tail_signs(num, den)` the signs of tail - num/den at both ends, and
-`tail_bounds()` exact bounds on the tail.  A window session can also
-`rewind(j)`, handing back the last j quotients of its last run.
+`tail_bounds()` exact bounds on the tail.
 """
 
 from __future__ import annotations
@@ -210,8 +210,6 @@ class _WindowSession:
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
-        # the state before the last run, and that run's length, for `rewind`
-        self._before = (self.an, self.ad, self.bn, self.bd, 0, 1), 0
 
     def run(self, limit: int):
         """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
@@ -222,28 +220,13 @@ class _WindowSession:
         correct to the rounding of one float division; None beside the
         others.
         """
-        before = self.an, self.ad, self.bn, self.bd, self._q_prev, self._q_cur
         batch, tails = self._start_batch(limit)
-        self._before = before, len(batch)
         if batch:
             return batch, tails
         # both remainders 0 on the same step: terminated
         self.terminated = self.an == self.bn == 0
         self.exhausted = not self.terminated
         return (), ()
-
-    def rewind(self, j: int) -> None:
-        """Hand back the last j quotients of the last run.
-
-        The state from before that run comes back, and its first len - j
-        quotients are certified again from the same window: the session is
-        then placed just after the quotient before the j, and emits those j
-        again.
-        """
-        before, length = self._before
-        self.an, self.ad, self.bn, self.bd, self._q_prev, self._q_cur = before
-        self._before = before, length - j
-        self._start_batch(length - j)
 
     def _start_batch(self, limit: int):
         """Certify at most `limit` quotients on a small window around both ends.
@@ -333,6 +316,17 @@ def expansion(x0: RealSpec) -> ExpansionSession:
     return _WindowSession(*x0.bounds)
 
 
+def take(session: ExpansionSession, n: int) -> list[int]:
+    """The session's next quotients, until it has n or gets an empty run."""
+    quotients: list[int] = []
+    while len(quotients) < n:
+        run = session.run(n - len(quotients))[0]
+        if not run:
+            break
+        quotients += run
+    return quotients
+
+
 def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:
     """First n certified partial quotients of x0.
 
@@ -342,12 +336,7 @@ def cf_expand(x0: RealSpec, n: int, strict: bool = False) -> PartialQuotients:
     if n < 1:
         raise InvalidArgument("n must be positive")
     session = expansion(x0)
-    quotients: list[int] = []
-    while len(quotients) < n:
-        run = session.run(n - len(quotients))[0]
-        if not run:
-            break
-        quotients += run
+    quotients = take(session, n)
     if strict and session.exhausted and len(quotients) < n:
         raise AmbiguousComparison(
             f"only {len(quotients)} of {n} quotients certified at the declared precision"
@@ -386,18 +375,14 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
         raise InvalidArgument("tail index starts at -1")
     x0 = spec if _is_reduced(spec) else reduce_theta(spec)[1]
     session = expansion(x0)
-    k = 0  # quotients read
-    while k <= n:
-        run = session.run(n + 1 - k)[0]
-        if not run:
-            if session.terminated:
-                raise IndexOutOfRange(f"expansion terminated after {k} quotients")
-            raise TailUnavailable(f"decimal input certifies only {k} quotients")
-        # each run is checked as it arrives: a mismatch is reported before
-        # the expansion ends further on
-        if any(a != b for a, b in zip(run, pq.quotients[k : k + len(run)])):
-            raise InvalidArgument("partial quotients do not belong to this input")
-        k += len(run)
+    got = take(session, n + 1)
+    # a mismatch is reported before the expansion's end
+    if any(a != b for a, b in zip(got, pq.quotients)):
+        raise InvalidArgument("partial quotients do not belong to this input")
+    if len(got) <= n:
+        if session.terminated:
+            raise IndexOutOfRange(f"expansion terminated after {len(got)} quotients")
+        raise TailUnavailable(f"decimal input certifies only {len(got)} quotients")
     return TailValue(n, session.tail_bounds())
 
 

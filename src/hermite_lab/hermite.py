@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cf import expansion, reduce_theta
+from .cf import expansion, reduce_theta, take
 from .errors import (
     AmbiguousComparison,
     GridTooCoarse,
@@ -149,15 +149,19 @@ class ScanState:
 
 
 def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
-    """Flags for X_0 .. X_{n-1} from the pair orbit; single certified pass.
+    """Flags for X_0 .. X_{n-1} from the pair orbit, each one certified.
 
     The session hands out runs of certified quotients, a whole Lehmer batch
     at a time for a long window, with float bounds on the tail after each
     quotient of 1.  A quotient of 2 or more flags its vector True; after a
     1 the floats are compared with (1-y)/(1+2y), y = q_{m-2}/q_{m-1} as a
     float, and only a tail within the margin of that bound goes to the
-    exact `_region_flag`, with the session placed just after its quotient;
-    the rest of that run is handed back and certified again.
+    exact `_region_flag`, with a session just after its quotient: the
+    scan's own at a run's last quotient, as for every quadratic flag, else
+    a fresh one that `take` places there after the loop.  Every session
+    certifies the same quotients whatever its batching: a head window
+    contains the exact window, and where a head batch certifies nothing,
+    the exact ends take one step.
 
     X_m has denominator q_{m-1}.  The scan keeps no denominators itself: at
     the end it reads (q_{K-1}, q_K) after the K certified quotients from the
@@ -175,15 +179,13 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     next_run, append = session.run, flags.append
     margin, big = _PREFILTER_MARGIN, _FLOAT_QUOTIENT_MAX
     m = 1  # index of the run's first flag
+    pending = []  # flags inside a run left to the exact test
     while m < n:
         run, tails = next_run(n - m)
         if not run:
             append(_region_flag(session, None))
             break
-        k = 0  # quotients of the run read
-        for a in run:
-            tail = tails[k]
-            k += 1
+        for a, tail in zip(run, tails):
             if tail is None:
                 append(True)  # a >= 2: t <= 1/2 <= (2y+1)/(y+2)
             else:
@@ -192,16 +194,19 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
                     append(False)
                 elif tail[0] > bound + margin:
                     append(True)
-                else:
-                    if k < len(run):  # hand back the rest of the run
-                        session.rewind(len(run) - k)
-                        run = run[:k]
+                elif len(flags) < m + len(run) - 1:  # inside the run
+                    pending.append(len(flags))
+                    append(None)
+                else:  # the session sits just after the run's last quotient
                     append(_region_flag(session, 1))
-                    y = 1.0 / (1.0 + y)
-                    break
             y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
         quotients += run
         m += len(run)
+    if pending:
+        placed, k = expansion(x0), 0
+        for m in pending:  # X_m is decided just after quotient a_m
+            take(placed, m - k)
+            flags[m], k = _region_flag(placed, 1), m
     deepest = next((i for i in range(len(flags) - 1, 0, -1) if flags[i]), 0)
     q_prev, q_cur = session.denominators()
     hermite_q = 0

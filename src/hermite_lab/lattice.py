@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cf import HALF, expansion, reduce_theta
+from .cf import HALF, expansion, reduce_theta, take
 from .errors import AmbiguousComparison, InvalidArgument, NotConsecutive, SequenceEnds
 from .numeric import QuadraticReal, QuadraticSpec, RationalSpec, RealSpec
 
@@ -86,15 +86,10 @@ def complete_sequence(theta: RealSpec, n: int) -> list[MinimalVector]:
     ]
     pp, pq = sign, 0  # X_0 oriented so that consecutive v1 signs alternate
     cp, cq = nearest, 1
-    session = expansion(x0)
-    while len(vectors) <= n:
-        run = session.run(n + 1 - len(vectors))[0]
-        if not run:
-            break
-        for a in run:
-            pp, cp = cp, pp + a * cp
-            pq, cq = cq, pq + a * cq
-            vectors.append(MinimalVector(cp, cq, len(vectors), theta))
+    for a in take(expansion(x0), n - 1):
+        pp, cp = cp, pp + a * cp
+        pq, cq = cq, pq + a * cq
+        vectors.append(MinimalVector(cp, cq, len(vectors), theta))
     return vectors
 
 

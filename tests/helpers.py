@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from hermite_lab import QuadraticSpec, RationalSpec, quadratic_or_rational
+from hermite_lab import (
+    DecimalSpec,
+    QuadraticSpec,
+    RationalSpec,
+    make_decimal,
+    quadratic_or_rational,
+)
 
 
 def sqrt_bounds(d: int, prec_bits: int) -> tuple[Fraction, Fraction]:
@@ -33,6 +39,16 @@ def random_rational_specs(count: int, max_den: int, seed: int) -> list[RationalS
         if f.denominator == 1:
             continue
         out.append(RationalSpec(f))
+    return out
+
+
+def random_decimal_specs(count: int, min_bits: int, max_bits: int, seed: int) -> list[DecimalSpec]:
+    """Decimals in (0, 1/2] declared to a uniform min_bits..max_bits bits."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        bits = rng.randint(min_bits, max_bits)
+        out.append(make_decimal(Fraction(rng.randrange(1, 1 << bits), 2 << bits), bits))
     return out
 
 

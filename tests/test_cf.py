@@ -37,7 +37,7 @@ from hermite_lab import (
     reduce_theta,
     tail_value,
 )
-from hermite_lab.cf import _BATCH_MIN_BITS, expansion
+from hermite_lab.cf import _BATCH_MIN_BITS, expansion, take
 from hermite_lab.hermite import criterion_scan
 from hermite_lab.lattice import complete_sequence
 
@@ -544,12 +544,13 @@ def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
 
 
 def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
-    """Runs of random limits, some partly handed back, against `_lockstep`.
+    """Runs of random limits against `_lockstep`, and one `take` of random length.
 
-    They concatenate to its quotients; denominators and exact tails at both
-    ends agree at every run boundary, after a rewind too; the float pair
-    beside each quotient of 1 brackets the tails at both ends after it,
-    None beside the others.
+    The runs concatenate to its quotients; denominators and exact tails at
+    both ends agree at every run boundary; the float pair beside each
+    quotient of 1 brackets the tails at both ends after it, None beside the
+    others.  A second session read with `take(session, j)` holds the
+    denominators and exact tails of index j.
     """
     session = expansion(x0)
     got = []
@@ -559,10 +560,6 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
         run, tails = session.run(rng.choice((1, 2, 7, 10**6)))
         if not run:
             break
-        if len(run) > 1 and rng.random() < 0.2:
-            back = rng.randrange(1, len(run))
-            session.rewind(back)
-            run, tails = run[:-back], tails[:-back]
         long_runs += len(run) > 2
         for a, tail in zip(run, tails):
             got.append(a)
@@ -583,6 +580,15 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     assert got == quotients
     assert long_runs
     assert (session.terminated, session.exhausted) == (terminated, not terminated)
+    j = rng.randrange(len(quotients) + 1)
+    placed = expansion(x0)
+    assert take(placed, j) == quotients[:j]
+    q_prev, q_cur = 0, 1
+    for a in quotients[:j]:
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    assert placed.denominators() == (q_prev, q_cur), j
+    an, ad, bn, bd = states[j]
+    assert placed.tail_bounds() == tuple(sorted((Fraction(an, ad), Fraction(bn, bd)))), j
 
 
 class TestWindowEngine:
@@ -713,7 +719,7 @@ class TestWindowEngine:
     def test_short_window_is_one_batch(self):
         # a window with a denominator of at most _BATCH_MIN_BITS is its own
         # batch window: the whole expansion comes in one run, and runs of
-        # random limits, some handed back, concatenate to lockstep Euclid's
+        # random limits concatenate to lockstep Euclid's
         rng = random.Random(37)
         inputs = []
         for _ in range(20):

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from helpers import ARGUMENT_REJECTIONS, random_json_value
 
-from hermite_lab import cli
+from hermite_lab import cli, stats
 from hermite_lab.numeric import int_of_digits
 
 SCHEMA = json.loads(
@@ -603,6 +603,23 @@ def test_samples_past_the_cost_rule_exit_2_before_any_work(capsys, monkeypatch, 
         assert (code, captured.out) == (2, ""), argv
         assert captured.err.startswith("error: sample_count * effective_bits must be <= 2**30")
     assert not out.exists()
+
+
+def test_seed_out_of_range_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
+    # blake2b's key is the seed's 8 unsigned bytes: -1 and 2**64 are refused
+    # before any sample is analyzed, and no file is written
+    def no_work(job):
+        raise AssertionError(f"analyzed a sample of seed {seed}")
+
+    monkeypatch.setattr(stats, "_analyze_job", no_work)
+    out = tmp_path / "run.json"
+    for seed in ("-1", str(1 << 64)):
+        argv = ["experiment", "--samples", "2", "--depth", "10", f"--seed={seed}"]
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == "error: seed must lie in [0, 2**64)\n"
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def _experiment_fuzz_grid(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     next_quotient,
     no_two_consecutive_false,
+    random_decimal_specs,
     random_quadratic_specs,
     random_rational_specs,
 )
@@ -92,6 +93,18 @@ def per_index_scan(spec, n: int):
     hermite_q = qs[deepest] if deepest else 0  # X_m has denominator q_{m-1}
     state = ScanState(qs[-1], session.terminated, hermite_q, tuple(quotients))
     return HermiteFlags(spec, tuple(flags), "criterion"), state
+
+
+def _count_sessions(monkeypatch) -> list:
+    """The inputs of the sessions `criterion_scan` opens, collected as it opens them."""
+    opened = []
+
+    def counted(x0):
+        opened.append(x0)
+        return expansion(x0)
+
+    monkeypatch.setattr(hermite, "expansion", counted)
+    return opened
 
 
 def decided_agree(a, b) -> bool:
@@ -215,31 +228,45 @@ class TestCriterion:
 
     def test_exact_fallback_inside_a_run(self, monkeypatch):
         # the float prefilter leaves one flag after a 1 to the exact test on
-        # each sample: on the first with a quotient of its batch after it,
-        # which the session hands back and certifies again, on the second at
-        # the batch's last quotient
+        # each sample: on the first inside a run, which a second session
+        # placed after the loop decides, on the second at the run's last
+        # quotient, which the scan's own session decides
         samples = sample_thetas(5, 20, 3000)
-        cases = [(samples[0], 1), (samples[14], 0)]
+        cases = [(samples[0], 2), (samples[14], 1)]
         expected = [per_index_scan(spec, 1000) for spec, _ in cases]
-        exact, handed_back = hermite._region_flag, []
-        rewind, rewound = cf._WindowSession.rewind, []
-
-        def spy_rewind(session, j):
-            rewound.append(j)
-            rewind(session, j)
+        opened = _count_sessions(monkeypatch)
+        exact, placed = hermite._region_flag, []
 
         def spy(session, a):
             if a is not None:
-                handed_back.append(sum(rewound))  # 0 without a rewind
-                rewound.clear()
+                placed.append(session.denominators())
             return exact(session, a)
 
-        monkeypatch.setattr(cf._WindowSession, "rewind", spy_rewind)
         monkeypatch.setattr(hermite, "_region_flag", spy)
-        for (spec, back), reference in zip(cases, expected):
-            handed_back.clear()
-            assert criterion_scan(spec, 1000) == reference
-            assert handed_back == [back]
+        for (spec, sessions), reference in zip(cases, expected):
+            opened.clear()
+            placed.clear()
+            flags, state = criterion_scan(spec, 1000)
+            assert (flags, state) == reference
+            assert len(opened) == sessions
+            qs = [0, 1]
+            for a in state.quotients:
+                qs.append(a * qs[-1] + qs[-2])
+            assert len(placed) == 1 and placed[0] in set(zip(qs, qs[1:]))
+
+    def test_deferred_fallback_matches_per_index(self, monkeypatch):
+        # 64-128-bit decimals are short windows, one run each, scanned until
+        # the window runs out: a flag the floats leave inside that run waits
+        # for a second session, placed after the loop
+        specs = random_decimal_specs(300, 64, 128, seed=61)
+        expected = [per_index_scan(spec, 10**6) for spec in specs]
+        opened = _count_sessions(monkeypatch)
+        deferred = 0
+        for spec, reference in zip(specs, expected):
+            opened.clear()
+            assert criterion_scan(spec, 10**6) == reference, spec
+            deferred += len(opened) - 1
+        assert deferred
 
     def test_boundary_tie_is_hermite(self):
         # x_1 = 4/5 equals (2y+1)/(y+2) at y = 1/2: not in V, so X_2 stays

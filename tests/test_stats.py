@@ -33,6 +33,13 @@ class TestSampler:
         b = sample_thetas(1, 3, 256)
         assert a == b
 
+    def test_seed_range(self):
+        # the seed keys blake2b as 8 unsigned bytes: [0, 2**64)
+        assert sample_thetas(0, 1, 64) != sample_thetas((1 << 64) - 1, 1, 64)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(InvalidArgument, match=r"seed must lie in \[0, 2\*\*64\)"):
+                sample_thetas(seed, 1, 64)
+
     def test_in_unit_interval(self):
         for spec in sample_thetas(9, 20, 256):
             assert 0 < spec.value < 1
