@@ -11,14 +11,13 @@ carries the batch's cosequence, which then moves the remainders, the ends
 kept in order, the lower first, and the convergent denominators past the
 batch in a few multiplications.
 
-Both sessions only move forward, and only `run(limit)` moves them: it
-hands out the next quotients certified together, with float bounds on the
-tail after each quotient of 1 for the Hermite criterion; `take(session,
-n)` runs one until it has n quotients or the expansion ends.  The other
-methods read the state after the quotients emitted so far:
-`denominators()` gives the last two convergent denominators,
-`tail_signs(num, den)` the signs of tail - num/den at both ends, and
-`tail_bounds()` exact bounds on the tail.
+Both sessions only move forward.  They keep their state at the current
+position, after the quotients emitted so far, and only `run(limit)`
+advances it: it hands out the next quotients certified together, with
+float bounds on the tail after each quotient of 1 for the Hermite
+criterion.  The other methods read the state: `denominators()` gives the
+last two convergent denominators, `tail_signs(num, den)` the signs of
+tail - num/den at both ends, and `tail_bounds()` exact bounds on the tail.
 """
 
 from __future__ import annotations

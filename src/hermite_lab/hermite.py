@@ -156,12 +156,10 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     quotient of 1.  A quotient of 2 or more flags its vector True; after a
     1 the floats are compared with (1-y)/(1+2y), y = q_{m-2}/q_{m-1} as a
     float, and only a tail within the margin of that bound goes to the
-    exact `_region_flag`, with a session just after its quotient: the
-    scan's own at a run's last quotient, as for every quadratic flag, else
-    a fresh one that `take` places there after the loop.  Every session
-    certifies the same quotients whatever its batching: a head window
-    contains the exact window, and where a head batch certifies nothing,
-    the exact ends take one step.
+    exact `_region_flag`, on a session just after its quotient: the scan's
+    own at a run's end, else one `take` places after the loop.  Batching
+    never changes the quotients: a head window contains the exact window,
+    and where a head batch certifies nothing, the exact ends take one step.
 
     X_m has denominator q_{m-1}.  The scan keeps no denominators itself: at
     the end it reads (q_{K-1}, q_K) after the K certified quotients from the
@@ -178,14 +176,16 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
     y = 0.0
     next_run, append = session.run, flags.append
     margin, big = _PREFILTER_MARGIN, _FLOAT_QUOTIENT_MAX
-    m = 1  # index of the run's first flag
     pending = []  # flags inside a run left to the exact test
-    while m < n:
-        run, tails = next_run(n - m)
+    while len(flags) < n:
+        run, tails = next_run(n - len(flags))
         if not run:
             append(_region_flag(session, None))
             break
-        for a, tail in zip(run, tails):
+        k = 0  # quotients of the run read
+        for a in run:
+            tail = tails[k]
+            k += 1
             if tail is None:
                 append(True)  # a >= 2: t <= 1/2 <= (2y+1)/(y+2)
             else:
@@ -194,14 +194,13 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
                     append(False)
                 elif tail[0] > bound + margin:
                     append(True)
-                elif len(flags) < m + len(run) - 1:  # inside the run
+                elif k < len(run):
                     pending.append(len(flags))
                     append(None)
                 else:  # the session sits just after the run's last quotient
                     append(_region_flag(session, 1))
             y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
         quotients += run
-        m += len(run)
     if pending:
         placed, k = expansion(x0), 0
         for m in pending:  # X_m is decided just after quotient a_m
