@@ -43,7 +43,7 @@ def random_rational_specs(count: int, max_den: int, seed: int) -> list[RationalS
 
 
 def random_decimal_specs(count: int, min_bits: int, max_bits: int, seed: int) -> list[DecimalSpec]:
-    """Decimals in (0, 1/2] declared to a uniform min_bits..max_bits bits."""
+    """Decimals in (0, 1/2) declared to a uniform min_bits..max_bits bits."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
