@@ -27,8 +27,8 @@ and `cli` the command line above it.  The families:
   `hermite.flags_via_envelope` on that sequence.
 * `expansions`: the `criterion5`, `crosscheck`, `decimals` and `deep`
   inputs again, hashing `repr` of `cf.cf_expand(x0, depth)` on the reduced
-  input x0 and of the `cf.tail_value` bounds at three indices: 0, the
-  middle and the last quotient's.
+  input x0 and of the `(lo, hi)` bounds `cf.tail_value` returns at three
+  indices: 0, the middle and the last quotient's.
 * `cli`: the 1,280 calls of perfbench's `cli_mixed` workload for `--seed`,
   then `helpers.ARGUMENT_REJECTIONS` (the argument rejections of
   `tests/test_cli.py`) and `--help`, all through `cli.main` in this one
@@ -112,11 +112,12 @@ def sequence_record(spec, depth: int) -> tuple:
 
 
 def expansion_record(spec, depth: int) -> tuple:
-    """cf_expand on the reduced input, and tail_value at its first, middle and last index."""
+    """cf_expand on the reduced input, and the (lo, hi) pair that tail_value returns
+    at its first, middle and last index."""
     x0 = reduce_theta(spec)[1]
     pq = cf_expand(x0, depth)
     last = len(pq.quotients) - 1  # -1 when no quotient is certified
-    return pq, [tail_value(x0, pq, n).value for n in (min(0, last), last // 2, last)]
+    return pq, [tail_value(x0, pq, n) for n in (min(0, last), last // 2, last)]
 
 
 def cli_record(argv: tuple) -> tuple:

@@ -4,7 +4,6 @@ two-dimensional extension of the Gauss map, with certified arithmetic."""
 from .cf import (
     Convergent,
     PartialQuotients,
-    TailValue,
     cf_expand,
     convergents,
     mirror_value,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .hermite import (
     HermiteFlags,
-    HermiteSubsequence,
     flags_via_criterion,
     flags_via_delta_scan,
     flags_via_envelope,

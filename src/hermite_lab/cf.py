@@ -68,14 +68,6 @@ class Convergent:
     index: int
 
 
-@dataclass(frozen=True)
-class TailValue:
-    """Exact bounds (lo, hi) on the tail; lo == hi for a rational or quadratic."""
-
-    index: int
-    value: tuple[Fraction | QuadraticReal, Fraction | QuadraticReal]
-
-
 def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
     """Split theta into (sign of theta', x0 = |theta'|, nearest integer).
 
@@ -362,8 +354,10 @@ def ratio_y(conv: list[Convergent], n: int) -> Fraction:
     return Fraction(conv[n].q, conv[n + 1].q)
 
 
-def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
-    """Exact bounds on the tail [0; a_{n+2}, a_{n+3}, ...], n >= -1.
+def tail_value(
+    spec: RealSpec, pq: PartialQuotients, n: int
+) -> tuple[Fraction | QuadraticReal, Fraction | QuadraticReal]:
+    """Exact bounds (lo, hi) on the tail [0; a_{n+2}, a_{n+3}, ...], n >= -1.
 
     The tail itself, twice, for a rational or quadratic input; for a decimal
     the tails at the two window endpoints, in order, which bound it for every
@@ -382,7 +376,7 @@ def tail_value(spec: RealSpec, pq: PartialQuotients, n: int) -> TailValue:
         if session.terminated:
             raise IndexOutOfRange(f"expansion terminated after {len(got)} quotients")
         raise TailUnavailable(f"decimal input certifies only {len(got)} quotients")
-    return TailValue(n, session.tail_bounds())
+    return session.tail_bounds()
 
 
 def mirror_value(quotients: tuple[int, ...] | list[int]) -> Fraction:

@@ -165,7 +165,7 @@ def _cmd_flags(args):
         "vectors": [
             {"index": v.index, "p": v.p, "q": v.q} for v in seq[: len(flags.flags)]
         ],
-        "hermite_h": [e.h for e in sub.entries],
+        "hermite_h": [v.q for v in sub],
     }
     if args.verify:
         if len(seq) < 3:  # a rational has 3 or more: a decimal's precision stopped here

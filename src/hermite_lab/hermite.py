@@ -76,21 +76,6 @@ class HermiteFlags:
         return self.flags.count(None)
 
 
-@dataclass(frozen=True)
-class HermiteEntry:
-    g: int
-    h: int
-    source_index: int
-
-
-@dataclass(frozen=True)
-class HermiteSubsequence:
-    entries: tuple[HermiteEntry, ...]
-
-    def h_values(self) -> list[int]:
-        return [e.h for e in self.entries if e.h >= 1]
-
-
 # ---------------------------------------------------------------------------
 # method 1: orbit criterion
 
@@ -453,8 +438,8 @@ def flags_via_delta_scan(theta: RealSpec, n: int) -> HermiteFlags:
 
 def hermite_subsequence(
     flags: HermiteFlags, seq: Sequence[MinimalVector]
-) -> HermiteSubsequence:
-    """Flagged-true vectors in order; h values are strictly increasing."""
+) -> tuple[MinimalVector, ...]:
+    """The flagged-true vectors of `seq` themselves, in order; their q strictly increase."""
     if len(flags.flags) > len(seq):
         raise MisalignedInput("more flags than vectors")
     if seq and seq[0].theta != flags.theta:
@@ -462,9 +447,4 @@ def hermite_subsequence(
     for k, vec in enumerate(seq[: len(flags.flags)]):
         if vec.index != k:
             raise MisalignedInput("sequence indices must start at 0 and be contiguous")
-    entries = [
-        HermiteEntry(seq[k].p, seq[k].q, k)
-        for k, f in enumerate(flags.flags)
-        if f is True
-    ]
-    return HermiteSubsequence(tuple(entries))
+    return tuple(vec for vec, f in zip(seq, flags.flags) if f is True)

@@ -73,13 +73,12 @@ def orbit(p, n: int) -> list[DomainPoint]:
     x, y = _as_pair(p)
     _check_in_U(x, y)
     points = [DomainPoint(x, y)]
+    # only the start can be blocked: a step that lands on that edge raises below
+    if n != 0 and (x == 0 if n > 0 else y == 0):
+        raise OrbitTerminates(0, points)
     step = step_T if n >= 0 else step_T_inv
     for k in range(1, abs(n) + 1):
-        cur = points[-1]
-        blocked = cur.x == 0 if n >= 0 else cur.y == 0
-        if blocked:
-            raise OrbitTerminates(k - 1, points)
-        nxt = step(cur)
+        nxt = step(points[-1])
         points.append(nxt)
         terminal = nxt.x == 0 if n >= 0 else nxt.y == 0
         if terminal:

@@ -11,6 +11,7 @@ changing the result.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -236,11 +237,6 @@ def analyze_theta(spec: RealSpec, n: int) -> ThetaReport:
 # experiment driver
 
 
-def _analyze_job(args: tuple[RealSpec, int]) -> ThetaReport:
-    spec, depth = args
-    return analyze_theta(spec, depth)
-
-
 def _experiment_samples(cfg: ExperimentConfig) -> list[RealSpec]:
     if cfg.theta_source == "uniform01":
         return list(sample_thetas(cfg.seed, cfg.sample_count, cfg.effective_bits))
@@ -270,16 +266,17 @@ def run_experiment(cfg: ExperimentConfig) -> AggregateReport:
     which is capped at the number of samples and of CPUs.
     """
     specs = _experiment_samples(cfg)
-    jobs = [(spec, cfg.depth_n) for spec in specs]
-    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(specs), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool machinery adds about 2 MB to any process importing this module
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_analyze_job, jobs, chunksize=8))
+            reports = list(
+                pool.map(analyze_theta, specs, itertools.repeat(cfg.depth_n), chunksize=8)
+            )
     else:
-        reports = [_analyze_job(job) for job in jobs]
+        reports = [analyze_theta(spec, cfg.depth_n) for spec in specs]
     accepted: list[ThetaReport] = []
     rejected = 0
     for report in reports:

@@ -242,28 +242,28 @@ class TestTailValue:
         pq = cf_expand(x0, 6)
         tail = tail_value(x0, pq, 2)
         # [0;1,3,1,3,...] = 1/(1 + x0) with x0 the positive root of 3x^2+3x-1
-        assert tail.value == (1 / (1 + x0.value),) * 2
+        assert tail == (1 / (1 + x0.value),) * 2
         lo, hi = quad_bounds(-3, 1, 6, 21)
-        assert 1 / (1 + hi) < tail.value[0] < 1 / (1 + lo)
+        assert 1 / (1 + hi) < tail[0] < 1 / (1 + lo)
 
     def test_rational_tail_exact(self):
         x0 = RationalSpec(Fraction(3, 8))
         pq = cf_expand(x0, 10)
-        assert tail_value(x0, pq, 0).value == (Fraction(2, 3), Fraction(2, 3))
+        assert tail_value(x0, pq, 0) == (Fraction(2, 3), Fraction(2, 3))
 
     def test_golden_tail_fixed_point(self):
         _, x0, _ = reduce_theta(GOLDEN)
         pq = cf_expand(x0, 8)
         lo, hi = quad_bounds(-1, 1, 2, 5)  # (sqrt(5)-1)/2
         for n in (1, 3, 5):
-            t_lo, t_hi = tail_value(x0, pq, n).value
+            t_lo, t_hi = tail_value(x0, pq, n)
             assert t_lo == t_hi == QuadraticReal(-1, 1, 2, 5)
             assert lo < t_lo < hi
 
     def test_index_minus_one_is_x0(self):
         x0 = RationalSpec(Fraction(3, 8))
         tail = tail_value(x0, cf_expand(x0, 5), -1)
-        assert tail.value == (Fraction(3, 8), Fraction(3, 8))
+        assert tail == (Fraction(3, 8), Fraction(3, 8))
 
     def test_unreduced_theta_gets_the_tails_of_its_x0(self):
         # a theta outside (0, 1/2] is reduced first, however it got there
@@ -308,7 +308,7 @@ class TestTailValue:
     def test_decimal_tail_certified_prefix(self):
         spec = parse_real("0.3819660112501051517954131@64")
         pq = cf_expand(spec, 70)
-        t_lo, t_hi = tail_value(spec, pq, 3).value
+        t_lo, t_hi = tail_value(spec, pq, 3)
         lo, hi = quad_bounds(-1, 1, 2, 5)  # all-ones tail: (sqrt(5)-1)/2
         assert t_lo <= lo and hi <= t_hi
 
@@ -345,11 +345,11 @@ class TestTailValue:
             pq = cf_expand(x0, 30)
             t = x0.value
             for n, a in enumerate(pq.quotients, start=-1):
-                assert tail_value(x0, pq, n).value == (t, t)
+                assert tail_value(x0, pq, n) == (t, t)
                 inv = 1 / t if isinstance(t, Fraction) else t.inverse()
                 assert math.floor(inv) == a
                 t = inv - a
-            assert tail_value(x0, pq, len(pq.quotients) - 1).value == (t, t)
+            assert tail_value(x0, pq, len(pq.quotients) - 1) == (t, t)
             assert (t == 0) == pq.terminated
 
     def test_decimal_bounds_hold_every_real_in_the_window(self):
@@ -369,7 +369,7 @@ class TestTailValue:
             points = [x0.window_lo, x0.window_hi, inside]
             for n, a in enumerate(pq.quotients + (None,), start=-1):
                 if n in indices:
-                    lo, hi = tail_value(x0, pq, n).value
+                    lo, hi = tail_value(x0, pq, n)
                     assert all(lo <= t <= hi for t in points)
                 if a is not None:
                     points = [1 / t - a for t in points]
@@ -714,7 +714,7 @@ class TestWindowEngine:
                 assert [(v.p, v.q) for v in complete_sequence(x0, c + 1)] == vectors
                 an, ad, bn, bd = states[c]
                 ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))
-                assert tail_value(x0, pq, c - 1).value == ends
+                assert tail_value(x0, pq, c - 1) == ends
 
     def test_short_window_is_one_batch(self):
         # a window with a denominator of at most _BATCH_MIN_BITS is its own

@@ -608,10 +608,10 @@ def test_samples_past_the_cost_rule_exit_2_before_any_work(capsys, monkeypatch, 
 def test_seed_out_of_range_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     # blake2b's key is the seed's 8 unsigned bytes: -1 and 2**64 are refused
     # before any sample is analyzed, and no file is written
-    def no_work(job):
+    def no_work(spec, depth):
         raise AssertionError(f"analyzed a sample of seed {seed}")
 
-    monkeypatch.setattr(stats, "_analyze_job", no_work)
+    monkeypatch.setattr(stats, "analyze_theta", no_work)
     out = tmp_path / "run.json"
     for seed in ("-1", str(1 << 64)):
         argv = ["experiment", "--samples", "2", "--depth", "10", f"--seed={seed}"]

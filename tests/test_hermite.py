@@ -761,22 +761,24 @@ class TestSubsequence:
         seq = complete_sequence(GOLDEN, 10)
         flags = flags_via_criterion(GOLDEN, 11)
         sub = hermite_subsequence(flags, seq)
-        assert sub.h_values() == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-        assert sub.entries[0].h == 0  # the conventional first vector rides along
+        # the conventional first vector X_0 = (1, 0) rides along
+        assert [v.q for v in sub] == [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        assert all(v is seq[v.index] for v in sub)
 
     def test_quadratic_skips(self):
         seq = complete_sequence(Q21, 8)
         flags = flags_via_criterion(Q21, 9)
         sub = hermite_subsequence(flags, seq)
-        assert sub.h_values()[:4] == [1, 4, 19, 91]
-        assert len(sub.h_values()) == 4
+        assert [v.q for v in sub] == [0, 1, 4, 19, 91]
+        assert [v.index for v in sub] == [0, 1, 3, 5, 7]
+        assert all(v is seq[v.index] for v in sub)
 
     def test_empty_flags(self):
         from hermite_lab import HermiteFlags
 
         seq = complete_sequence(GOLDEN, 5)
         sub = hermite_subsequence(HermiteFlags(GOLDEN, (), "criterion"), seq)
-        assert sub.entries == ()
+        assert sub == ()
 
     def test_misaligned_lengths(self):
         seq = complete_sequence(GOLDEN, 3)
@@ -801,7 +803,7 @@ class TestSubsequence:
         for spec in random_rational_specs(10, 10**4, seed=121):
             seq = complete_sequence(spec, 30)
             sub = hermite_subsequence(flags_via_criterion(spec, 31), seq)
-            hs = [e.h for e in sub.entries]
+            hs = [v.q for v in sub]
             assert hs == sorted(set(hs))
 
 

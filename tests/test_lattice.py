@@ -217,7 +217,7 @@ class TestIntrinsic:
                 r = abs(theta * v.q - v.p) / abs(theta * u.q - u.p)
                 coords = intrinsic_coords(u, v)
                 assert coords.x == (r, r)
-                assert coords.x == tail_value(x0, pq, k - 1).value
+                assert coords.x == tail_value(x0, pq, k - 1)
                 assert coords.y == Fraction(u.q, v.q)
 
 

@@ -105,6 +105,21 @@ class TestOrbit:
     def test_zero_steps(self):
         assert orbit(DomainPoint(0.25, 0.25), 0) == [DomainPoint(0.25, 0.25)]
 
+    def test_start_on_the_forward_edge_terminates_at_step_zero(self):
+        with pytest.raises(OrbitTerminates) as info:
+            orbit(DomainPoint(0, Fraction(1, 2)), 3)
+        assert info.value.step == 0
+        assert info.value.points == [(0, Fraction(1, 2))]
+
+    def test_start_on_the_backward_edge_terminates_at_step_zero(self):
+        with pytest.raises(OrbitTerminates) as info:
+            orbit(DomainPoint(Fraction(1, 2), 0), -3)
+        assert info.value.step == 0
+        assert info.value.points == [(Fraction(1, 2), 0)]
+
+    def test_zero_steps_from_an_edge_point(self):
+        assert orbit(DomainPoint(0, Fraction(1, 2)), 0) == [(0, Fraction(1, 2))]
+
 
 class TestRegionV:
     def test_examples(self):

@@ -135,8 +135,8 @@ class TestExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run_experiment(ExperimentConfig(sample_count=3, depth_n=60, seed=3))
