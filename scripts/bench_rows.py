@@ -3,6 +3,7 @@
     python3 scripts/bench_rows.py --label NAME [--side change=.] [--side parent=../parent]
         [--workloads deep_decimal exact_crosscheck cli_mixed] [--seeds 401 402 403]
         [--seconds 35]
+    python3 scripts/bench_rows.py --table BENCH_a.json BENCH_b.json ...
 
 Each side is a checkout with its own `perfbench/run.py`.  For every workload
 and seed the script runs `run.py --trace 0` once per side, alternating which
@@ -13,8 +14,11 @@ their median and quartiles, the ops attempted and failed, and every distinct
 provenance (machine, Python version, git SHA, source digest).  As `run.py`
 reports the SHA of `HEAD` even for a tree with uncommitted changes, each side
 also records `uncommitted_src`: whether `git status --porcelain -- src` lists
-anything in it (null where the side is not a git checkout).  Standard library
-only.
+anything in it (null where the side is not a git checkout).
+
+`--table` runs nothing: it prints a markdown table of the `change` side's
+medians in the given files, one line per file, `op_ms_p50` of each workload
+and, for `cli_mixed`, `op_ms_p75` beside it.  Standard library only.
 """
 
 from __future__ import annotations
@@ -85,6 +89,28 @@ def aggregate(runs: list[dict]) -> dict:
     return rows
 
 
+def table(records: list[dict], side: str = "change") -> str:
+    """Markdown table of the `side` medians of BENCH records, one line per record."""
+    lines = [
+        "| BENCH file | `deep_decimal` | `exact_crosscheck` | `cli_mixed` p50 / p75 |",
+        "|---|---|---|---|",
+    ]
+    for record in records:
+        workloads = record["rows"][side]["workloads"]
+        cells = []
+        for workload, names in (
+            ("deep_decimal", ["op_ms_p50"]),
+            ("exact_crosscheck", ["op_ms_p50"]),
+            ("cli_mixed", ["op_ms_p50", "op_ms_p75"]),
+        ):
+            metrics = workloads.get(workload, {}).get("metrics", {})
+            cells.append(" / ".join(
+                f"{metrics[name]['median']:#.4g}" if name in metrics else "-" for name in names
+            ))
+        lines.append(f"| `{record['label']}` | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def run_side(path: Path, workload: str, seed: int, seconds: float) -> str:
     command = [
         sys.executable, str(path / "perfbench" / "run.py"), "--workload", workload,
@@ -95,13 +121,20 @@ def run_side(path: Path, workload: str, seed: int, seconds: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
+    parser.add_argument("--table", nargs="+", metavar="BENCH_JSON",
+                        help="print the change medians of these files and run nothing")
     parser.add_argument("--side", action="append", metavar="NAME=PATH",
                         help="a checkout to run (default: change=.)")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[401, 402, 403])
     parser.add_argument("--seconds", type=float, default=35.0)
     args = parser.parse_args(argv)
+    if args.table:
+        print(table([json.loads(Path(path).read_text()) for path in args.table]))
+        return 0
+    if not args.label:
+        parser.error("--label is required unless --table is given")
     sides = [entry.split("=", 1) for entry in args.side or ["change=."]]
     uncommitted = {name: uncommitted_src(Path(path).resolve()) for name, path in sides}
     runs = []

@@ -1,15 +1,21 @@
 """Continued-fraction engine for the reduced input x0 = |theta - nearest(theta)|.
 
 Expansion runs through one of two sessions: the classical integer
-recurrence on (P + sqrt(D))/Q for quadratic irrationals, and lockstep Euclid
-on both endpoints of a window for decimals and rationals, a rational being
+recurrence on (P + sqrt(D))/Q for quadratic irrationals, and Euclid on the
+endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
 window shares it.  The window session certifies each batch of quotients
-in one loop of small steps on a window around both ends: a long window's
-leading bits (Lehmer batches) or a short window's exact ends.  The loop
-carries the batch's cosequence, which then moves the remainders, the ends
-kept in order, the lower first, and the convergent denominators past the
-batch in a few multiplications.
+in one loop of small steps.  A long window's batch (a Lehmer batch) runs
+on the leading bits of its ends, the heads: Euclid on the lower head
+alone, then one test that the upper head lies in the Gauss-map cylinder
+of the batch's quotients and one that the heads' tails after it are
+within 2**-34 of each other.  Where either test fails, the heads run in
+lockstep, each step checked at both, as a short window's exact ends do
+throughout: near exhaustion a short window's ends drift apart, and the
+criterion then needs both ends' tails.  Either loop carries the batch's
+cosequence, which then moves the remainders, the ends kept in order, the
+lower first, and the convergent denominators past the batch in a few
+multiplications.
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`
@@ -169,16 +175,65 @@ class _QuadraticSession:
 
 
 # A Lehmer batch starts from the leading _HEAD_BITS of each endpoint and stops
-# once a small-window denominator is down to _CUT_BITS: the window's tails are
+# once the lower head's denominator (in lockstep, either head's) is down to
+# _CUT_BITS: on a window narrower than the heads' rounding, their tails are
 # then still within about 2**(_HEAD_BITS - 2*_CUT_BITS) = 2**-48 of each
-# other, far below the float prefilter's 1e-9 margin, so reading them instead
-# of the exact tails leaves almost no flag to the exact fallback.
+# other.  That passes a one-end batch's 2**-_GAP_BITS gap test with room to
+# spare, and it is far below the float prefilter's 1e-9 margin, so reading
+# the heads' tails instead of the exact ones leaves almost no flag to the
+# exact fallback.
 _HEAD_BITS = 256
 _CUT_BITS = 152
 # Lehmer batches run only on denominators past _BATCH_MIN_BITS: on a window
 # only a few bits longer than the heads (the CLI's 256-bit decimals), the
 # heads are nearly the whole numbers and a batch saves no big-integer work.
 _BATCH_MIN_BITS = _HEAD_BITS + 64
+# A one-end batch holds only if the heads' tails after it are within
+# 2**-_GAP_BITS of each other, and its tail pairs are widened by as much.
+_GAP_BITS = 34
+
+
+def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int):
+    """Euclid on the lower head ln/ld alone, tested once at the upper head un/ud.
+
+    The loop stops at a remainder of 0, a denominator down to _CUT_BITS or
+    `limit` quotients a_1..a_j.  The reals that start with a_1..a_j form the
+    interval between p_j/q_j and (p_j + p_{j-1})/(q_j + q_{j-1}), a cylinder
+    set of the Gauss map, and the tail of such an x after them is
+    (q_j x - p_j)/(p_{j-1} - q_{j-1} x): N/D at x = un/ud, both negated
+    after an odd j.  So 0 < N < D puts the upper head, and every real
+    between the heads, in the cylinder; being strict, it also turns away a
+    head on a convergent.  The gap test asks that N/D lie within
+    2**-_GAP_BITS of the lower head's tail ln/ld.  As |T(x) - T(y)| =
+    |x - y|/(xy) for T(t) = 1/t - a, the heads' tails were as close after
+    every earlier quotient, and the ends' tails lie between theirs: the pair
+    after a 1, the lower head's tail r/ln widened by 2**-_GAP_BITS each way,
+    brackets both.
+
+    Returns the quotients, their tail pairs and the cosequence (p_{j-1},
+    p_j, q_{j-1}, q_j), or None for an empty batch or a failed test.
+    """
+    cut, gap = 1 << _CUT_BITS, 2.0**-_GAP_BITS
+    batch, tails = [], []
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for _ in range(limit):
+        if not ln or ld < cut:
+            break
+        a, r = divmod(ld, ln)
+        batch.append(a)
+        if a == 1:
+            t = r / ln
+            tails.append((t - gap, t + gap))
+        else:
+            tails.append(None)
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        ln, ld = r, ln
+    N, D = q1 * un - p1 * ud, p0 * ud - q0 * un
+    if len(batch) & 1:
+        N, D = -N, -D
+    if batch and 0 < N < D and abs(N * ld - ln * D) <= (D * ld) >> _GAP_BITS:
+        return batch, tails, p0, p1, q0, q1
+    return None
 
 
 class _WindowSession:
@@ -207,9 +262,8 @@ class _WindowSession:
 
         A run is one batch; it is empty once the expansion terminated or the
         window is exhausted.  Beside each quotient of 1 is a float pair
-        (lo, hi) around the tails at both window ends after it, each end
-        correct to the rounding of one float division; None beside the
-        others.
+        (lo, hi) that brackets both ends' tails after it up to one rounding,
+        widened by 2**-34 on a one-end batch; None beside the others.
         """
         batch, tails = self._start_batch(limit)
         if batch:
@@ -222,15 +276,17 @@ class _WindowSession:
     def _start_batch(self, limit: int):
         """Certify at most `limit` quotients on a small window around both ends.
 
-        A long window, both denominators past _BATCH_MIN_BITS, runs on the
-        lower end's leading _HEAD_BITS rounded down and the upper end's
-        rounded up until a denominator is down to _CUT_BITS; if that
+        A long window, both denominators past _BATCH_MIN_BITS, first runs on
+        the lower end's leading _HEAD_BITS rounded down and the upper end's
+        rounded up: `_one_end_batch` divides the lower head alone and tests
+        the upper head once at the end.  If it rejects its batch, the heads
+        run in lockstep until a denominator is down to _CUT_BITS, and if that
         certifies nothing, the exact ends take one step.  A short window runs
-        on its exact ends.  Each step divides the lower end ln/ld, checks
-        that the quotient holds at the upper end un/ud, 0 <= ud - a*un < un,
-        and swaps the ends, as it reverses their order.
+        in lockstep on its exact ends.  Each lockstep step divides the lower
+        end ln/ld, checks that the quotient holds at the upper end un/ud,
+        0 <= ud - a*un < un, and swaps the ends, as it reverses their order.
 
-        The loop carries the cosequence.  After quotients a_1..a_j with
+        Both loops carry the cosequence.  After quotients a_1..a_j with
         convergents p_k/q_k, Euclid's remainders are |q_j n - p_j d| and
         |q_{j-1} n - p_{j-1} d|, and the denominators (Q', Q) from before the
         batch become (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q'); after an odd j
@@ -240,12 +296,16 @@ class _WindowSession:
         windows = [(an, ad, bn, bd, 0)]
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
-            # each new denominator is an old numerator, below its end's old
-            # denominator: a cut at the lesser old one stops after one step
-            windows = [
-                (an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb, 1 << _CUT_BITS),
-                (an, ad, bn, bd, min(ad, bd)),
-            ]
+            heads = an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb
+            certified = _one_end_batch(*heads, limit)
+            if certified:
+                batch, tails, p0, p1, q0, q1 = certified
+                windows = []
+            else:
+                # each new denominator is an old numerator, below its end's
+                # old denominator: a cut at the lesser old one stops after
+                # one step
+                windows = [(*heads, 1 << _CUT_BITS), (an, ad, bn, bd, min(ad, bd))]
         for ln, ld, un, ud, cut in windows:
             batch, tails = [], []
             p0, p1, q0, q1 = 1, 0, 0, 1

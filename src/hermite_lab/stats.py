@@ -170,6 +170,8 @@ def sample_thetas(seed: int, count: int, precision_bits: int) -> list[DecimalSpe
         raise InvalidArgument("count must be >= 1")
     if not 0 <= seed < 1 << 64:  # the blake2b key is the seed's 8 bytes
         raise InvalidArgument("seed must lie in [0, 2**64)")
+    if precision_bits < 64:  # as ExperimentConfig asks, before any digit is drawn
+        raise InvalidArgument("precision_bits must be >= 64")
     digits = precision_bits * 30103 // 100000 + 1  # 0.30103 > log10(2): 10**digits > 2**bits
     chunks = -(-digits // _CHUNK_DIGITS)
     need_bytes = chunks * _CHUNK_BYTES

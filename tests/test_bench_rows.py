@@ -79,3 +79,37 @@ def test_has_changes_reads_porcelain_status(monkeypatch):
     assert bench_rows.has_changes(" M src/hermite_lab/cf.py\n")
     assert bench_rows.has_changes("?? src/hermite_lab/new.py\n")
     assert bench_rows.has_changes("M  src/a.py\nD  src/b.py\n")
+
+
+def test_table_prints_the_change_medians_of_each_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_rows
+
+    def record(label, medians):
+        workloads = {
+            workload: {"metrics": {
+                name: {"unit": "ms", "median": value} for name, value in metrics.items()
+            }}
+            for workload, metrics in medians.items()
+        }
+        parent = {"workloads": {"deep_decimal": {"metrics": {"op_ms_p50": {"median": 99.0}}}}}
+        return {"label": label, "rows": {"parent": parent, "change": {"workloads": workloads}}}
+
+    first = record("first", {
+        "deep_decimal": {"op_ms_p50": 12.394, "op_ms_p75": 13.0},
+        "exact_crosscheck": {"op_ms_p50": 0.4},
+        "cli_mixed": {"op_ms_p50": 0.4051, "op_ms_p75": 0.6149},
+    })
+    second = record("second", {"deep_decimal": {"op_ms_p50": 11.2}})
+    paths = []
+    for rec in (first, second):
+        path = tmp_path / f"BENCH_{rec['label']}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    assert bench_rows.main(["--table", *paths]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| BENCH file | `deep_decimal` | `exact_crosscheck` | `cli_mixed` p50 / p75 |",
+        "|---|---|---|---|",
+        "| `first` | 12.39 | 0.4000 | 0.4051 / 0.6149 |",
+        "| `second` | 11.20 | - | - / - |",
+    ]

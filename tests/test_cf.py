@@ -37,9 +37,11 @@ from hermite_lab import (
     reduce_theta,
     tail_value,
 )
+from hermite_lab import cf
 from hermite_lab.cf import _BATCH_MIN_BITS, expansion, take
 from hermite_lab.hermite import criterion_scan
 from hermite_lab.lattice import complete_sequence
+from hermite_lab.stats import auto_precision_bits, sample_thetas
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
@@ -285,6 +287,12 @@ class TestTailValue:
         x0 = RationalSpec(Fraction(3, 8))
         with pytest.raises(IndexOutOfRange):
             tail_value(x0, cf_expand(x0, 5), 5)
+
+    def test_index_just_past_the_end(self):
+        # 3/8 = [0; 2, 1, 2]: the tail after its last quotient is not one
+        x0 = RationalSpec(Fraction(3, 8))
+        with pytest.raises(IndexOutOfRange, match="^expansion terminated after 3 quotients$"):
+            tail_value(x0, cf_expand(x0, 10), 3)
 
     def test_decimal_exhaustion(self):
         spec = parse_real("0.3819660112501051517954131@64")
@@ -591,6 +599,54 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     assert placed.tail_bounds() == tuple(sorted((Fraction(an, ad), Fraction(bn, bd)))), j
 
 
+def _count_one_end(monkeypatch) -> list:
+    """Whether each one-end batch held (False: the lockstep batch ran), in order."""
+    outcomes = []
+    one_end_batch = cf._one_end_batch
+
+    def counted(*args):
+        certified = one_end_batch(*args)
+        outcomes.append(certified is not None)
+        return certified
+
+    monkeypatch.setattr(cf, "_one_end_batch", counted)
+    return outcomes
+
+
+class _WholeBatches(random.Random):
+    """Picks the longest run limit, so that each run of a session is a whole batch."""
+
+    def choice(self, seq):
+        return max(seq)
+
+
+def _gap_window(rng: random.Random, outcomes: list) -> tuple[Fraction, Fraction, int]:
+    """(lo, hi, j): a long window whose first one-end batch a_1..a_j passes
+    the cylinder test, ends on a 1 and fails the gap test.
+
+    lo has 1,000-bit terms, drawn until its own first run is a one-end batch
+    (read from `outcomes`) that ends on a 1, with lo's exact tail t after it
+    in (1/4, 3/4).  hi is the real with the quotients a_1..a_j and the tail
+    t +- 2**-30, so that hi > lo.  The lower head is lo's alone, so the batch
+    is the same, and the heads' tails after it differ by about 2**-30.
+    """
+    den = (1 << 1000) + 1
+    while True:
+        lo = Fraction(rng.randrange(den // 8, den // 2), den)
+        run = expansion(RationalSpec(lo)).run(10**6)[0]
+        if not (outcomes[-1] and run[-1] == 1):
+            continue
+        p0, p1, q0, q1 = 1, 0, 0, 1
+        num, den_ = lo.numerator, lo.denominator
+        for a in run:
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            num, den_ = den_ - a * num, num
+        t = Fraction(num, den_)
+        if Fraction(1, 4) < t < Fraction(3, 4):
+            t += Fraction(1 if len(run) % 2 == 0 else -1, 1 << 30)
+            return lo, (p1 + t * p0) / (q1 + t * q0), len(run)
+
+
 class TestWindowEngine:
     """Rationals and decimals share one Euclid engine on a window [lo, hi]."""
 
@@ -789,6 +845,29 @@ class TestWindowEngine:
             p = rng.randint(1, q // 2 - 1)
             specs.append(RationalSpec(Fraction(p, q) + Fraction(rng.choice((-1, 1)), 1 << 19400)))
         _assert_plain_euclid(specs)
+
+    def test_gap_test_sends_a_batch_to_lockstep(self, monkeypatch):
+        # without the gap test, the one-end batch would hold, and its last
+        # pair, 2**-34 around the lower head's tail, would miss the upper
+        # end's tail, 2**-30 away
+        outcomes = _count_one_end(monkeypatch)
+        lo, hi, j = _gap_window(random.Random(59), outcomes)
+        quotients, states, terminated = _lockstep(lo, hi)
+        assert len(quotients) > j and quotients[j - 1] == 1
+        an, ad, bn, bd = states[j]
+        assert abs(Fraction(an, ad) - Fraction(bn, bd)) > Fraction(1, 1 << 34)
+        x0 = make_decimal(lo, 200, (lo, hi))
+        del outcomes[:]
+        _assert_runs_match_lockstep(x0, quotients, states, terminated, _WholeBatches(61))
+        assert outcomes[0] is False
+
+    def test_deep_samples_take_both_batch_paths(self, monkeypatch):
+        # nearly every batch of a depth-5000 sample holds on the lower head
+        # alone, and a few run in lockstep
+        outcomes = _count_one_end(monkeypatch)
+        for spec in sample_thetas(401, 10, auto_precision_bits(5000)):
+            criterion_scan(spec, 5000)
+        assert outcomes.count(True) > 100 * outcomes.count(False) > 0
 
     def test_long_window_fallback_takes_one_step(self):
         # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is

@@ -226,6 +226,12 @@ class TestCriterion:
         assert flags.flags == (True, None)
         assert (state.hermite_q, state.q_cur) == (0, 1)
 
+    def test_least_n(self):
+        # n = 2, the documented minimum: X_0 and X_1, whose denominator is q_0 = 1
+        flags, state = criterion_scan(RationalSpec(Fraction(3, 8)), 2)
+        assert flags.flags == (True, True)
+        assert (state.hermite_q, state.q_cur, state.quotients) == (1, 2, (2,))
+
     def test_exact_fallback_inside_a_run(self, monkeypatch):
         # the float prefilter leaves one flag after a 1 to the exact test on
         # each sample: on the first inside a run, which a second session

@@ -40,6 +40,13 @@ class TestSampler:
             with pytest.raises(InvalidArgument, match=r"seed must lie in \[0, 2\*\*64\)"):
                 sample_thetas(seed, 1, 64)
 
+    def test_precision_range(self):
+        # a negative precision once reached a bare "negative shift count"
+        for bits in (-5, 0, 63):
+            with pytest.raises(InvalidArgument, match="precision_bits must be >= 64"):
+                sample_thetas(1, 1, bits)
+        assert sample_thetas(1, 1, 64)[0].declared_bits == 64
+
     def test_in_unit_interval(self):
         for spec in sample_thetas(9, 20, 256):
             assert 0 < spec.value < 1
