@@ -89,14 +89,14 @@ def aggregate(runs: list[dict]) -> dict:
     return rows
 
 
-def table(records: list[dict], side: str = "change") -> str:
-    """Markdown table of the `side` medians of BENCH records, one line per record."""
+def table(records: list[dict]) -> str:
+    """Markdown table of the change medians of BENCH records, one line per record."""
     lines = [
         "| BENCH file | `deep_decimal` | `exact_crosscheck` | `cli_mixed` p50 / p75 |",
         "|---|---|---|---|",
     ]
     for record in records:
-        workloads = record["rows"][side]["workloads"]
+        workloads = record["rows"]["change"]["workloads"]
         cells = []
         for workload, names in (
             ("deep_decimal", ["op_ms_p50"]),

@@ -237,7 +237,7 @@ def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int):
 
 
 class _WindowSession:
-    """Lockstep Euclid on both window endpoints; emits only shared quotients.
+    """Euclid on a window's endpoints; emits only shared quotients.
 
     A rational is the zero-width window (value, value).  The ends are kept
     in order: (an, ad) is the tail at the lower end and (bn, bd) the tail at
@@ -246,8 +246,9 @@ class _WindowSession:
     reaching 0 on the same step means the expansion terminated; one alone,
     or differing quotients, means the window is exhausted.
 
-    Each run is one batch of `_start_batch`, which moves the remainders and
-    the convergent denominators past the batch before it is handed out.
+    Each run is one batch of `_start_batch`: a one-end Lehmer batch on a
+    long window, else a lockstep one.  It moves the remainders and the
+    convergent denominators past the batch before it is handed out.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
