@@ -37,6 +37,11 @@ and `cli` the command line above it.  The families:
   terminal.  `experiment` is left out, as it writes files.
 * `cli_csv`: the `cli_mixed` calls of `cli` again, each with `--format
   csv`, hashing the same record per call.
+* `long_decimals`: 100 random decimals of 400-3,000 bits
+  (`helpers.random_decimal_specs`, seed 9) and 20 samples of
+  `stats.sample_thetas` for `--seed` at each of 1,000, 2,100 and 3,000
+  bits, each scanned until its window is exhausted.  The windows past
+  2,048 bits start on one exact end and build the other near exhaustion.
 
 `--tiny` takes a few inputs of each family, the deep samples at depth 300
 and the first 20 calls of `cli` and `cli_csv`, for a smoke test.
@@ -54,7 +59,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from hermite_lab import cli, parse_real
+from hermite_lab import cli, parse_real, stats
 from hermite_lab.cf import cf_expand, reduce_theta, tail_value
 from hermite_lab.hermite import criterion_scan, flags_via_envelope
 from hermite_lab.lattice import complete_sequence
@@ -82,9 +87,12 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
     quadratics = random_quadratic_specs(10, seed=502)
     cross = workloads.build_cross(seed, workloads.FULL)
     decimals = random_decimal_specs(1200, 64, 128, seed=7)
+    long_decimals = random_decimal_specs(100, 400, 3000, seed=9)
+    samples = [stats.sample_thetas(seed, 20, bits) for bits in (1000, 2100, 3000)]
     if tiny:
         rationals, quadratics = rationals[:5], quadratics[:2]
         cross, decimals = cross[:6], decimals[:20]
+        long_decimals, samples = long_decimals[:10], [s[:2] for s in samples]
     criterion5 = [(s, 10**6) for s in rationals] + [(s, 50) for s in quadratics]
     crosscheck = [(s, workloads.FULL.cross_depth) for s in cross]
     decimals = [(s, 10**6) for s in decimals]
@@ -102,6 +110,7 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         "expansions": criterion5 + crosscheck + decimals + deep,
         "cli": [(tuple(argv),) for argv in calls + ARGUMENT_REJECTIONS + [["--help"]]],
         "cli_csv": [(tuple(argv) + ("--format", "csv"),) for argv in calls],
+        "long_decimals": [(s, 10**6) for s in long_decimals + sum(samples, [])],
     }
 
 

@@ -5,17 +5,20 @@ recurrence on (P + sqrt(D))/Q for quadratic irrationals, and Euclid on the
 endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
 window shares it.  The window session certifies each batch of quotients
-in one loop of small steps.  A long window's batch (a Lehmer batch) runs
-on the leading bits of its ends, the heads: Euclid on the lower head
-alone, then one test that the upper head lies in the Gauss-map cylinder
-of the batch's quotients and one that the heads' tails after it are
-within 2**-34 of each other.  Where either test fails, the heads run in
-lockstep, each step checked at both, as a short window's exact ends do
-throughout: near exhaustion a short window's ends drift apart, and the
-criterion then needs both ends' tails.  Either loop carries the batch's
-cosequence, which then moves the remainders, the ends kept in order, the
-lower first, and the convergent denominators past the batch in a few
-multiplications.
+in one loop of small steps.  A window whose lower end lo is long keeps
+only lo's exact tail: each batch (a Lehmer batch) runs on lo's leading
+bits, its heads, and the window's width w then certifies it for the
+upper end.  On the Gauss-map cylinder of the quotients a_1..a_K the tail
+t of x has |dt/dx| <= (Q_K + Q_{K-1})**2, so while that times w stays
+below 2**-35, and t away from 0 and 1 by as much, the upper end's tail
+shares the quotients and lies within 2**-35 of lo's.  Near exhaustion,
+where that fails, the upper end's exact tail is built once and both ends
+go on: a long window's batch runs Euclid on the lower head alone and
+tests the upper head once; where that fails, the heads run in lockstep,
+each step checked at both, as a short window's exact ends do throughout.
+Either loop carries the batch's cosequence, which then moves the
+remainders, the ends kept in order, the lower first, and the convergent
+denominators past the batch in a few multiplications.
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`
@@ -188,12 +191,23 @@ _CUT_BITS = 152
 # only a few bits longer than the heads (the CLI's 256-bit decimals), the
 # heads are nearly the whole numbers and a batch saves no big-integer work.
 _BATCH_MIN_BITS = _HEAD_BITS + 64
-# A one-end batch holds only if the heads' tails after it are within
-# 2**-_GAP_BITS of each other, and its tail pairs are widened by as much.
+# The pair after a 1 in a Lehmer batch is widened by 2**-_GAP_BITS.  On both
+# exact ends a one-end batch holds if the heads' tails after it are within
+# that much of each other.  On one exact end the heads' gap and the distance
+# between the ends' tails are each held to 2**-_WIDTH_BITS, half as much.
 _GAP_BITS = 34
+_WIDTH_BITS = _GAP_BITS + 1
+# A batch's q_j + q_{j-1} rarely has more than _BATCH_Q_BITS bits: about
+# 2**(_HEAD_BITS - _CUT_BITS) times the last quotient plus 1.
+_BATCH_Q_BITS = _HEAD_BITS - _CUT_BITS + 8
+# A window starts on one exact end only if its lower end's denominator is
+# past _ONE_END_MIN_BITS.  Scanned until it is exhausted, a shorter window
+# spends more on the width and on building the other end than it saves on
+# skipped updates of that end; 2,048 bits is the measured break-even.
+_ONE_END_MIN_BITS = 2048
 
 
-def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int):
+def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int, gap_bits: int):
     """Euclid on the lower head ln/ld alone, tested once at the upper head un/ud.
 
     The loop stops at a remainder of 0, a denominator down to _CUT_BITS or
@@ -204,11 +218,11 @@ def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int):
     after an odd j.  So 0 < N < D puts the upper head, and every real
     between the heads, in the cylinder; being strict, it also turns away a
     head on a convergent.  The gap test asks that N/D lie within
-    2**-_GAP_BITS of the lower head's tail ln/ld.  As |T(x) - T(y)| =
+    2**-gap_bits of the lower head's tail ln/ld.  As |T(x) - T(y)| =
     |x - y|/(xy) for T(t) = 1/t - a, the heads' tails were as close after
     every earlier quotient, and the ends' tails lie between theirs: the pair
-    after a 1, the lower head's tail r/ln widened by 2**-_GAP_BITS each way,
-    brackets both.
+    after a 1 is the lower head's tail r/ln widened by 2**-_GAP_BITS each
+    way.
 
     Returns the quotients, their tail pairs and the cosequence (p_{j-1},
     p_j, q_{j-1}, q_j), or None for an empty batch or a failed test.
@@ -231,24 +245,81 @@ def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int):
     N, D = q1 * un - p1 * ud, p0 * ud - q0 * un
     if len(batch) & 1:
         N, D = -N, -D
-    if batch and 0 < N < D and abs(N * ld - ln * D) <= (D * ld) >> _GAP_BITS:
+    if batch and 0 < N < D and abs(N * ld - ln * D) <= (D * ld) >> gap_bits:
         return batch, tails, p0, p1, q0, q1
     return None
+
+
+def _lockstep_batch(windows, limit: int):
+    """Euclid on the first window (ln, ld, un, ud, cut) that certifies a quotient.
+
+    Each step divides the lower end ln/ld, checks that the quotient holds at
+    the upper end un/ud, 0 <= ud - a*un < un, and swaps the ends, as it
+    reverses their order; the loop stops once a denominator is below `cut`.
+    Returns the quotients, their tail pairs (the ends' tails after each 1,
+    in order) and the cosequence, as `_one_end_batch` does.
+    """
+    for ln, ld, un, ud, cut in windows:
+        batch, tails = [], []
+        p0, p1, q0, q1 = 1, 0, 0, 1
+        for _ in range(limit):
+            if not (ln and un and ld >= cut and ud >= cut):
+                break
+            a, r = divmod(ld, ln)
+            s = ud - un if a == 1 else ud - a * un
+            if s < 0 or s >= un:
+                break
+            batch.append(a)
+            tails.append((s / un, r / ln) if a == 1 else None)
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            ln, ld, un, ud = s, un, r, ln
+        if batch:
+            break
+    return batch, tails, p0, p1, q0, q1
+
+
+def _width(lo: Fraction, hi: Fraction):
+    """(n, mul, div, shifts, wbits) with hi - lo = n/c <= 2**-wbits, lo <= hi.
+
+    c is lo.den * mul = hi.den * div, with mul and div shift counts if
+    `shifts`.  Where both denominators have the same odd part o, as in a
+    decimal's window from `numeric._plus_ulp`, c is o * 2**m: n comes from
+    shifts, and wbits is exact; infinite for a rational's (value, value).
+    Otherwise c = lo.den * hi.den, n is one cross-multiplication, and wbits
+    is bounded by the factors' bit lengths, without forming c.
+    """
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    sa, sb = (ad & -ad).bit_length() - 1, (bd & -bd).bit_length() - 1
+    if ad >> sa == bd >> sb:
+        m = max(sa, sb)
+        n, c = (bn << (m - sb)) - (an << (m - sa)), ad << (m - sa)
+        if not n:  # a rational: no width to test
+            return n, 0, 0, True, math.inf
+        wbits = c.bit_length() - n.bit_length()
+        return n, m - sa, m - sb, True, wbits if n << wbits <= c else wbits - 1
+    n = bn * ad - an * bd
+    return n, bd, ad, False, ad.bit_length() + bd.bit_length() - 2 - n.bit_length()
 
 
 class _WindowSession:
     """Euclid on a window's endpoints; emits only shared quotients.
 
-    A rational is the zero-width window (value, value).  The ends are kept
-    in order: (an, ad) is the tail at the lower end and (bn, bd) the tail at
-    the upper one.  A step maps t to 1/t - a, which reverses the order, so
-    the ends swap after an odd number of quotients.  Both remainders
-    reaching 0 on the same step means the expansion terminated; one alone,
-    or differing quotients, means the window is exhausted.
+    A rational is the zero-width window (value, value).  Both exact ends
+    are kept in order: (an, ad) is the tail at the lower end and (bn, bd)
+    the tail at the upper one.  A step maps t to 1/t - a, which reverses
+    the order, so the ends swap after an odd number of quotients.  Both
+    remainders reaching 0 on the same step means the expansion terminated;
+    one alone, or differing quotients, means the window is exhausted.
 
-    Each run is one batch of `_start_batch`: a one-end Lehmer batch on a
-    long window, else a lockstep one.  It moves the remainders and the
-    convergent denominators past the batch before it is handed out.
+    A window whose lower end lo has a denominator past _ONE_END_MIN_BITS
+    starts on one exact end: (an, ad) is lo's tail alone, the upper one
+    after an odd count (`_odd`), (bn, bd) is None, and `_one_end` holds
+    `_width(lo, hi)`.  Near exhaustion, once the width no longer certifies
+    a batch, the other end's exact tail is built from it and both ends go
+    on; `_one_end` is then None.
+
+    Each run is one batch of `_start_batch`.  It moves the remainders and
+    the convergent denominators past the batch before it is handed out.
     """
 
     def __init__(self, lo: Fraction, hi: Fraction):
@@ -257,6 +328,11 @@ class _WindowSession:
         self.terminated = False
         self.exhausted = False
         self._q_prev, self._q_cur = 0, 1
+        self._one_end = None
+        if self.ad >> _ONE_END_MIN_BITS:
+            self._one_end = _width(lo, hi)
+            self._odd = False
+            self.bn = self.bd = None
 
     def run(self, limit: int):
         """The next certified quotients, at most `limit` (>= 1), and their tail pairs.
@@ -264,7 +340,8 @@ class _WindowSession:
         A run is one batch; it is empty once the expansion terminated or the
         window is exhausted.  Beside each quotient of 1 is a float pair
         (lo, hi) that brackets both ends' tails after it up to one rounding,
-        widened by 2**-34 on a one-end batch; None beside the others.
+        widened by 2**-34 on a one-end batch or one exact end; None beside
+        the others.
         """
         batch, tails = self._start_batch(limit)
         if batch:
@@ -277,52 +354,39 @@ class _WindowSession:
     def _start_batch(self, limit: int):
         """Certify at most `limit` quotients on a small window around both ends.
 
+        On one exact end, `_one_exact_end` runs the batch; where it returns
+        None, the other end's tail is built and the batch runs on both ends.
         A long window, both denominators past _BATCH_MIN_BITS, first runs on
         the lower end's leading _HEAD_BITS rounded down and the upper end's
         rounded up: `_one_end_batch` divides the lower head alone and tests
         the upper head once at the end.  If it rejects its batch, the heads
         run in lockstep until a denominator is down to _CUT_BITS, and if that
         certifies nothing, the exact ends take one step.  A short window runs
-        in lockstep on its exact ends.  Each lockstep step divides the lower
-        end ln/ld, checks that the quotient holds at the upper end un/ud,
-        0 <= ud - a*un < un, and swaps the ends, as it reverses their order.
+        in lockstep on its exact ends.
 
-        Both loops carry the cosequence.  After quotients a_1..a_j with
+        Every loop carries the cosequence.  After quotients a_1..a_j with
         convergents p_k/q_k, Euclid's remainders are |q_j n - p_j d| and
         |q_{j-1} n - p_{j-1} d|, and the denominators (Q', Q) from before the
         batch become (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q'); after an odd j
         the ends swap, as the lower end's tail is then the upper one.
         """
+        if self._one_end:
+            certified = self._one_exact_end(limit)
+            if certified:
+                return certified
+            self.an, self.ad, self.bn, self.bd = self._tails()
+            self._one_end = None
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         windows = [(an, ad, bn, bd, 0)]
+        certified = None
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
             heads = an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb
-            certified = _one_end_batch(*heads, limit)
-            if certified:
-                batch, tails, p0, p1, q0, q1 = certified
-                windows = []
-            else:
-                # each new denominator is an old numerator, below its end's
-                # old denominator: a cut at the lesser old one stops after
-                # one step
-                windows = [(*heads, 1 << _CUT_BITS), (an, ad, bn, bd, min(ad, bd))]
-        for ln, ld, un, ud, cut in windows:
-            batch, tails = [], []
-            p0, p1, q0, q1 = 1, 0, 0, 1
-            for _ in range(limit):
-                if not (ln and un and ld >= cut and ud >= cut):
-                    break
-                a, r = divmod(ld, ln)
-                s = ud - un if a == 1 else ud - a * un
-                if s < 0 or s >= un:
-                    break
-                batch.append(a)
-                tails.append((s / un, r / ln) if a == 1 else None)
-                p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
-                ln, ld, un, ud = s, un, r, ln
-            if batch:
-                break
+            certified = _one_end_batch(*heads, limit, _GAP_BITS)
+            # each new denominator is an old numerator, below its end's old
+            # denominator: a cut at the lesser old one stops after one step
+            windows = [(*heads, 1 << _CUT_BITS), (an, ad, bn, bd, min(ad, bd))]
+        batch, tails, p0, p1, q0, q1 = certified or _lockstep_batch(windows, limit)
         if len(batch) & 1:
             an, ad, bn, bd = bn, bd, an, ad
         self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
@@ -331,19 +395,97 @@ class _WindowSession:
         self._q_prev, self._q_cur = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
         return batch, tails
 
+    def _one_exact_end(self, limit: int):
+        """A batch on lo's tail alone, certified for the whole window; None if not.
+
+        On the Gauss-map cylinder of a_1..a_K a real is x = (P_K + t P_{K-1})
+        / (Q_K + t Q_{K-1}), so |dt/dx| = (Q_K + t Q_{K-1})**2, at most
+        (Q_K + Q_{K-1})**2 (Khinchin; Iosifescu and Kraaikamp 2002).  With
+        e = 2*bitlen(Q_K + Q_{K-1}) - wbits, the other end's tail is then
+        within 2**e of lo's tail t while both ends lie in the cylinder, and
+        2**e < t < 1 - 2**e keeps them there: by continuity the window cannot
+        leave the cylinder before a tail reaches 0 or 1.  So a batch holds
+        for the whole window if after it e <= -35 and t passes that test,
+        here on bit lengths; as T expands, the tails were as close after
+        every earlier quotient.
+
+        The batch runs on lo's two head roundings: `_one_end_batch` with a
+        2**-35 gap test, else the heads in lockstep, then one exact step,
+        with their pairs widened by 2**-34.  Either way the pair after a 1
+        brackets lo's tail within 2**-35 and so the other end's tail too.
+        None once lo's denominator is down to _BATCH_MIN_BITS, where the
+        test fails, or ahead of a batch that might cross e = -35: that one
+        is left to both ends, and its work is not thrown away.
+        """
+        an, ad = self.an, self.ad
+        wbits = self._one_end[4]
+        if not ad >> _BATCH_MIN_BITS or 2 * (
+            (self._q_prev + self._q_cur).bit_length() + _BATCH_Q_BITS
+        ) > wbits - _WIDTH_BITS:
+            return None
+        s = ad.bit_length() - _HEAD_BITS
+        h, g = an >> s, ad >> s
+        heads = h, g + 1, h + 1, g
+        certified = _one_end_batch(*heads, limit, _WIDTH_BITS)
+        if certified:
+            batch, tails, p0, p1, q0, q1 = certified
+        else:
+            windows = [(*heads, 1 << _CUT_BITS), (an, ad, an, ad, ad)]
+            batch, tails, p0, p1, q0, q1 = _lockstep_batch(windows, limit)
+            gap = 2.0**-_GAP_BITS
+            tails = [t and (t[0] - gap, t[1] + gap) for t in tails]
+        an, ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
+        Q0, Q1 = self._q_prev, self._q_cur
+        Q0, Q1 = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
+        # 2**e < an/ad and 2**e < 1 - an/ad, on bit lengths, with e = -f
+        f = wbits - 2 * (Q0 + Q1).bit_length()
+        span = ad.bit_length() - f
+        if f < _WIDTH_BITS or an.bit_length() <= span or (ad - an).bit_length() <= span:
+            return None
+        self.an, self.ad = an, ad
+        self._q_prev, self._q_cur = Q0, Q1
+        self._odd ^= len(batch) & 1
+        return batch, tails
+
+    def _tails(self) -> tuple[int, int, int, int]:
+        """(an, ad, bn, bd), the exact tails at the lower and the upper end, in order.
+
+        On one exact end the other end's tail is built without changing the
+        session.  Write lo = A/c and hi = (A + n)/c as `_width` does, with
+        A = lo.num * mul.  After K quotients, Euclid's remainders give
+        Q_K A - P_K c = (-1)**K an*mul and Q_{K-1} A - P_{K-1} c =
+        (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| / |Q_{K-1} (A + n)
+        - P_{K-1} c| is then |x*mul + Q_K n| / |Q_{K-1} n - y*mul| with
+        (x, y) = (-1)**K (an, ad), both divided by div: hi's own remainders,
+        in lowest terms as hi is, with no P_K.
+        """
+        an, ad = self.an, self.ad
+        if not self._one_end:
+            return an, ad, self.bn, self.bd
+        n, mul, div, shifts, _ = self._one_end
+        x, y = (-an, -ad) if self._odd else (an, ad)
+        Q0, Q1 = self._q_prev, self._q_cur
+        if shifts:
+            bn, bd = abs((x << mul) + Q1 * n) >> div, abs(Q0 * n - (y << mul)) >> div
+        else:
+            bn, bd = abs(x * mul + Q1 * n) // div, abs(Q0 * n - y * mul) // div
+        return (bn, bd, an, ad) if self._odd else (an, ad, bn, bd)
+
     def denominators(self) -> tuple[int, int]:
         """(q_{k-1}, q_k) after the k quotients emitted so far; (0, 1) at k = 0."""
         return self._q_prev, self._q_cur
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
         """Signs of tail - num/den (den > 0) at the lower and the upper window end."""
-        s1 = self.an * den - self.ad * num
-        s2 = self.bn * den - self.bd * num
+        an, ad, bn, bd = self._tails()
+        s1 = an * den - ad * num
+        s2 = bn * den - bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact tails at the lower and the upper window end."""
-        return Fraction(self.an, self.ad), Fraction(self.bn, self.bd)
+        an, ad, bn, bd = self._tails()
+        return Fraction(an, ad), Fraction(bn, bd)
 
 
 ExpansionSession = _WindowSession | _QuadraticSession

@@ -42,11 +42,14 @@ from hermite_lab.cf import _BATCH_MIN_BITS, expansion, take
 from hermite_lab.hermite import criterion_scan
 from hermite_lab.lattice import complete_sequence
 from hermite_lab.stats import auto_precision_bits, sample_thetas
+from test_hermite import per_index_scan
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
 # a session's float tail pair is correct to the rounding of one division each
 ROUNDING = Fraction(1, 1 << 53)
+# a pair handed out on one exact end holds lo's own tail at least this far inside
+ONE_END_ROOM = Fraction(1, 1 << 35)
 
 
 class TestReduce:
@@ -551,16 +554,34 @@ def _assert_windows_agree(rng: random.Random, count: int, draw_bits) -> None:
                     assert flag == exact_flags[k], (spec, point, k)
 
 
+def _width_bits(lo: Fraction, hi: Fraction) -> int | None:
+    """floor(log2(1/(hi - lo))), the largest wbits with hi - lo <= 2**-wbits; None if lo == hi."""
+    w = hi - lo
+    return (w.denominator // w.numerator).bit_length() - 1 if w else None
+
+
+def _assert_width_certificate(own: Fraction, q_prev: int, q_cur: int, wbits: int, k: int) -> None:
+    """The width test of a session on one exact end, recomputed exactly at index k:
+    e = 2*bitlen(q_{k-1} + q_k) - wbits <= -35 and 2**e < t < 1 - 2**e for lo's tail t."""
+    e = 2 * (q_prev + q_cur).bit_length() - wbits
+    assert e <= -35, k
+    assert Fraction(1, 1 << -e) < own < 1 - Fraction(1, 1 << -e), k
+
+
 def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     """Runs of random limits against `_lockstep`, and one `take` of random length.
 
     The runs concatenate to its quotients; denominators and exact tails at
     both ends agree at every run boundary; the float pair beside each
     quotient of 1 brackets the tails at both ends after it, None beside the
-    others.  A second session read with `take(session, j)` holds the
+    others.  After a run that leaves the session on one exact end, the
+    width test holds at its index, recomputed exactly, and each pair of the
+    run, lo's tail widened by 2**-34, holds lo's own tail with 2**-35 to
+    spare.  A second session read with `take(session, j)` holds the
     denominators and exact tails of index j.
     """
     session = expansion(x0)
+    wbits = _width_bits(*x0.bounds)
     got = []
     q_prev, q_cur = 0, 1
     long_runs = 0
@@ -569,20 +590,26 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
         if not run:
             break
         long_runs += len(run) > 2
+        one_end = session._one_end is not None  # so the run came from _one_exact_end
+        room = ONE_END_ROOM if one_end else 0
         for a, tail in zip(run, tails):
             got.append(a)
+            assert len(got) <= len(quotients) and a == quotients[len(got) - 1], len(got)
             q_prev, q_cur = q_cur, a * q_cur + q_prev
             an, ad, bn, bd = states[len(got)]
             if a == 1:
-                lo, hi = tail
-                ends = Fraction(an, ad), Fraction(bn, bd)
-                assert lo <= min(ends) + ROUNDING and max(ends) <= hi + ROUNDING, len(got)
+                lo, hi = map(Fraction, tail)
+                own, other = Fraction(an, ad), Fraction(bn, bd)  # lo's tail, hi's tail
+                assert lo + room <= own + ROUNDING and own + room <= hi + ROUNDING, len(got)
+                assert lo <= other + ROUNDING and other <= hi + ROUNDING, len(got)
             else:
                 assert tail is None
+        an, ad, bn, bd = states[len(got)]
+        if one_end and wbits is not None:
+            _assert_width_certificate(Fraction(an, ad), q_prev, q_cur, wbits, len(got))
         # read through a copy, or directly, which changes nothing
         reader = session if rng.random() < 0.2 else copy.copy(session)
         assert reader.denominators() == (q_prev, q_cur), len(got)
-        an, ad, bn, bd = states[len(got)]
         ends = tuple(sorted((Fraction(an, ad), Fraction(bn, bd))))
         assert session.tail_bounds() == ends, len(got)
     assert got == quotients
@@ -599,18 +626,86 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     assert placed.tail_bounds() == tuple(sorted((Fraction(an, ad), Fraction(bn, bd)))), j
 
 
-def _count_one_end(monkeypatch) -> list:
-    """Whether each one-end batch held (False: the lockstep batch ran), in order."""
+def _count_one_end(monkeypatch, gap_bits: int) -> list:
+    """Whether each one-end batch with this gap test held (False: a lockstep
+    batch ran), in order: _GAP_BITS on both exact ends, _WIDTH_BITS on one."""
     outcomes = []
     one_end_batch = cf._one_end_batch
 
     def counted(*args):
         certified = one_end_batch(*args)
-        outcomes.append(certified is not None)
+        if args[-1] == gap_bits:
+            outcomes.append(certified is not None)
         return certified
 
     monkeypatch.setattr(cf, "_one_end_batch", counted)
     return outcomes
+
+
+def _count_width_tests(monkeypatch) -> list:
+    """Whether each batch on one exact end held (False: both ends were built), in order."""
+    outcomes = []
+    one_exact_end = cf._WindowSession._one_exact_end
+
+    def counted(session, limit):
+        certified = one_exact_end(session, limit)
+        outcomes.append(certified is not None)
+        return certified
+
+    monkeypatch.setattr(cf._WindowSession, "_one_exact_end", counted)
+    return outcomes
+
+
+def _cylinder_point(quotients, t: Fraction):
+    """(x, Q_{K-1}, Q_K): x = (P_K + t P_{K-1})/(Q_K + t Q_{K-1}), the real
+    that starts with a_1..a_K and has the tail t after them."""
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for a in quotients:
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return (p1 + t * p0) / (q1 + t * q0), q0, q1
+
+
+def _straddle_window(rng: random.Random):
+    """A window across the convergent P_K/Q_K of its lower end lo, K odd.
+
+    lo's tail after a_1..a_K is about 2**-400 and the width is set so that
+    e = -300 there: only the test 2**e < t keeps a_K, which hi lacks
+    (its tail after a_{K-1} lies on the other side of 1/a_K), from being
+    certified on one exact end.
+    """
+    quotients = [rng.randint(2, 9)] + [rng.randint(1, 9) for _ in range(2 * rng.randint(10, 30))]
+    quotients[-1] = max(quotients[-1], 2)
+    lo, q0, q1 = _cylinder_point(quotients, Fraction(rng.getrandbits(2000) | 1, 1 << 2400))
+    return make_decimal(lo, 2 * (q0 + q1).bit_length() + 300)
+
+
+def _crossing_window(rng: random.Random):
+    """A window whose lower end has a quotient A of about 2**260 after a_1..a_k.
+
+    No head holds A, so it is one exact step and a run of its own.  A puts
+    Q_{k+1} just below 2**B and Q_{k+1} + Q_k at or past it, and the width
+    is 2**-(2B + 36): after A, e = 2*bitlen(Q + Q') - wbits = -34 fails the
+    width test by one bit, where 2*bitlen(Q) - wbits = -36 would pass.
+    """
+    quotients = [rng.randint(2, 9)] + [rng.randint(1, 9) for _ in range(rng.randint(20, 60))]
+    _, q0, q1 = _cylinder_point(quotients, Fraction(0))
+    B = q1.bit_length() + 260
+    A = ((1 << B) - q0 - 1) // q1
+    tail = Fraction(rng.getrandbits(2399) | 1 << 2399 | 1, 1 << 2400)  # in (1/2, 1)
+    return make_decimal(_cylinder_point(quotients + [A], tail)[0], 2 * B + 36)
+
+
+def _tie_window(rng: random.Random):
+    """A window whose lower end's tail after a_1..a_k, a_k = 1, is 1/3 + about 2**-800.
+
+    lo's two head roundings straddle 1/3, so they disagree on the next
+    quotient: the batch that reaches it fails `_one_end_batch` and runs in
+    lockstep on the heads, its pairs widened by 2**-34.
+    """
+    quotients = [rng.randint(2, 9)] + [rng.randint(1, 9) for _ in range(rng.randint(5, 40))] + [1]
+    tail = Fraction(1, 3) + Fraction(rng.getrandbits(1600) | 1, 1 << 2400)
+    lo, q0, q1 = _cylinder_point(quotients, tail)
+    return make_decimal(lo, 2 * (q0 + q1).bit_length() + 400)
 
 
 class _WholeBatches(random.Random):
@@ -624,13 +719,14 @@ def _gap_window(rng: random.Random, outcomes: list) -> tuple[Fraction, Fraction,
     """(lo, hi, j): a long window whose first one-end batch a_1..a_j passes
     the cylinder test, ends on a 1 and fails the gap test.
 
-    lo has 1,000-bit terms, drawn until its own first run is a one-end batch
-    (read from `outcomes`) that ends on a 1, with lo's exact tail t after it
-    in (1/4, 3/4).  hi is the real with the quotients a_1..a_j and the tail
-    t +- 2**-30, so that hi > lo.  The lower head is lo's alone, so the batch
-    is the same, and the heads' tails after it differ by about 2**-30.
+    lo has 2,500-bit terms, drawn until its own first run is a one-end batch
+    (read from `outcomes`, on one exact end) that ends on a 1, with lo's
+    exact tail t after it in (1/4, 3/4).  hi is the real with the quotients
+    a_1..a_j and the tail t +- 2**-30, so that hi > lo.  The lower head is
+    lo's alone, so the batch is the same, and the heads' tails after it
+    differ by about 2**-30.
     """
-    den = (1 << 1000) + 1
+    den = (1 << 2500) + 1
     while True:
         lo = Fraction(rng.randrange(den // 8, den // 2), den)
         run = expansion(RationalSpec(lo)).run(10**6)[0]
@@ -792,13 +888,15 @@ class TestWindowEngine:
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
 
     def test_ends_stay_in_order(self):
-        # (an, ad) is the lower end at every position, read mid-batch through
-        # a copy: tail_signs reads 0 at each end and the order at the other
+        # the lower end first at every position, read mid-batch through a
+        # copy, on one exact end too: tail_signs reads 0 at each end and the
+        # order at the other
         rng = random.Random(41)
         inputs = [
             make_decimal(Fraction(rng.randrange(1, 10**80), 2 * 10**80), 256),
             make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
             RationalSpec(Fraction(rng.getrandbits(2000), (1 << 2001) + 1)),
+            make_decimal(Fraction(rng.randrange(1, 10**900), 2 * 10**900), 3000),
         ]
         for x0 in inputs:
             session = expansion(x0)
@@ -818,13 +916,15 @@ class TestWindowEngine:
 
     def test_reads_change_no_attribute(self):
         # the state is always at the current position, after every run of a
-        # long or a short window: denominators, tail_signs and tail_bounds
-        # only read it
+        # long or a short window, on one exact end or both: denominators,
+        # tail_signs and tail_bounds only read it
         rng = random.Random(53)
         inputs = [
             make_decimal(Fraction(rng.randrange(1, 10**80), 2 * 10**80), 256),
             make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
             RationalSpec(Fraction(rng.getrandbits(2000), (1 << 2001) + 1)),
+            make_decimal(Fraction(rng.randrange(1, 10**900), 2 * 10**900), 3000),
+            RationalSpec(Fraction(rng.getrandbits(3000), (1 << 3001) + 1)),
         ]
         for x0 in inputs:
             session = expansion(x0)
@@ -847,27 +947,71 @@ class TestWindowEngine:
         _assert_plain_euclid(specs)
 
     def test_gap_test_sends_a_batch_to_lockstep(self, monkeypatch):
-        # without the gap test, the one-end batch would hold, and its last
-        # pair, 2**-34 around the lower head's tail, would miss the upper
-        # end's tail, 2**-30 away
-        outcomes = _count_one_end(monkeypatch)
-        lo, hi, j = _gap_window(random.Random(59), outcomes)
+        # the window's width, about 2**-30 after a_1..a_j, leaves no room
+        # for one exact end: the width test turns its first batch away, and
+        # both ends are built.  Their one-end batch would then hold without
+        # the gap test, and its last pair, 2**-34 around the lower head's
+        # tail, would miss the upper end's tail, 2**-30 away
+        lo, hi, j = _gap_window(random.Random(59), _count_one_end(monkeypatch, cf._WIDTH_BITS))
         quotients, states, terminated = _lockstep(lo, hi)
         assert len(quotients) > j and quotients[j - 1] == 1
         an, ad, bn, bd = states[j]
         assert abs(Fraction(an, ad) - Fraction(bn, bd)) > Fraction(1, 1 << 34)
         x0 = make_decimal(lo, 200, (lo, hi))
-        outcomes.clear()
+        assert lo.denominator >> cf._ONE_END_MIN_BITS and expansion(x0)._one_end
+        widths = _count_width_tests(monkeypatch)
+        outcomes = _count_one_end(monkeypatch, cf._GAP_BITS)
         _assert_runs_match_lockstep(x0, quotients, states, terminated, _WholeBatches(61))
-        assert outcomes[0] is False
+        assert widths[0] is False and outcomes[0] is False
 
     def test_deep_samples_take_both_batch_paths(self, monkeypatch):
-        # nearly every batch of a depth-5000 sample holds on the lower head
-        # alone, and a few run in lockstep
-        outcomes = _count_one_end(monkeypatch)
-        for spec in sample_thetas(401, 10, auto_precision_bits(5000)):
+        # every batch of a depth-5000 sample holds on one exact end, nearly
+        # all on lo's heads alone and a few in lockstep on them; scanned
+        # until it is exhausted, a sample builds its other end once
+        heads = _count_one_end(monkeypatch, cf._WIDTH_BITS)
+        widths = _count_width_tests(monkeypatch)
+        samples = sample_thetas(401, 12, auto_precision_bits(5000))
+        for spec in samples[:10]:
             criterion_scan(spec, 5000)
-        assert outcomes.count(True) > 50 * outcomes.count(False) > 0
+        assert widths and all(widths)
+        assert heads.count(True) > 50 * heads.count(False) > 0
+        widths.clear()
+        for spec in samples[10:]:
+            criterion_scan(spec, 10**9)
+        assert widths.count(False) == 2 and widths.count(True) > 100
+
+    def test_long_windows_match_lockstep_until_exhausted(self, monkeypatch):
+        # windows of 400-3,000 bits, whose upper ends are a dyadic offset of
+        # the value or arbitrary; those past _ONE_END_MIN_BITS start on one
+        # exact end.  Three kinds are built to reach each of its tests:
+        # _straddle_window the test 2**e < t, _crossing_window the bound
+        # (Q + Q')**2 and e <= -35, _tie_window the lockstep on lo's heads.
+        # Each is scanned until it is exhausted in runs of random limits,
+        # read between runs, against unbatched lockstep Euclid, and by
+        # criterion_scan against the exact per-index scan
+        rng = random.Random(67)
+        inputs = []
+        for _ in range(12):
+            bits = rng.randint(400, 3000)
+            digits = bits * 30103 // 100000 + 1
+            value = Fraction(rng.randrange(1, 10**digits // 2 - 10**digits // 2**bits), 10**digits)
+            inputs.append(make_decimal(value, bits))
+            lo = value - Fraction(1, rng.randrange(1 << bits, 1 << bits + 1))
+            hi = value + Fraction(rng.randrange(1, 1 << 40), rng.randrange(1 << bits + 40, 1 << bits + 41))
+            inputs.append(make_decimal(value, bits, (lo, hi)))
+        for build in (_straddle_window, _crossing_window, _tie_window):
+            inputs += [build(rng) for _ in range(3)]
+        heads = _count_one_end(monkeypatch, cf._WIDTH_BITS)
+        widths = _count_width_tests(monkeypatch)
+        one_end = 0
+        for x0 in inputs:
+            lo, hi = x0.bounds
+            assert lo.denominator >> 400 and lo < hi <= Fraction(1, 2)
+            one_end += expansion(x0)._one_end is not None
+            quotients, states, terminated = _lockstep(lo, hi)
+            _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
+            assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), x0.value
+        assert one_end >= 15 and False in heads and False in widths
 
     def test_long_window_fallback_takes_one_step(self):
         # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is

@@ -20,7 +20,7 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     names = [
         "criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions", "cli",
-        "cli_csv",
+        "cli_csv", "long_decimals",
     ]
     assert [name for name, _, _ in lines] == names
     for name, count, digest in lines:
@@ -35,3 +35,5 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert expansions == lines[6][2]
     assert len(families["cli"]) == int(lines[7][1]) == 20 + len(ARGUMENT_REJECTIONS) + 1  # --help
     assert flag_digest.digest(families["cli"], flag_digest.cli_record) == lines[7][2]
+    assert len(families["long_decimals"]) == int(lines[9][1]) == 10 + 3 * 2
+    assert flag_digest.digest(families["long_decimals"]) == lines[9][2]

@@ -12,6 +12,7 @@ from hermite_lab import (
     HERMITE_GROWTH_RATE,
     HERMITE_PROPORTION,
     LEVY_RATE,
+    DecimalSpec,
     ExperimentConfig,
     HermiteLabError,
     InvalidArgument,
@@ -21,6 +22,7 @@ from hermite_lab import (
     run_experiment,
     sample_thetas,
 )
+from hermite_lab import stats
 from hermite_lab.stats import auto_precision_bits
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
@@ -40,12 +42,21 @@ class TestSampler:
             with pytest.raises(InvalidArgument, match=r"seed must lie in \[0, 2\*\*64\)"):
                 sample_thetas(seed, 1, 64)
 
-    def test_precision_range(self):
-        # a negative precision once reached a bare "negative shift count"
+    def test_precision_range(self, monkeypatch):
+        # a negative precision once reached a bare "negative shift count",
+        # and one past 2**20 bits drew 315,654 digits before a ParseError
         for bits in (-5, 0, 63):
             with pytest.raises(InvalidArgument, match="precision_bits must be >= 64"):
                 sample_thetas(1, 1, bits)
         assert sample_thetas(1, 1, 64)[0].declared_bits == 64
+
+        def no_digits(*args, **kwargs):
+            raise AssertionError("a digit was drawn")
+
+        monkeypatch.setattr(stats.hashlib, "blake2b", no_digits)
+        for bits in (DecimalSpec.MAX_BITS + 1, 2**40):
+            with pytest.raises(InvalidArgument, match=r"precision_bits must be <= 2\*\*20"):
+                sample_thetas(1, 1, bits)
 
     def test_in_unit_interval(self):
         for spec in sample_thetas(9, 20, 256):
