@@ -1,7 +1,7 @@
 """Time criterion scans run until their windows are exhausted, in two checkouts.
 
     python3 scripts/exhaustion_pairs.py --side change=. --side parent=../parent
-        [--seeds 1 2 3 4 5] [--reps 7] [--count 150]
+        [--seeds 1 2 3 4 5] [--reps 21] [--count 150]
 
 The input set, per seed: `--count` decimals, each of a uniform 400-3,000
 bits, with as many decimal digits as `stats.sample_thetas` draws for that
@@ -9,13 +9,15 @@ precision (`decimals`).  Each is scanned with `criterion_scan(x, 10**9)`, so
 the scan runs until the window is exhausted; most Lehmer batches of these
 inputs run on a long window, and the last ones near exhaustion.
 
-For every seed, each side runs in its own process, with `<side>/src` on
-`PYTHONPATH`; the order of the sides alternates from one seed to the next.
-A process builds the seed's set, times `--reps` scans of the whole set
-with `time.process_time` and reports their median.  The script prints one
-line per seed (each side's median in ms and their ratio, the first side
-over the second), then the median ratio over the seeds and the number of
-seeds on which the first side was faster.  Standard library only.
+For every seed the two sides run `--reps` times each, every run in its
+own process with `<side>/src` on `PYTHONPATH`, the sides alternating and
+the side that goes first alternating from one pair to the next, so that a
+drift in the machine's speed falls on both alike.  A process builds the
+seed's set, scans it once untimed, then times one scan of the whole set
+with `time.process_time`.  The script prints one line per seed (each
+side's median in ms and their ratio, the first side over the second), then
+the median ratio over the seeds and the number of seeds on which the first
+side was faster.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,28 +52,27 @@ def decimals(seed: int, count: int) -> list:
     return out
 
 
-def time_set(specs: list, reps: int) -> float:
-    """Median CPU milliseconds of `reps` scans of every input until exhaustion."""
+def time_set(specs: list) -> float:
+    """CPU milliseconds of one scan of every input until exhaustion, after an untimed one."""
     from hermite_lab.hermite import criterion_scan
 
-    times = []
-    for _ in range(reps):
-        start = time.process_time()
-        for spec in specs:
-            criterion_scan(spec, 10**9)
-        times.append((time.process_time() - start) * 1000)
-    return statistics.median(times)
+    for spec in specs:
+        criterion_scan(spec, 10**9)
+    start = time.process_time()
+    for spec in specs:
+        criterion_scan(spec, 10**9)
+    return (time.process_time() - start) * 1000
 
 
-def run_side(path: Path, seed: int, reps: int, count: int) -> float:
-    """The median of one worker process on the checkout at `path`."""
+def run_side(path: Path, seed: int, count: int) -> float:
+    """The time of one worker process on the checkout at `path`."""
     command = [
         sys.executable, str(Path(__file__).resolve()), "--worker",
-        "--seeds", str(seed), "--reps", str(reps), "--count", str(count),
+        "--seeds", str(seed), "--count", str(count),
     ]
     env = dict(os.environ, PYTHONPATH=str(path / "src"))
     out = subprocess.run(command, capture_output=True, text=True, check=True, env=env).stdout
-    return json.loads(out)["median_ms"]
+    return json.loads(out)["ms"]
 
 
 def report(names: list[str], rows: list[tuple[int, list[float]]]) -> list[str]:
@@ -94,24 +95,25 @@ def main(argv=None) -> int:
     parser.add_argument("--side", action="append", metavar="NAME=PATH",
                         help="a checkout to run; give two")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--reps", type=int, default=7)
+    parser.add_argument("--reps", type=int, default=21)
     parser.add_argument("--count", type=int, default=150)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        specs = decimals(args.seeds[0], args.count)
-        print(json.dumps({"median_ms": time_set(specs, args.reps)}))
+        print(json.dumps({"ms": time_set(decimals(args.seeds[0], args.count))}))
         return 0
     if not args.side or len(args.side) != 2:
         parser.error("give two --side NAME=PATH")
     sides = [(name, Path(path).resolve()) for name, path in (s.split("=", 1) for s in args.side)]
     rows = []
     for k, seed in enumerate(args.seeds):
-        medians = {}
-        for name, path in sides if k % 2 == 0 else sides[::-1]:
-            medians[name] = run_side(path, seed, args.reps, args.count)
-        rows.append((seed, [medians[name] for name, _ in sides]))
-        print(f"seed {seed}: " + " ".join(f"{n} {m:.2f} ms" for n, m in medians.items()),
+        times = {name: [] for name, _ in sides}
+        for r in range(args.reps):
+            for name, path in sides if (k + r) % 2 == 0 else sides[::-1]:
+                times[name].append(run_side(path, seed, args.count))
+        medians = [statistics.median(times[name]) for name, _ in sides]
+        rows.append((seed, medians))
+        print(f"seed {seed}: " + " ".join(f"{n} {m:.2f} ms" for (n, _), m in zip(sides, medians)),
               file=sys.stderr, flush=True)
     print("\n".join(report([name for name, _ in sides], rows)))
     return 0

@@ -5,10 +5,10 @@ recurrence on (P + sqrt(D))/Q for quadratic irrationals, and Euclid on the
 endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
 window shares it.  The window session certifies each batch of quotients
-in one loop of small steps.  A window whose lower end lo is long keeps
-only lo's exact tail: each batch (a Lehmer batch) runs on lo's leading
-bits, its heads, and the window's width w then certifies it for the
-upper end.  On the Gauss-map cylinder of the quotients a_1..a_K the tail
+in one loop of small steps.  A window whose lower end lo has a
+denominator past 2,048 bits keeps only lo's exact tail: each batch (a
+Lehmer batch) runs on lo's leading bits, its heads, and the window's
+width w then certifies it for the upper end.  On the Gauss-map cylinder of the quotients a_1..a_K the tail
 t of x has |dt/dx| <= (Q_K + Q_{K-1})**2, so while that times w stays
 below 2**-35, and t away from 0 and 1 by as much, the upper end's tail
 shares the quotients and lies within 2**-35 of lo's.  Near exhaustion,
@@ -18,7 +18,9 @@ tests the upper head once; where that fails, the heads run in lockstep,
 each step checked at both, as a short window's exact ends do throughout.
 Either loop carries the batch's cosequence, which then moves the
 remainders, the ends kept in order, the lower first, and the convergent
-denominators past the batch in a few multiplications.
+denominators past the batch in a few multiplications.  One exact end took
+the median `deep_decimal` sample from 10.73 to 9.37 ms
+(`BENCH_one_exact_end.json`).
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`
@@ -316,7 +318,8 @@ class _WindowSession:
     after an odd count (`_odd`), (bn, bd) is None, and `_one_end` holds
     `_width(lo, hi)`.  Near exhaustion, once the width no longer certifies
     a batch, the other end's exact tail is built from it and both ends go
-    on; `_one_end` is then None.
+    on; `_one_end` is then None.  `BENCH_one_exact_end.json` measures it
+    against both exact ends throughout.
 
     Each run is one batch of `_start_batch`.  It moves the remainders and
     the convergent denominators past the batch before it is handed out.
