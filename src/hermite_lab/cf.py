@@ -455,9 +455,10 @@ class _WindowSession:
 
         On one exact end the other end's tail is built without changing the
         session.  Write lo = A/c and hi = (A + n)/c as `_width` does, with
-        A = lo.num * mul.  After K quotients, Euclid's remainders give
-        Q_K A - P_K c = (-1)**K an*mul and Q_{K-1} A - P_{K-1} c =
-        (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| / |Q_{K-1} (A + n)
+        A = lo.num * mul (where `shifts`, each product with or quotient by
+        mul or div is a shift by it).  After K quotients, Euclid's
+        remainders give Q_K A - P_K c = (-1)**K an*mul and
+        Q_{K-1} A - P_{K-1} c = (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| / |Q_{K-1} (A + n)
         - P_{K-1} c| is then |x*mul + Q_K n| / |Q_{K-1} n - y*mul| with
         (x, y) = (-1)**K (an, ad), both divided by div: hi's own remainders,
         in lowest terms as hi is, with no P_K.
