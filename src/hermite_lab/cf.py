@@ -5,22 +5,25 @@ recurrence on (P + sqrt(D))/Q for quadratic irrationals, and Euclid on the
 endpoints of a window for decimals and rationals, a rational being
 the zero-width window.  A quotient is emitted only when every real in the
 window shares it.  The window session certifies each batch of quotients
-in one loop of small steps.  A window whose lower end lo has a
-denominator past 2,048 bits keeps only lo's exact tail: each batch (a
-Lehmer batch) runs on lo's leading bits, its heads, and the window's
-width w then certifies it for the upper end.  On the Gauss-map cylinder of the quotients a_1..a_K the tail
-t of x has |dt/dx| <= (Q_K + Q_{K-1})**2, so while that times w stays
-below 2**-35, and t away from 0 and 1 by as much, the upper end's tail
-shares the quotients and lies within 2**-35 of lo's.  Near exhaustion,
-where that fails, the upper end's exact tail is built once and both ends
-go on: a long window's batch runs Euclid on the lower head alone and
-tests the upper head once; where that fails, the heads run in lockstep,
-each step checked at both, as a short window's exact ends do throughout.
-Either loop carries the batch's cosequence, which then moves the
-remainders, the ends kept in order, the lower first, and the convergent
-denominators past the batch in a few multiplications.  One exact end took
-the median `deep_decimal` sample from 10.73 to 9.37 ms
-(`BENCH_one_exact_end.json`).
+in one loop of small steps.  A long window's batch (a Lehmer batch)
+runs on the leading bits of its ends, the heads: Euclid on the lower head
+alone, then one test that the upper head lies in the Gauss-map cylinder
+of the batch's quotients and one that the heads' tails after it are
+within 2**-34 of each other.  Where either test fails, the heads run in
+lockstep, each step checked at both, as a short window's exact ends do
+throughout.  Either loop carries the batch's cosequence, which then moves
+the remainders, the ends kept in order, the lower first, and the
+convergent denominators past the batch in a few multiplications.
+
+A window whose lower end lo has a denominator past 2,048 bits keeps only
+lo's exact tail, and its batches run on the zero-width window (lo, lo).
+On the cylinder of the quotients a_1..a_K the tail t of x has |dt/dx| <=
+(Q_K + Q_{K-1})**2, so while that times the window's width stays below
+2**-35, and t away from 0 and 1 by as much, the upper end's tail shares
+the quotients and lies within 2**-35 of lo's.  Near exhaustion, where
+that fails, the upper end's exact tail is built once and both ends go
+on.  One exact end took the median `deep_decimal` sample from 10.73 to
+9.37 ms (`BENCH_one_exact_end.json`).
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`
@@ -252,34 +255,6 @@ def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int, gap_bits: int
     return None
 
 
-def _lockstep_batch(windows, limit: int):
-    """Euclid on the first window (ln, ld, un, ud, cut) that certifies a quotient.
-
-    Each step divides the lower end ln/ld, checks that the quotient holds at
-    the upper end un/ud, 0 <= ud - a*un < un, and swaps the ends, as it
-    reverses their order; the loop stops once a denominator is below `cut`.
-    Returns the quotients, their tail pairs (the ends' tails after each 1,
-    in order) and the cosequence, as `_one_end_batch` does.
-    """
-    for ln, ld, un, ud, cut in windows:
-        batch, tails = [], []
-        p0, p1, q0, q1 = 1, 0, 0, 1
-        for _ in range(limit):
-            if not (ln and un and ld >= cut and ud >= cut):
-                break
-            a, r = divmod(ld, ln)
-            s = ud - un if a == 1 else ud - a * un
-            if s < 0 or s >= un:
-                break
-            batch.append(a)
-            tails.append((s / un, r / ln) if a == 1 else None)
-            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
-            ln, ld, un, ud = s, un, r, ln
-        if batch:
-            break
-    return batch, tails, p0, p1, q0, q1
-
-
 def _width(lo: Fraction, hi: Fraction):
     """(n, mul, div, shifts, wbits) with hi - lo = n/c <= 2**-wbits, lo <= hi.
 
@@ -357,39 +332,95 @@ class _WindowSession:
     def _start_batch(self, limit: int):
         """Certify at most `limit` quotients on a small window around both ends.
 
-        On one exact end, `_one_exact_end` runs the batch; where it returns
-        None, the other end's tail is built and the batch runs on both ends.
         A long window, both denominators past _BATCH_MIN_BITS, first runs on
         the lower end's leading _HEAD_BITS rounded down and the upper end's
         rounded up: `_one_end_batch` divides the lower head alone and tests
         the upper head once at the end.  If it rejects its batch, the heads
         run in lockstep until a denominator is down to _CUT_BITS, and if that
         certifies nothing, the exact ends take one step.  A short window runs
-        in lockstep on its exact ends.
+        in lockstep on its exact ends.  Each lockstep step divides the lower
+        end ln/ld, checks that the quotient holds at the upper end un/ud,
+        0 <= ud - a*un < un, and swaps the ends, as it reverses their order.
 
-        Every loop carries the cosequence.  After quotients a_1..a_j with
+        Both loops carry the cosequence.  After quotients a_1..a_j with
         convergents p_k/q_k, Euclid's remainders are |q_j n - p_j d| and
         |q_{j-1} n - p_{j-1} d|, and the denominators (Q', Q) from before the
         batch become (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q'); after an odd j
         the ends swap, as the lower end's tail is then the upper one.
+
+        On one exact end the batch runs on the zero-width window (lo, lo),
+        with a 2**-_WIDTH_BITS gap test and its lockstep pairs widened by
+        2**-_GAP_BITS, and only lo's tail moves.  On the Gauss-map cylinder
+        of a_1..a_K a real is x = (P_K + t P_{K-1})/(Q_K + t Q_{K-1}), so
+        |dt/dx| = (Q_K + t Q_{K-1})**2, at most (Q_K + Q_{K-1})**2
+        (Khinchin; Iosifescu and Kraaikamp 2002).  With e = 2*bitlen(Q_K +
+        Q_{K-1}) - wbits, the upper end's tail is then within 2**e of lo's
+        tail t while both ends lie in the cylinder, and 2**e < t < 1 - 2**e
+        keeps them there: by continuity the window cannot leave the cylinder
+        before a tail reaches 0 or 1.  So the batch holds for the whole
+        window if after it e <= -_WIDTH_BITS and t passes that test, here on
+        bit lengths; as T expands, the tails were as close after every
+        earlier quotient, and each pair after a 1 brackets lo's tail within
+        2**-_WIDTH_BITS and so the upper end's too.  Where the test fails,
+        once lo's denominator is down to _BATCH_MIN_BITS, or ahead of a
+        batch that might cross e = -_WIDTH_BITS, `_both_ends` leaves one
+        exact end before the session moves.
         """
-        if self._one_end:
-            certified = self._one_exact_end(limit)
-            if certified:
-                return certified
-            self.an, self.ad, self.bn, self.bd = self._tails()
-            self._one_end = None
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
+        one_end = self._one_end
+        if one_end:
+            if not ad >> _BATCH_MIN_BITS or 2 * (
+                (self._q_prev + self._q_cur).bit_length() + _BATCH_Q_BITS
+            ) > one_end[4] - _WIDTH_BITS:
+                return self._both_ends(limit)
+            bn, bd = an, ad
         windows = [(an, ad, bn, bd, 0)]
-        certified = None
         if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
             heads = an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb
-            certified = _one_end_batch(*heads, limit, _GAP_BITS)
-            # each new denominator is an old numerator, below its end's old
-            # denominator: a cut at the lesser old one stops after one step
-            windows = [(*heads, 1 << _CUT_BITS), (an, ad, bn, bd, min(ad, bd))]
-        batch, tails, p0, p1, q0, q1 = certified or _lockstep_batch(windows, limit)
+            certified = _one_end_batch(*heads, limit, _WIDTH_BITS if one_end else _GAP_BITS)
+            if certified:
+                batch, tails, p0, p1, q0, q1 = certified
+                windows = []
+            else:
+                # each new denominator is an old numerator, below its end's
+                # old denominator: a cut at the lesser old one stops after
+                # one step
+                windows = [(*heads, 1 << _CUT_BITS), (an, ad, bn, bd, min(ad, bd))]
+        for ln, ld, un, ud, cut in windows:
+            batch, tails = [], []
+            p0, p1, q0, q1 = 1, 0, 0, 1
+            for _ in range(limit):
+                if not (ln and un and ld >= cut and ud >= cut):
+                    break
+                a, r = divmod(ld, ln)
+                s = ud - un if a == 1 else ud - a * un
+                if s < 0 or s >= un:
+                    break
+                batch.append(a)
+                tails.append((s / un, r / ln) if a == 1 else None)
+                p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+                ln, ld, un, ud = s, un, r, ln
+            if batch:
+                break
+        if one_end:
+            # the ends are the same: only lo's tail moves, and only if the
+            # width test holds after the batch
+            an, ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
+            Q0, Q1 = self._q_prev, self._q_cur
+            Q0, Q1 = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
+            # 2**e < an/ad and 2**e < 1 - an/ad, on bit lengths, with e = -f;
+            # a tail of 0, past a last quotient, fails it whatever f is
+            f = one_end[4] - 2 * (Q0 + Q1).bit_length()
+            span = max(ad.bit_length() - f, 0)
+            if f < _WIDTH_BITS or an.bit_length() <= span or (ad - an).bit_length() <= span:
+                return self._both_ends(limit)
+            self.an, self.ad, self._q_prev, self._q_cur = an, ad, Q0, Q1
+            self._odd ^= len(batch) & 1
+            if windows:
+                gap = 2.0**-_GAP_BITS
+                tails = [t and (t[0] - gap, t[1] + gap) for t in tails]
+            return batch, tails
         if len(batch) & 1:
             an, ad, bn, bd = bn, bd, an, ad
         self.an, self.ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
@@ -398,57 +429,11 @@ class _WindowSession:
         self._q_prev, self._q_cur = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
         return batch, tails
 
-    def _one_exact_end(self, limit: int):
-        """A batch on lo's tail alone, certified for the whole window; None if not.
-
-        On the Gauss-map cylinder of a_1..a_K a real is x = (P_K + t P_{K-1})
-        / (Q_K + t Q_{K-1}), so |dt/dx| = (Q_K + t Q_{K-1})**2, at most
-        (Q_K + Q_{K-1})**2 (Khinchin; Iosifescu and Kraaikamp 2002).  With
-        e = 2*bitlen(Q_K + Q_{K-1}) - wbits, the other end's tail is then
-        within 2**e of lo's tail t while both ends lie in the cylinder, and
-        2**e < t < 1 - 2**e keeps them there: by continuity the window cannot
-        leave the cylinder before a tail reaches 0 or 1.  So a batch holds
-        for the whole window if after it e <= -35 and t passes that test,
-        here on bit lengths; as T expands, the tails were as close after
-        every earlier quotient.
-
-        The batch runs on lo's two head roundings: `_one_end_batch` with a
-        2**-35 gap test, else the heads in lockstep, then one exact step,
-        with their pairs widened by 2**-34.  Either way the pair after a 1
-        brackets lo's tail within 2**-35 and so the other end's tail too.
-        None once lo's denominator is down to _BATCH_MIN_BITS, where the
-        test fails, or ahead of a batch that might cross e = -35: that one
-        is left to both ends, and its work is not thrown away.
-        """
-        an, ad = self.an, self.ad
-        wbits = self._one_end[4]
-        if not ad >> _BATCH_MIN_BITS or 2 * (
-            (self._q_prev + self._q_cur).bit_length() + _BATCH_Q_BITS
-        ) > wbits - _WIDTH_BITS:
-            return None
-        s = ad.bit_length() - _HEAD_BITS
-        h, g = an >> s, ad >> s
-        heads = h, g + 1, h + 1, g
-        certified = _one_end_batch(*heads, limit, _WIDTH_BITS)
-        if certified:
-            batch, tails, p0, p1, q0, q1 = certified
-        else:
-            windows = [(*heads, 1 << _CUT_BITS), (an, ad, an, ad, ad)]
-            batch, tails, p0, p1, q0, q1 = _lockstep_batch(windows, limit)
-            gap = 2.0**-_GAP_BITS
-            tails = [t and (t[0] - gap, t[1] + gap) for t in tails]
-        an, ad = abs(q1 * an - p1 * ad), abs(q0 * an - p0 * ad)
-        Q0, Q1 = self._q_prev, self._q_cur
-        Q0, Q1 = q0 * Q1 + p0 * Q0, q1 * Q1 + p1 * Q0
-        # 2**e < an/ad and 2**e < 1 - an/ad, on bit lengths, with e = -f
-        f = wbits - 2 * (Q0 + Q1).bit_length()
-        span = ad.bit_length() - f
-        if f < _WIDTH_BITS or an.bit_length() <= span or (ad - an).bit_length() <= span:
-            return None
-        self.an, self.ad = an, ad
-        self._q_prev, self._q_cur = Q0, Q1
-        self._odd ^= len(batch) & 1
-        return batch, tails
+    def _both_ends(self, limit: int):
+        """Leave one exact end: build the upper end's tail, then run the batch on both."""
+        self.an, self.ad, self.bn, self.bd = self._tails()
+        self._one_end = None
+        return self._start_batch(limit)
 
     def _tails(self) -> tuple[int, int, int, int]:
         """(an, ad, bn, bd), the exact tails at the lower and the upper end, in order.
@@ -457,11 +442,11 @@ class _WindowSession:
         session.  Write lo = A/c and hi = (A + n)/c as `_width` does, with
         A = lo.num * mul (where `shifts`, each product with or quotient by
         mul or div is a shift by it).  After K quotients, Euclid's
-        remainders give Q_K A - P_K c = (-1)**K an*mul and
-        Q_{K-1} A - P_{K-1} c = (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| / |Q_{K-1} (A + n)
-        - P_{K-1} c| is then |x*mul + Q_K n| / |Q_{K-1} n - y*mul| with
-        (x, y) = (-1)**K (an, ad), both divided by div: hi's own remainders,
-        in lowest terms as hi is, with no P_K.
+        remainders give Q_K A - P_K c = (-1)**K an*mul and Q_{K-1} A -
+        P_{K-1} c = (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| /
+        |Q_{K-1} (A + n) - P_{K-1} c| is then |x*mul + Q_K n| / |Q_{K-1} n -
+        y*mul| with (x, y) = (-1)**K (an, ad), both divided by div: hi's own
+        remainders, in lowest terms as hi is, with no P_K.
         """
         an, ad = self.an, self.ad
         if not self._one_end:

@@ -590,7 +590,7 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
         if not run:
             break
         long_runs += len(run) > 2
-        one_end = session._one_end is not None  # so the run came from _one_exact_end
+        one_end = session._one_end is not None  # so the run held on one exact end
         room = ONE_END_ROOM if one_end else 0
         for a, tail in zip(run, tails):
             got.append(a)
@@ -643,16 +643,19 @@ def _count_one_end(monkeypatch, gap_bits: int) -> list:
 
 
 def _count_width_tests(monkeypatch) -> list:
-    """Whether each batch on one exact end held (False: both ends were built), in order."""
+    """Whether each run that starts on one exact end held there (False: the
+    session left it and built both ends), in order."""
     outcomes = []
-    one_exact_end = cf._WindowSession._one_exact_end
+    run = cf._WindowSession.run
 
     def counted(session, limit):
-        certified = one_exact_end(session, limit)
-        outcomes.append(certified is not None)
+        if session._one_end is None:
+            return run(session, limit)
+        certified = run(session, limit)
+        outcomes.append(session._one_end is not None)
         return certified
 
-    monkeypatch.setattr(cf._WindowSession, "_one_exact_end", counted)
+    monkeypatch.setattr(cf._WindowSession, "run", counted)
     return outcomes
 
 
@@ -706,6 +709,26 @@ def _tie_window(rng: random.Random):
     tail = Fraction(1, 3) + Fraction(rng.getrandbits(1600) | 1, 1 << 2400)
     lo, q0, q1 = _cylinder_point(quotients, tail)
     return make_decimal(lo, 2 * (q0 + q1).bit_length() + 400)
+
+
+def _last_quotient_window(rng: random.Random, sign: int, bits: int):
+    """(x0, A): a 700-digit decimal whose expansion ends in a quotient A of about 2**325.
+
+    Its value p/10**700 has p = sign/Q mod 10**700 for a 2,000-bit Q, so
+    it lies 1/(Q * 10**700) from P/Q on the side of sign: P/Q is its
+    convergent before the last, with the quotient A = 10**700 // Q.  lo's
+    tail before A is 1/A, and one exact step takes it to 0.  The window's
+    2**-bits leaves the width test room up to A.  With sign +1 that
+    convergent's index is even, hi's tail before A is just above 1/A and
+    hi's quotient is A - 1; with sign -1, A is shared.
+    """
+    digits = 700
+    while True:
+        Q = rng.getrandbits(2000) | 1 << 1999 | 1
+        if Q % 5:
+            p = sign * pow(Q, -1, 10**digits) % 10**digits
+            if 2 * p < 10**digits - 1:
+                return make_decimal(Fraction(p, 10**digits), bits), 10**digits // Q
 
 
 class _WholeBatches(random.Random):
@@ -997,7 +1020,8 @@ class TestWindowEngine:
             value = Fraction(rng.randrange(1, 10**digits // 2 - 10**digits // 2**bits), 10**digits)
             inputs.append(make_decimal(value, bits))
             lo = value - Fraction(1, rng.randrange(1 << bits, 1 << bits + 1))
-            hi = value + Fraction(rng.randrange(1, 1 << 40), rng.randrange(1 << bits + 40, 1 << bits + 41))
+            offset = Fraction(rng.randrange(1, 1 << 40), rng.randrange(1 << bits + 40, 1 << bits + 41))
+            hi = value + offset
             inputs.append(make_decimal(value, bits, (lo, hi)))
         for build in (_straddle_window, _crossing_window, _tie_window):
             inputs += [build(rng) for _ in range(3)]
@@ -1012,6 +1036,21 @@ class TestWindowEngine:
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
             assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), x0.value
         assert one_end >= 15 and False in heads and False in widths
+
+    def test_last_quotient_leaves_one_exact_end(self):
+        # lo's tail reaches 0 on a last quotient A of about 2**325, one exact
+        # step on one exact end, with e about -1,350 after it and lo's
+        # denominator down to 1: a tail of 0 fails the width test whatever
+        # the width, so A is handed out only where hi shares it
+        rng = random.Random(73)
+        for sign in (1, -1, 1, -1):
+            x0, A = _last_quotient_window(rng, sign, 6000)
+            lo, hi = x0.bounds
+            assert expansion(x0)._one_end
+            quotients, states, terminated = _lockstep(lo, hi)
+            assert (quotients[-1] == A) == (sign < 0), sign
+            _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
+            assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), sign
 
     def test_long_window_fallback_takes_one_step(self):
         # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is
