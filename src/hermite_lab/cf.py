@@ -438,10 +438,10 @@ class _WindowSession:
     def _tails(self) -> tuple[int, int, int, int]:
         """(an, ad, bn, bd), the exact tails at the lower and the upper end, in order.
 
-        On one exact end the other end's tail is built without changing the
-        session.  Write lo = A/c and hi = (A + n)/c as `_width` does, with
-        A = lo.num * mul (where `shifts`, each product with or quotient by
-        mul or div is a shift by it).  After K quotients, Euclid's
+        On one exact end only, where the other end's tail is built without
+        changing the session.  Write lo = A/c and hi = (A + n)/c as `_width`
+        does, with A = lo.num * mul (where `shifts`, each product with or
+        quotient by mul or div is a shift by it).  After K quotients, Euclid's
         remainders give Q_K A - P_K c = (-1)**K an*mul and Q_{K-1} A -
         P_{K-1} c = (-1)**(K-1) ad*mul.  hi's tail |Q_K (A + n) - P_K c| /
         |Q_{K-1} (A + n) - P_{K-1} c| is then |x*mul + Q_K n| / |Q_{K-1} n -
@@ -449,8 +449,6 @@ class _WindowSession:
         remainders, in lowest terms as hi is, with no P_K.
         """
         an, ad = self.an, self.ad
-        if not self._one_end:
-            return an, ad, self.bn, self.bd
         n, mul, div, shifts, _ = self._one_end
         x, y = (-an, -ad) if self._odd else (an, ad)
         Q0, Q1 = self._q_prev, self._q_cur
@@ -466,14 +464,20 @@ class _WindowSession:
 
     def tail_signs(self, num: int, den: int) -> tuple[int, int]:
         """Signs of tail - num/den (den > 0) at the lower and the upper window end."""
-        an, ad, bn, bd = self._tails()
+        if self._one_end:
+            an, ad, bn, bd = self._tails()
+        else:
+            an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         s1 = an * den - ad * num
         s2 = bn * den - bd * num
         return (s1 > 0) - (s1 < 0), (s2 > 0) - (s2 < 0)
 
     def tail_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact tails at the lower and the upper window end."""
-        an, ad, bn, bd = self._tails()
+        if self._one_end:
+            an, ad, bn, bd = self._tails()
+        else:
+            an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         return Fraction(an, ad), Fraction(bn, bd)
 
 
