@@ -369,13 +369,14 @@ class _WindowSession:
         an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
         one_end = self._one_end
         if one_end:
-            if not ad >> _BATCH_MIN_BITS or 2 * (
+            # bit_length, not a shift: on a long window a shift copies it
+            if ad.bit_length() <= _BATCH_MIN_BITS or 2 * (
                 (self._q_prev + self._q_cur).bit_length() + _BATCH_Q_BITS
             ) > one_end[4] - _WIDTH_BITS:
                 return self._both_ends(limit)
             bn, bd = an, ad
         windows = [(an, ad, bn, bd, 0)]
-        if ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
+        if one_end or ad >> _BATCH_MIN_BITS and bd >> _BATCH_MIN_BITS:
             sa, sb = ad.bit_length() - _HEAD_BITS, bd.bit_length() - _HEAD_BITS
             heads = an >> sa, (ad >> sa) + 1, (bn >> sb) + 1, bd >> sb
             certified = _one_end_batch(*heads, limit, _WIDTH_BITS if one_end else _GAP_BITS)
