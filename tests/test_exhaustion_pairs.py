@@ -19,7 +19,6 @@ def test_decimals_are_long_windows_in_the_lower_half(monkeypatch):
     for spec in specs:
         assert isinstance(spec, DecimalSpec) and 400 <= spec.declared_bits <= 3000
         assert 0 < spec.window_lo < spec.window_hi <= 0.5
-    assert exhaustion_pairs.time_set(specs[:2]) > 0
 
 
 def test_report_has_one_line_per_seed_and_a_summary(monkeypatch):
