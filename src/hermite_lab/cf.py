@@ -22,8 +22,8 @@ On the cylinder of the quotients a_1..a_K the tail t of x has |dt/dx| <=
 2**-35, and t away from 0 and 1 by as much, the upper end's tail shares
 the quotients and lies within 2**-35 of lo's.  Near exhaustion, where
 that fails, the upper end's exact tail is built once and both ends go
-on.  One exact end took the median `deep_decimal` sample from 10.73 to
-9.37 ms (`BENCH_one_exact_end.json`).
+on.  One exact end took the median `deep_decimal` sample from 10.57 to
+9.23 ms (`BENCH_one_exact_end.json`).
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`

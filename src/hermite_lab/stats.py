@@ -2,7 +2,7 @@
 comparison against the three limit constants.
 
 Per-sample work is a single certified scan (quotients, flags, denominator
-logs), about 9.4 ms at depth 5000 on a 2-core Xeon (`deep_decimal` in
+logs), about 9.2 ms at depth 5000 on a 2-core Xeon (`deep_decimal` in
 `BENCH_one_exact_end.json`), so a 200-sample run takes seconds on one
 core; samples are independent and can be farmed out to processes without
 changing the result.

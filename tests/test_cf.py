@@ -711,16 +711,16 @@ def _tie_window(rng: random.Random):
     return make_decimal(lo, 2 * (q0 + q1).bit_length() + 400)
 
 
-def _last_quotient_window(rng: random.Random, sign: int, bits: int):
+def _last_quotient_window(rng: random.Random, sign: int):
     """(x0, A): a 700-digit decimal whose expansion ends in a quotient A of about 2**325.
 
     Its value p/10**700 has p = sign/Q mod 10**700 for a 2,000-bit Q, so
     it lies 1/(Q * 10**700) from P/Q on the side of sign: P/Q is its
     convergent before the last, with the quotient A = 10**700 // Q.  lo's
-    tail before A is 1/A, and one exact step takes it to 0.  The window's
-    2**-bits leaves the width test room up to A.  With sign +1 that
-    convergent's index is even, hi's tail before A is just above 1/A and
-    hi's quotient is A - 1; with sign -1, A is shared.
+    tail before A is 1/A, and one exact step on one exact end takes it to
+    0, with e about -1,350 after it at a window of 2**-6000.  With sign +1
+    that convergent's index is even, hi's tail before A is just above 1/A
+    and hi's quotient is A - 1; with sign -1, A is shared.
     """
     digits = 700
     while True:
@@ -728,7 +728,7 @@ def _last_quotient_window(rng: random.Random, sign: int, bits: int):
         if Q % 5:
             p = sign * pow(Q, -1, 10**digits) % 10**digits
             if 2 * p < 10**digits - 1:
-                return make_decimal(Fraction(p, 10**digits), bits), 10**digits // Q
+                return make_decimal(Fraction(p, 10**digits), 6000), 10**digits // Q
 
 
 class _WholeBatches(random.Random):
@@ -1006,9 +1006,11 @@ class TestWindowEngine:
     def test_long_windows_match_lockstep_until_exhausted(self, monkeypatch):
         # windows of 400-3,000 bits, whose upper ends are a dyadic offset of
         # the value or arbitrary; those past _ONE_END_MIN_BITS start on one
-        # exact end.  Three kinds are built to reach each of its tests:
+        # exact end.  Four kinds are built to reach each of its tests:
         # _straddle_window the test 2**e < t, _crossing_window the bound
-        # (Q + Q')**2 and e <= -35, _tie_window the lockstep on lo's heads.
+        # (Q + Q')**2 and e <= -35, _tie_window the lockstep on lo's heads,
+        # _last_quotient_window the test on a tail of 0, on both sides of
+        # the convergent before the last quotient.
         # Each is scanned until it is exhausted in runs of random limits,
         # read between runs, against unbatched lockstep Euclid, and by
         # criterion_scan against the exact per-index scan
@@ -1025,6 +1027,9 @@ class TestWindowEngine:
             inputs.append(make_decimal(value, bits, (lo, hi)))
         for build in (_straddle_window, _crossing_window, _tie_window):
             inputs += [build(rng) for _ in range(3)]
+        last = [_last_quotient_window(rng, sign) for sign in (1, -1, 1, -1)]
+        assert [_lockstep(*x0.bounds)[0][-1] == A for x0, A in last] == [False, True] * 2
+        inputs += [x0 for x0, _ in last]
         heads = _count_one_end(monkeypatch, cf._WIDTH_BITS)
         widths = _count_width_tests(monkeypatch)
         one_end = 0
@@ -1036,21 +1041,6 @@ class TestWindowEngine:
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
             assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), x0.value
         assert one_end >= 15 and False in heads and False in widths
-
-    def test_last_quotient_leaves_one_exact_end(self):
-        # lo's tail reaches 0 on a last quotient A of about 2**325, one exact
-        # step on one exact end, with e about -1,350 after it and lo's
-        # denominator down to 1: a tail of 0 fails the width test whatever
-        # the width, so A is handed out only where hi shares it
-        rng = random.Random(73)
-        for sign in (1, -1, 1, -1):
-            x0, A = _last_quotient_window(rng, sign, 6000)
-            lo, hi = x0.bounds
-            assert expansion(x0)._one_end
-            quotients, states, terminated = _lockstep(lo, hi)
-            assert (quotients[-1] == A) == (sign < 0), sign
-            _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
-            assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), sign
 
     def test_long_window_fallback_takes_one_step(self):
         # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is
