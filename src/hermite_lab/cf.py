@@ -37,7 +37,6 @@ tail - num/den at both ends, and `tail_bounds()` exact bounds on the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -53,68 +52,76 @@ from .numeric import (
     QuadraticSpec,
     RationalSpec,
     RealSpec,
+    lowest_terms,
     spec_text,
     surd_floor,
     surd_sign,
 )
+from .record import Record
 
-HALF = Fraction(1, 2)
 
+class PartialQuotients(Record):
+    __slots__ = ("quotients", "terminated")
 
-@dataclass(frozen=True)
-class PartialQuotients:
-    quotients: tuple[int, ...]
-    terminated: bool
-
-    def __post_init__(self):
-        if min(self.quotients, default=1) < 1:
+    def __init__(self, quotients: tuple[int, ...], terminated: bool):
+        if min(quotients, default=1) < 1:
             raise InvalidArgument("partial quotients must be >= 1")
-        if self.quotients and self.quotients[0] < 2:
+        if quotients and quotients[0] < 2:
             raise InvalidArgument("a1 >= 2 is forced by x0 <= 1/2")
-        if self.terminated and self.quotients and self.quotients[-1] < 2:
+        if terminated and quotients and quotients[-1] < 2:
             raise InvalidArgument("canonical terminating expansion ends with a quotient >= 2")
+        self._fill(quotients, terminated)
 
 
-@dataclass(frozen=True)
-class Convergent:
-    p: int
-    q: int
-    index: int
+class Convergent(Record):
+    __slots__ = ("p", "q", "index")
+
+    def __init__(self, p: int, q: int, index: int):
+        set_p, set_q, set_index = self._setters
+        set_p(self, p)
+        set_q(self, q)
+        set_index(self, index)
 
 
 def reduce_theta(spec: RealSpec) -> tuple[int, RealSpec, int]:
     """Split theta into (sign of theta', x0 = |theta'|, nearest integer).
 
     theta' = theta - nearest lies in (-1/2, 1/2]; the half-integer tie goes
-    to +1/2 so outputs are deterministic.  A quadratic has no tie, and its
-    nearest integer is `surd_floor` of theta + 1/2: no field arithmetic.
+    to +1/2 so outputs are deterministic.  All on integers: a quadratic has
+    no tie, and its nearest integer is `surd_floor` of theta + 1/2.  A
+    rational or decimal value n/d has nearest m = ceil(n/d - 1/2) =
+    -((d - 2n) // (2d)), and n - m*d is prime to d as n is, so x0, and a
+    decimal's window ends likewise, are built in lowest terms with no gcd.
     """
-    if isinstance(spec, (RationalSpec, DecimalSpec)) and spec.value.denominator == 1:
-        raise IntegerInput(f"{spec_text(spec)} is an integer")
-    if isinstance(spec, RationalSpec):
-        m = math.ceil(spec.value - HALF)
-        prime = spec.value - m
-        sign = 1 if prime > 0 else -1
-        return sign, RationalSpec(abs(prime)), m
     if isinstance(spec, QuadraticSpec):
         a, b, c, d = spec.value.a, spec.value.b, spec.value.c, spec.value.d
         m = surd_floor(2 * a + c, 2 * b, 2 * c, d)
         a -= m * c  # gcd(a, b, c) is unchanged: still the normal form
         sign = surd_sign(a, b, d)
         return sign, QuadraticSpec(QuadraticReal(sign * a, sign * b, c, d)), m
-    if isinstance(spec, DecimalSpec):
-        # the window moves with the value, so it still holds it: no check
-        m = math.ceil(spec.value - HALF)
-        w_lo = spec.window_lo - m
-        w_hi = spec.window_hi - m
-        if w_lo >= 0:
-            return 1, DecimalSpec(spec.value - m, spec.declared_bits, w_lo, w_hi), m
-        if w_hi <= 0:
-            return -1, DecimalSpec(m - spec.value, spec.declared_bits, -w_hi, -w_lo), m
+    if not isinstance(spec, (RationalSpec, DecimalSpec)):
+        raise TypeError(f"not a RealSpec: {spec!r}")
+    n, d = spec.value.numerator, spec.value.denominator
+    if d == 1:
+        raise IntegerInput(f"{spec_text(spec)} is an integer")
+    m = -((d - 2 * n) // (2 * d))
+    n -= m * d  # not 0, as d > 1
+    sign = 1 if n > 0 else -1
+    if isinstance(spec, RationalSpec):
+        return sign, RationalSpec(lowest_terms(sign * n, d)), m
+    # the window moves with the value, so it still holds it: no check
+    lo, hi = spec.window_lo, spec.window_hi
+    lo_n, hi_n = lo.numerator - m * lo.denominator, hi.numerator - m * hi.denominator
+    if lo_n >= 0:
+        sign, ends = 1, ((lo_n, lo.denominator), (hi_n, hi.denominator))
+    elif hi_n <= 0:
+        sign, ends = -1, ((-hi_n, hi.denominator), (-lo_n, lo.denominator))
+    else:
         raise AmbiguousComparison(
             "theta is indistinguishable from an integer at its declared precision"
         )
-    raise TypeError(f"not a RealSpec: {spec!r}")
+    w_lo, w_hi = (lowest_terms(*end) for end in ends)
+    return sign, DecimalSpec(lowest_terms(sign * n, d), spec.declared_bits, w_lo, w_hi), m
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +486,7 @@ class _WindowSession:
             an, ad, bn, bd = self._tails()
         else:
             an, ad, bn, bd = self.an, self.ad, self.bn, self.bd
-        return Fraction(an, ad), Fraction(bn, bd)
+        return lowest_terms(an, ad), lowest_terms(bn, bd)  # Euclid's remainders: coprime
 
 
 ExpansionSession = _WindowSession | _QuadraticSession
@@ -488,7 +495,8 @@ ExpansionSession = _WindowSession | _QuadraticSession
 def _is_reduced(spec: RealSpec) -> bool:
     """Whether the input lies in the domain (0, 1/2] of a reduced x0."""
     if isinstance(spec, (RationalSpec, DecimalSpec)):
-        return 0 < spec.value <= HALF
+        n, d = spec.value.numerator, spec.value.denominator
+        return 0 < n and 2 * n <= d
     if isinstance(spec, QuadraticSpec):
         v = spec.value  # irrational: x0 lies in (0, 1/2) iff floor(2*x0) = 0
         return surd_floor(2 * v.a, 2 * v.b, v.c, v.d) == 0

@@ -35,7 +35,6 @@ report None where the declared precision cannot decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .lattice import MinimalVector, complete_sequence
 from .numeric import QuadraticReal, RealSpec, surd_sign
+from .record import Record
 
 # The float prefilter's margin covers the rounding of the tail floats, of y and
 # of the bound, each near 2**-52 on values in [0, 1], with ample room.
@@ -56,13 +56,16 @@ _PREFILTER_MARGIN = 1e-9
 _FLOAT_QUOTIENT_MAX = 1 << 999
 
 
-@dataclass(frozen=True)
-class HermiteFlags:
+class HermiteFlags(Record):
     """Per-index Hermite verdicts; None marks an undecided index."""
 
-    theta: RealSpec
-    flags: tuple
-    method: str
+    __slots__ = ("theta", "flags", "method")
+
+    def __init__(self, theta: RealSpec, flags: tuple, method: str):
+        set_theta, set_flags, set_method = self._setters
+        set_theta(self, theta)
+        set_flags(self, flags)
+        set_method(self, method)
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -111,8 +114,7 @@ def _region_flag(session, a) -> Optional[bool]:
     return None
 
 
-@dataclass(frozen=True)
-class ScanState:
+class ScanState(Record):
     """Where a criterion scan stopped: deepest certified denominator q_cur.
 
     `hermite_q` is the denominator of the deepest vector flagged True at an
@@ -123,10 +125,10 @@ class ScanState:
     once per Lehmer batch, not from a recurrence in the scan.
     """
 
-    q_cur: int
-    terminated: bool
-    hermite_q: int
-    quotients: tuple[int, ...]
+    __slots__ = ("q_cur", "terminated", "hermite_q", "quotients")
+
+    def __init__(self, q_cur: int, terminated: bool, hermite_q: int, quotients: tuple[int, ...]):
+        self._fill(q_cur, terminated, hermite_q, quotients)
 
     @property
     def quotient_count(self) -> int:

@@ -10,14 +10,15 @@ propagated, so long sequences never accumulate width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cf import HALF, expansion, reduce_theta, take
+from .cf import expansion, reduce_theta, take
 from .errors import AmbiguousComparison, InvalidArgument, NotConsecutive, SequenceEnds
 from .numeric import QuadraticReal, QuadraticSpec, RationalSpec, RealSpec
+from .record import Record
 
 BRUTEFORCE_MAX_Q = 10**6
+HALF = Fraction(1, 2)
 
 
 def exact_sign(value) -> int:
@@ -27,14 +28,18 @@ def exact_sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-@dataclass(frozen=True)
-class MinimalVector:
+class MinimalVector(Record):
     """Lattice point (p - q*theta, q) given by its integer coordinates."""
 
-    p: int
-    q: int
-    index: int
-    theta: RealSpec = field(repr=False, compare=False)
+    __slots__ = ("p", "q", "index", "theta")
+    _unshown = _uncompared = ("theta",)
+
+    def __init__(self, p: int, q: int, index: int, theta: RealSpec):
+        set_p, set_q, set_index, set_theta = self._setters
+        set_p(self, p)
+        set_q(self, q)
+        set_index(self, index)
+        set_theta(self, theta)
 
     def v1_bounds(self) -> tuple:
         """Exact bounds (lo, hi) on v1 = p - q*theta for every theta within theta.bounds."""
@@ -51,20 +56,27 @@ class MinimalVector:
 
     def is_zero_v1(self) -> bool:
         lo, hi = self.theta.bounds  # a quadratic's v1 is never 0, nor its bounds a Fraction
-        return self.q != 0 and lo == hi == Fraction(self.p, self.q)
+        return (
+            self.q != 0
+            and lo == hi
+            and isinstance(lo, Fraction)
+            and lo.numerator * self.q == self.p * lo.denominator
+        )
 
 
-@dataclass(frozen=True)
-class IntrinsicCoords:
+class IntrinsicCoords(Record):
     """Normalized description (eps, x, y) of a consecutive pair.
 
     x is the exact pair (lo, hi) of bounds on |v1|/|u1|: lo == hi for a
     rational or quadratic theta, the window's hull for a decimal.
     """
 
-    eps: int
-    x: tuple[Fraction | QuadraticReal, Fraction | QuadraticReal]
-    y: Fraction
+    __slots__ = ("eps", "x", "y")
+
+    def __init__(
+        self, eps: int, x: tuple[Fraction | QuadraticReal, Fraction | QuadraticReal], y: Fraction
+    ):
+        self._fill(eps, x, y)
 
 
 def check_basis(u: MinimalVector, v: MinimalVector) -> bool:

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
 from .errors import InvalidArgument, InvalidQuadratic, ParseError
+from .record import Record
 
 DEFAULT_DECIMAL_BITS = 256
 _SQUAREFREE_TRIAL_BOUND = 100_000
@@ -110,8 +110,7 @@ class _LowestTerms:
     `Fraction(x)` for a `numbers.Rational` x copies x.numerator and
     x.denominator as they stand, where `Fraction(n, d)` would divide out
     gcd(n, d): on a 19,400-bit sample that gcd costs more than the rest of
-    building it.  Only `decimal_fraction`, `_plus_ulp` and
-    `_unpickle_decimal` build one, from a pair they know to be in lowest terms.
+    building it.  Only `lowest_terms` builds one.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -122,6 +121,11 @@ class _LowestTerms:
 
 
 numbers.Rational.register(_LowestTerms)
+
+
+def lowest_terms(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator, with no gcd: the two are prime to each other, denominator > 0."""
+    return Fraction(_LowestTerms(numerator, denominator))
 
 
 def decimal_fraction(n: int, digits: int) -> Fraction:
@@ -142,7 +146,7 @@ def decimal_fraction(n: int, digits: int) -> Fraction:
             break
         n = quotient
         fives += 1
-    return Fraction(_LowestTerms(n, 5 ** (digits - fives) << (digits - twos)))
+    return lowest_terms(n, 5 ** (digits - fives) << (digits - twos))
 
 
 def _plus_ulp(value: Fraction, bits: int) -> Fraction:
@@ -160,7 +164,7 @@ def _plus_ulp(value: Fraction, bits: int) -> Fraction:
     if num == 0:
         return Fraction(0)
     twos = min((num & -num).bit_length() - 1, k)
-    return Fraction(_LowestTerms(num >> twos, o << (k - twos)))
+    return lowest_terms(num >> twos, o << (k - twos))
 
 
 def ln_big(n: int) -> float:
@@ -177,8 +181,7 @@ def ln_big(n: int) -> float:
 # quadratic irrationals
 
 
-@dataclass(frozen=True)
-class QuadraticReal:
+class QuadraticReal(Record):
     """The irrational (a + b*sqrt(d))/c in normal form.
 
     c > 0, b != 0, gcd(a, b, c) = 1 and d square-free (>= 2); use
@@ -187,20 +190,22 @@ class QuadraticReal:
     serve only the reference oracles (lattice, natural_extension) and tests.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.c <= 0:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if c <= 0:
             raise InvalidQuadratic("c must be positive")
-        if self.d < 2:
+        if d < 2:
             raise InvalidQuadratic("d must be a non-square integer >= 2")
-        if self.b == 0:
+        if b == 0:
             raise InvalidQuadratic("b = 0 is a rational, not a quadratic")
-        if gcd(gcd(abs(self.a), abs(self.b)), self.c) != 1:
+        if gcd(gcd(abs(a), abs(b)), c) != 1:
             raise InvalidQuadratic("coefficients not reduced")
+        set_a, set_b, set_c, set_d = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_d(self, d)
 
     # --- numeric views
 
@@ -339,9 +344,11 @@ def _normal_form(a: int, b: int, c: int, d: int) -> Union[Fraction, QuadraticRea
 # real-number specifications
 
 
-@dataclass(frozen=True)
-class RationalSpec:
-    value: Fraction
+class RationalSpec(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self._setters[0](self, value)
 
     @property
     def bounds(self) -> tuple[Fraction, Fraction]:
@@ -349,9 +356,11 @@ class RationalSpec:
         return self.value, self.value
 
 
-@dataclass(frozen=True)
-class QuadraticSpec:
-    value: QuadraticReal
+class QuadraticSpec(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: QuadraticReal):
+        self._setters[0](self, value)
 
     @property
     def bounds(self) -> tuple[QuadraticReal, QuadraticReal]:
@@ -359,8 +368,7 @@ class QuadraticSpec:
         return self.value, self.value
 
 
-@dataclass(frozen=True)
-class DecimalSpec:
+class DecimalSpec(Record):
     """Exact truncated rational plus its uncertainty window.
 
     The digits pin the value exactly; `declared_bits` says how well the
@@ -371,15 +379,15 @@ class DecimalSpec:
     cross-multiplications of numbers as long as the window.
     """
 
-    value: Fraction
-    declared_bits: int
-    window_lo: Fraction
-    window_hi: Fraction
-    text: str = ""
+    __slots__ = ("value", "declared_bits", "window_lo", "window_hi", "text")
     MAX_BITS = 1 << 20  # 54 times the 19,400 bits of a depth-5000 sample
 
-    def __post_init__(self):
-        _check_declared_bits(self.declared_bits)
+    def __init__(
+        self, value: Fraction, declared_bits: int, window_lo: Fraction, window_hi: Fraction,
+        text: str = "",
+    ):
+        _check_declared_bits(declared_bits)
+        self._fill(value, declared_bits, window_lo, window_hi, text)
 
     def __reduce__(self):
         # a pickled Fraction comes back as Fraction(n, d), whose gcd on a
@@ -399,7 +407,7 @@ def _unpickle_decimal(value, window_lo, window_hi, declared_bits, text) -> Decim
     A Fraction's pair is already in lowest terms, so it is copied as it
     stands; the constructor checks `declared_bits` again.
     """
-    value, lo, hi = (Fraction(_LowestTerms(n, d)) for n, d in (value, window_lo, window_hi))
+    value, lo, hi = (lowest_terms(n, d) for n, d in (value, window_lo, window_hi))
     return DecimalSpec(value, declared_bits, lo, hi, text)
 
 

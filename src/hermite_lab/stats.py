@@ -14,7 +14,6 @@ import hashlib
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InvalidArgument, PrecisionExceedsInput
@@ -28,6 +27,7 @@ from .numeric import (
     make_decimal,
     spec_text,
 )
+from .record import Record
 
 HERMITE_PROPORTION = math.log(3) / math.log(4)  # 0.79248125036...
 LEVY_RATE = math.pi**2 / (12 * math.log(2))  # 1.18656911041...
@@ -41,16 +41,15 @@ def auto_precision_bits(depth: int) -> int:
     return max(256, int(depth * _BITS_PER_LEVEL * 1.12) + 192)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    sample_count: int
-    depth_n: int = 5000
-    seed: int = 42
-    precision_bits: int | None = None
-    theta_source: Sequence[RealSpec] | str = "uniform01"
-    workers: int = 1
+class ExperimentConfig(Record):
+    __slots__ = ("sample_count", "depth_n", "seed", "precision_bits", "theta_source", "workers")
 
-    def __post_init__(self):
+    def __init__(
+        self, sample_count: int, depth_n: int = 5000, seed: int = 42,
+        precision_bits: int | None = None, theta_source: Sequence[RealSpec] | str = "uniform01",
+        workers: int = 1,
+    ):
+        self._fill(sample_count, depth_n, seed, precision_bits, theta_source, workers)
         if self.sample_count < 1:
             raise InvalidArgument("sample_count must be positive")
         if self.depth_n < 10:
@@ -84,17 +83,21 @@ class ExperimentConfig:
         return auto_precision_bits(self.depth_n)
 
 
-@dataclass(frozen=True)
-class ThetaReport:
-    theta_id: str
-    depth: int
-    n_flags_decided: int
-    hermite_count: int
-    proportion: Optional[float]
-    levy_rate: Optional[float]
-    hermite_growth: Optional[float]
-    undecided_count: int
-    terminated: bool = False
+class ThetaReport(Record):
+    __slots__ = (
+        "theta_id", "depth", "n_flags_decided", "hermite_count", "proportion", "levy_rate",
+        "hermite_growth", "undecided_count", "terminated",
+    )
+
+    def __init__(
+        self, theta_id: str, depth: int, n_flags_decided: int, hermite_count: int,
+        proportion: Optional[float], levy_rate: Optional[float], hermite_growth: Optional[float],
+        undecided_count: int, terminated: bool = False,
+    ):
+        self._fill(
+            theta_id, depth, n_flags_decided, hermite_count, proportion, levy_rate, hermite_growth,
+            undecided_count, terminated,
+        )
 
     def as_row(self) -> dict:
         return {
@@ -109,25 +112,28 @@ class ThetaReport:
         }
 
 
-@dataclass(frozen=True)
-class StatSummary:
-    mean: float
-    stddev: float
-    stderr: float
-    target: float
-    deviation: float
+class StatSummary(Record):
+    __slots__ = ("mean", "stddev", "stderr", "target", "deviation")
+
+    def __init__(self, mean: float, stddev: float, stderr: float, target: float, deviation: float):
+        self._fill(mean, stddev, stderr, target, deviation)
 
 
-@dataclass(frozen=True)
-class AggregateReport:
-    sample_count: int
-    depth: int
-    seed: int
-    proportion: StatSummary
-    levy_rate: StatSummary
-    hermite_growth: StatSummary
-    rejected_count: int
-    reports: tuple[ThetaReport, ...] = field(repr=False)
+class AggregateReport(Record):
+    __slots__ = (
+        "sample_count", "depth", "seed", "proportion", "levy_rate", "hermite_growth",
+        "rejected_count", "reports",
+    )
+    _unshown = ("reports",)
+
+    def __init__(
+        self, sample_count: int, depth: int, seed: int, proportion: StatSummary,
+        levy_rate: StatSummary, hermite_growth: StatSummary, rejected_count: int,
+        reports: tuple[ThetaReport, ...],
+    ):
+        self._fill(
+            sample_count, depth, seed, proportion, levy_rate, hermite_growth, rejected_count, reports
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -136,7 +142,7 @@ class AggregateReport:
             "seed": self.seed,
             "rejected_count": self.rejected_count,
             "statistics": {
-                name: vars(summary)
+                name: {field: getattr(summary, field) for field in summary.__slots__}
                 for name, summary in (
                     ("proportion", self.proportion),
                     ("levy_rate", self.levy_rate),

@@ -18,6 +18,7 @@ from helpers import (
 
 from hermite_lab import (
     AmbiguousComparison,
+    DecimalSpec,
     HermiteLabError,
     IndexOutOfRange,
     IntegerInput,
@@ -52,7 +53,75 @@ ROUNDING = Fraction(1, 1 << 53)
 ONE_END_ROOM = Fraction(1, 1 << 35)
 
 
+def _reduce_by_fractions(spec):
+    """reduce_theta of a rational or decimal in Fraction arithmetic: the oracle."""
+    if spec.value.denominator == 1:
+        raise IntegerInput("an integer")
+    m = math.ceil(spec.value - Fraction(1, 2))
+    if isinstance(spec, RationalSpec):
+        prime = spec.value - m
+        return (1 if prime > 0 else -1), RationalSpec(abs(prime)), m
+    w_lo, w_hi = spec.window_lo - m, spec.window_hi - m
+    if w_lo >= 0:
+        return 1, DecimalSpec(spec.value - m, spec.declared_bits, w_lo, w_hi), m
+    if w_hi <= 0:
+        return -1, DecimalSpec(m - spec.value, spec.declared_bits, -w_hi, -w_lo), m
+    raise AmbiguousComparison("near an integer")
+
+
+def _reduce_inputs(rng: random.Random):
+    """Rationals of up to 4,000-bit terms, ties k + 1/2, decimals of every kind."""
+    for _ in range(300):
+        den = rng.getrandbits(rng.randint(1, 4000)) + 1
+        num = rng.getrandbits(rng.randint(1, 4000)) * rng.choice((1, -1))
+        yield RationalSpec(Fraction(num, den))
+    ks = [0, 1, -1, 3, -4]
+    ks += [rng.getrandbits(rng.randint(1, 4000)) * rng.choice((1, -1)) for _ in range(40)]
+    for k in ks:
+        yield RationalSpec(Fraction(2 * k + 1, 2))  # a tie, k + 1/2
+        yield RationalSpec(Fraction(k))  # an integer
+        for bits in (64, 200):
+            for value in (Fraction(2 * k + 1, 2), k + Fraction(1, 3), k - Fraction(1, 3)):
+                yield make_decimal(value, bits)  # above 0, or below it, mirrored
+            # a window straddling the integer k, and two that end on it
+            ulp = Fraction(1, 2**bits)
+            yield make_decimal(k + ulp / 2, bits, (k - ulp, k + ulp))
+            yield make_decimal(k - ulp, bits, (k - ulp, Fraction(k)))
+            yield make_decimal(k + ulp, bits, (Fraction(k), k + ulp))
+    for spec in sample_thetas(401, 4, 19400):
+        k = rng.randint(-3, 3)
+        lo, hi = spec.window_lo, spec.window_hi
+        yield make_decimal(k + spec.value, 19400, (k + lo, k + hi))
+        yield make_decimal(k - spec.value, 19400, (k - hi, k - lo))
+
+
+def _terms(spec):
+    return [(f.numerator, f.denominator) for f in (*spec.bounds, spec.value)]
+
+
 class TestReduce:
+    def test_integer_arithmetic_matches_the_fraction_oracle(self):
+        kinds = set()
+        for spec in _reduce_inputs(random.Random(33)):
+            try:
+                expected = _reduce_by_fractions(spec)
+            except (IntegerInput, AmbiguousComparison) as exc:
+                with pytest.raises(type(exc)):
+                    reduce_theta(spec)
+                kinds.add(type(exc))
+                continue
+            got = reduce_theta(spec)
+            assert got == expected
+            x0 = got[1]
+            assert _terms(x0) == _terms(expected[1])  # in lowest terms, as the oracle's
+            for value in (spec, x0):
+                assert cf._is_reduced(value) == (0 < value.value <= Fraction(1, 2))
+            kinds.add((type(spec), got[0], x0.value == Fraction(1, 2)))
+        assert {IntegerInput, AmbiguousComparison} <= kinds
+        for sign in (1, -1):
+            for cls in (RationalSpec, DecimalSpec):
+                assert (cls, sign, False) in kinds
+            assert (RationalSpec, 1, True) in kinds  # ties go to +1/2
     def test_small_rational(self):
         assert reduce_theta(parse_real("3/8")) == (1, RationalSpec(Fraction(3, 8)), 0)
 
