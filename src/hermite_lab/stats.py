@@ -132,7 +132,8 @@ class AggregateReport(Record):
         reports: tuple[ThetaReport, ...],
     ):
         self._fill(
-            sample_count, depth, seed, proportion, levy_rate, hermite_growth, rejected_count, reports
+            sample_count, depth, seed, proportion, levy_rate, hermite_growth, rejected_count,
+            reports,
         )
 
     def as_dict(self) -> dict:
@@ -142,7 +143,7 @@ class AggregateReport(Record):
             "seed": self.seed,
             "rejected_count": self.rejected_count,
             "statistics": {
-                name: {field: getattr(summary, field) for field in summary.__slots__}
+                name: {key: getattr(summary, key) for key in summary.__slots__}
                 for name, summary in (
                     ("proportion", self.proportion),
                     ("levy_rate", self.levy_rate),

@@ -51,8 +51,10 @@ RECORDS = {
         "PartialQuotients(quotients=(3, 1, 2), terminated=True)",
         ((3, 1, 2), True),
         [
-            (lambda: PartialQuotients((2, 0), False), InvalidArgument, "partial quotients must be >= 1"),
-            (lambda: PartialQuotients((1, 2), False), InvalidArgument, "a1 >= 2 is forced by x0 <= 1/2"),
+            (lambda: PartialQuotients((2, 0), False), InvalidArgument,
+             "partial quotients must be >= 1"),
+            (lambda: PartialQuotients((1, 2), False), InvalidArgument,
+             "a1 >= 2 is forced by x0 <= 1/2"),
             (
                 lambda: PartialQuotients((2, 1), True),
                 InvalidArgument,
@@ -92,8 +94,10 @@ RECORDS = {
         (-1, 1, 2, 5),
         [
             (lambda: QuadraticReal(1, 1, 0, 5), InvalidQuadratic, "c must be positive"),
-            (lambda: QuadraticReal(1, 1, 1, 1), InvalidQuadratic, "d must be a non-square integer >= 2"),
-            (lambda: QuadraticReal(1, 0, 1, 5), InvalidQuadratic, "b = 0 is a rational, not a quadratic"),
+            (lambda: QuadraticReal(1, 1, 1, 1), InvalidQuadratic,
+             "d must be a non-square integer >= 2"),
+            (lambda: QuadraticReal(1, 0, 1, 5), InvalidQuadratic,
+             "b = 0 is a rational, not a quadratic"),
             (lambda: QuadraticReal(2, 2, 4, 5), InvalidQuadratic, "coefficients not reduced"),
         ],
     ),
