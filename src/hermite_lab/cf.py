@@ -223,40 +223,52 @@ def _one_end_batch(ln: int, ld: int, un: int, ud: int, limit: int, gap_bits: int
     """Euclid on the lower head ln/ld alone, tested once at the upper head un/ud.
 
     The loop stops at a remainder of 0, a denominator down to _CUT_BITS or
-    `limit` quotients a_1..a_j.  The reals that start with a_1..a_j form the
-    interval between p_j/q_j and (p_j + p_{j-1})/(q_j + q_{j-1}), a cylinder
-    set of the Gauss map, and the tail of such an x after them is
-    (q_j x - p_j)/(p_{j-1} - q_{j-1} x): N/D at x = un/ud, both negated
-    after an odd j.  So 0 < N < D puts the upper head, and every real
-    between the heads, in the cylinder; being strict, it also turns away a
-    head on a convergent.  The gap test asks that N/D lie within
-    2**-gap_bits of the lower head's tail ln/ld.  As |T(x) - T(y)| =
-    |x - y|/(xy) for T(t) = 1/t - a, the heads' tails were as close after
-    every earlier quotient, and the ends' tails lie between theirs: the pair
-    after a 1 is the lower head's tail r/ln widened by 2**-_GAP_BITS each
-    way.
+    `limit` quotients a_1..a_j.  It carries only the q half of the
+    cosequence: with n0/d0 the lower head at entry, s = (-1)**j and
+    (ln, ld) its remainders at exit, Lehmer's identity q_j n0 - p_j d0 =
+    s ln and q_{j-1} n0 - p_{j-1} d0 = -s ld (Knuth, TAOCP vol. 2, 4.5.2)
+    gives p_j and p_{j-1} after the loop by two exact divisions.  A
+    quotient of 1 is found by one subtraction, and only the others divide.
+
+    The reals that start with a_1..a_j form the interval between p_j/q_j
+    and (p_j + p_{j-1})/(q_j + q_{j-1}), a cylinder set of the Gauss map,
+    and the tail of such an x after them is (q_j x - p_j)/(p_{j-1} -
+    q_{j-1} x): N/D at x = un/ud, both negated after an odd j.  So 0 < N <
+    D puts the upper head, and every real between the heads, in the
+    cylinder; being strict, it also turns away a head on a convergent.
+    The gap test asks that N/D lie within 2**-gap_bits of the lower head's
+    tail ln/ld.  As |T(x) - T(y)| = |x - y|/(xy) for T(t) = 1/t - a, the
+    heads' tails were as close after every earlier quotient, and the ends'
+    tails lie between theirs: the pair after a 1 is the lower head's tail
+    r/ln widened by 2**-_GAP_BITS each way.  The heads are below 2**256, so
+    r/ln is formed from two floats: its three roundings lie far inside the
+    widening.
 
     Returns the quotients, their tail pairs and the cosequence (p_{j-1},
     p_j, q_{j-1}, q_j), or None for an empty batch or a failed test.
     """
     cut, gap = 1 << _CUT_BITS, 2.0**-_GAP_BITS
+    n0, d0 = ln, ld
     batch, tails = [], []
-    p0, p1, q0, q1 = 1, 0, 0, 1
+    q0, q1 = 0, 1
     for _ in range(limit):
         if not ln or ld < cut:
             break
-        a, r = divmod(ld, ln)
-        batch.append(a)
-        if a == 1:
-            t = r / ln
+        r = ld - ln  # ln < ld: the quotient is 1 iff r < ln
+        if r < ln:
+            batch.append(1)
+            t = float(r) / float(ln)
             tails.append((t - gap, t + gap))
+            q0, q1 = q1, q1 + q0
         else:
+            a, r = divmod(ld, ln)
+            batch.append(a)
             tails.append(None)
-        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            q0, q1 = q1, a * q1 + q0
         ln, ld = r, ln
-    N, D = q1 * un - p1 * ud, p0 * ud - q0 * un
-    if len(batch) & 1:
-        N, D = -N, -D
+    s = -1 if len(batch) & 1 else 1
+    p0, p1 = (q0 * n0 + s * ld) // d0, (q1 * n0 - s * ln) // d0
+    N, D = s * (q1 * un - p1 * ud), s * (p0 * ud - q0 * un)
     if batch and 0 < N < D and abs(N * ld - ln * D) <= (D * ld) >> gap_bits:
         return batch, tails, p0, p1, q0, q1
     return None
@@ -324,9 +336,9 @@ class _WindowSession:
 
         A run is one batch; it is empty once the expansion terminated or the
         window is exhausted.  Beside each quotient of 1 is a float pair
-        (lo, hi) that brackets both ends' tails after it up to one rounding,
-        widened by 2**-34 on a one-end batch or one exact end; None beside
-        the others.
+        (lo, hi) that brackets both ends' tails after it up to a few
+        roundings, widened by 2**-34 on a one-end batch or one exact end;
+        None beside the others.
         """
         batch, tails = self._start_batch(limit)
         if batch:

@@ -169,24 +169,23 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
         if not run:
             append(_region_flag(session, None))
             break
-        k = 0  # quotients of the run read
-        for a in run:
-            tail = tails[k]
-            k += 1
+        last = len(flags) + len(run) - 1  # the flag index of the run's last quotient
+        for a, tail in zip(run, tails):
             if tail is None:
                 append(True)  # a >= 2: t <= 1/2 <= (2y+1)/(y+2)
-            else:
+                y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
+            else:  # a pair stands beside exactly the quotients of 1
                 bound = (1.0 - y) / (1.0 + 2.0 * y)
                 if tail[1] < bound - margin:
                     append(False)
                 elif tail[0] > bound + margin:
                     append(True)
-                elif k < len(run):
+                elif len(flags) < last:
                     pending.append(len(flags))
                     append(None)
                 else:  # the session sits just after the run's last quotient
                     append(_region_flag(session, 1))
-            y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
+                y = 1.0 / (1.0 + y)
         quotients += run
     if pending:
         placed, k = expansion(x0), 0

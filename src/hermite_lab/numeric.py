@@ -124,7 +124,15 @@ numbers.Rational.register(_LowestTerms)
 
 
 def lowest_terms(numerator: int, denominator: int) -> Fraction:
-    """numerator/denominator, with no gcd: the two are prime to each other, denominator > 0."""
+    """numerator/denominator, with no gcd of long integers: the two are prime
+    to each other, denominator > 0.
+
+    A denominator of at most 64 bits goes through `Fraction(n, d)`: a gcd
+    of word-size integers costs less than the `numbers.Rational` check on
+    a `_LowestTerms`.
+    """
+    if denominator.bit_length() <= 64:  # bit_length, not a shift: no copy
+        return Fraction(numerator, denominator)
     return Fraction(_LowestTerms(numerator, denominator))
 
 
