@@ -11,9 +11,11 @@ alone, then one test that the upper head lies in the Gauss-map cylinder
 of the batch's quotients and one that the heads' tails after it are
 within 2**-34 of each other.  Where either test fails, the heads run in
 lockstep, each step checked at both, as a short window's exact ends do
-throughout.  Either loop carries the batch's cosequence, which then moves
+throughout.  Either loop yields the batch's cosequence, which then moves
 the remainders, the ends kept in order, the lower first, and the
-convergent denominators past the batch in a few multiplications.
+convergent denominators past the batch in a few multiplications.  The
+lockstep loop carries all four of its numbers; the lower head's loop
+carries the q half and recovers the p half after it by Lehmer's identity.
 
 A window whose lower end lo has a denominator past 2,048 bits keeps only
 lo's exact tail, and its batches run on the zero-width window (lo, lo).
@@ -23,7 +25,9 @@ On the cylinder of the quotients a_1..a_K the tail t of x has |dt/dx| <=
 the quotients and lies within 2**-35 of lo's.  Near exhaustion, where
 that fails, the upper end's exact tail is built once and both ends go
 on.  One exact end took the median `deep_decimal` sample from 10.57 to
-9.23 ms (`BENCH_one_exact_end.json`).
+9.23 ms (`BENCH_one_exact_end.json`), and a lower head's loop that carries
+only the q half of the cosequence from 9.23 to 7.92 ms
+(`BENCH_lean_batches.json`).
 
 Both sessions only move forward.  They keep their state at the current
 position, after the quotients emitted so far, and only `run(limit)`
@@ -361,7 +365,7 @@ class _WindowSession:
         end ln/ld, checks that the quotient holds at the upper end un/ud,
         0 <= ud - a*un < un, and swaps the ends, as it reverses their order.
 
-        Both loops carry the cosequence.  After quotients a_1..a_j with
+        Both loops give the cosequence.  After quotients a_1..a_j with
         convergents p_k/q_k, Euclid's remainders are |q_j n - p_j d| and
         |q_{j-1} n - p_{j-1} d|, and the denominators (Q', Q) from before the
         batch become (q_{j-1} Q + p_{j-1} Q', q_j Q + p_j Q'); after an odd j

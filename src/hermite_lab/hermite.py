@@ -169,8 +169,10 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
         if not run:
             append(_region_flag(session, None))
             break
-        last = len(flags) + len(run) - 1  # the flag index of the run's last quotient
-        for a, tail in zip(run, tails):
+        k = 0  # quotients of the run read; a counter costs less than zip on a run of one
+        for a in run:
+            tail = tails[k]
+            k += 1
             if tail is None:
                 append(True)  # a >= 2: t <= 1/2 <= (2y+1)/(y+2)
                 y = 1.0 / (a + y) if a < big else 0.0  # else y < 2**-999
@@ -180,7 +182,7 @@ def criterion_scan(theta: RealSpec, n: int) -> tuple[HermiteFlags, ScanState]:
                     append(False)
                 elif tail[0] > bound + margin:
                     append(True)
-                elif len(flags) < last:
+                elif k < len(run):
                     pending.append(len(flags))
                     append(None)
                 else:  # the session sits just after the run's last quotient
