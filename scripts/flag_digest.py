@@ -42,9 +42,15 @@ and `cli` the command line above it.  The families:
   `stats.sample_thetas` for `--seed` at each of 1,000, 2,100 and 3,000
   bits, each scanned until its window is exhausted.  The windows past
   2,048 bits start on one exact end and build the other near exhaustion.
+* `boundary`: inputs whose flag at index m lies delta from the border of
+  the skip region (`helpers.boundary_theta`), for m of 5, 40, 400 and
+  2,000 and each delta of `helpers.BOUNDARY_DELTAS`, each as a rational
+  and as a decimal of 6m + 400 bits, scanned until it terminates or its
+  window is exhausted.
 
-`--tiny` takes a few inputs of each family, the deep samples at depth 300
-and the first 20 calls of `cli` and `cli_csv`, for a smoke test.
+`--tiny` takes a few inputs of each family (m of 5 and 40 only in
+`boundary`), the deep samples at depth 300 and the first 20 calls of `cli`
+and `cli_csv`, for a smoke test.
 Standard library only.
 """
 
@@ -55,11 +61,12 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 from pathlib import Path
 from unittest import mock
 
-from hermite_lab import cli, parse_real, stats
+from hermite_lab import RationalSpec, cli, make_decimal, parse_real, stats
 from hermite_lab.cf import cf_expand, reduce_theta, tail_value
 from hermite_lab.hermite import criterion_scan, flags_via_envelope
 from hermite_lab.lattice import complete_sequence
@@ -77,6 +84,9 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
     import workloads
     from helpers import (
         ARGUMENT_REJECTIONS,
+        BOUNDARY_DELTAS,
+        boundary_quotients,
+        boundary_theta,
         random_decimal_specs,
         random_quadratic_specs,
         random_rational_specs,
@@ -100,6 +110,12 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
     calls = [call.argv for call in workloads.build_cli(seed, workloads.FULL)]
     if tiny:
         calls = calls[:20]
+    boundary, rng = [], random.Random(11)
+    for m in (5, 40) if tiny else (5, 40, 400, 2000):
+        quotients = boundary_quotients(rng, m)
+        for delta in BOUNDARY_DELTAS:
+            x0 = boundary_theta(quotients, delta)
+            boundary += [(RationalSpec(x0), 10**6), (make_decimal(x0, 6 * m + 400), 10**6)]
     return {
         "criterion5": criterion5,
         "crosscheck": crosscheck,
@@ -111,6 +127,7 @@ def families(seed: int, tiny: bool) -> dict[str, list]:
         "cli": [(tuple(argv),) for argv in calls + ARGUMENT_REJECTIONS + [["--help"]]],
         "cli_csv": [(tuple(argv) + ("--format", "csv"),) for argv in calls],
         "long_decimals": [(s, 10**6) for s in long_decimals + sum(samples, [])],
+        "boundary": boundary,
     }
 
 

@@ -26,7 +26,7 @@ the quotients and lies within 2**-35 of lo's.  Near exhaustion, where
 that fails, the upper end's exact tail is built once and both ends go
 on.  One exact end took the median `deep_decimal` sample from 10.57 to
 9.23 ms (`BENCH_one_exact_end.json`), and a lower head's loop that carries
-only the q half of the cosequence from 9.23 to 7.92 ms
+only the q half of the cosequence from 9.20 to 7.88 ms
 (`BENCH_lean_batches.json`).
 
 Both sessions only move forward.  They keep their state at the current

@@ -10,6 +10,7 @@ from hermite_lab import (
     DecimalSpec,
     QuadraticSpec,
     RationalSpec,
+    cf,
     make_decimal,
     quadratic_or_rational,
 )
@@ -116,6 +117,52 @@ ARGUMENT_REJECTIONS = [
     ["expand", "--theta", "3/8"],  # --n missing
     ["bogus"],  # unknown subcommand
 ]
+
+
+# Distances of a built input's tail from the skip-region border: on it, inside
+# the float prefilter's 1e-9 margin, and outside it
+BOUNDARY_DELTAS = (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 2e-9, -2e-9)
+
+
+def boundary_theta(quotients, delta: float) -> Fraction:
+    """x0 = [0; a_1, ..., a_{m-1}, 1 + t'] with index m `delta` from the skip-region border.
+
+    `quotients` are a_1..a_{m-1}, a_1 >= 2, and a_m = 1.  X_m is skipped
+    exactly when the tail t' after a_m is below B = (q_{m-1} - q_{m-2}) /
+    (2*q_{m-2} + q_{m-1}) (`hermite._region_flag`); here t' = B + delta,
+    with delta read exactly as the float it is.  Plain integer arithmetic:
+    the continued fraction is folded from the back, its terms coprime.
+    """
+    q_prev, q_cur = 0, 1
+    for a in quotients:
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    tail = Fraction(q_cur - q_prev, 2 * q_prev + q_cur) + Fraction(delta)
+    assert 0 < tail < 1
+    num, den = tail.numerator + tail.denominator, tail.denominator  # 1 + t'
+    for a in reversed(quotients):
+        num, den = a * num + den, num
+    return Fraction(den, num)
+
+
+def boundary_quotients(rng: random.Random, m: int) -> list[int]:
+    """a_1..a_{m-1} for `boundary_theta`: a_1 in 2..9, the others in 1..9."""
+    return [rng.randint(2, 9)] + [rng.randint(1, 9) for _ in range(m - 2)]
+
+
+def count_one_end(monkeypatch, gap_bits: int) -> list:
+    """Whether each one-end batch with this gap test held (False: a lockstep
+    batch ran), in order: _GAP_BITS on both exact ends, _WIDTH_BITS on one."""
+    outcomes = []
+    one_end_batch = cf._one_end_batch
+
+    def counted(*args):
+        certified = one_end_batch(*args)
+        if args[-1] == gap_bits:
+            outcomes.append(certified is not None)
+        return certified
+
+    monkeypatch.setattr(cf, "_one_end_batch", counted)
+    return outcomes
 
 
 def next_quotient(session):

@@ -10,6 +10,7 @@ from math import isqrt
 
 import pytest
 from helpers import (
+    count_one_end,
     next_quotient,
     quad_bounds,
     random_quadratic_specs,
@@ -47,7 +48,9 @@ from test_hermite import per_index_scan
 
 GOLDEN = parse_real("(1+1*sqrt(5))/2")
 Q21 = parse_real("(-3+1*sqrt(21))/6")
-# a session's float tail pair is correct to the rounding of one division each
+# a session's float tail pair is correct to the rounding of one division each;
+# a one-end batch's pair after a 1 takes three roundings, far inside its
+# 2**-34 widening
 ROUNDING = Fraction(1, 1 << 53)
 # a pair handed out on one exact end holds lo's own tail at least this far inside
 ONE_END_ROOM = Fraction(1, 1 << 35)
@@ -695,22 +698,6 @@ def _assert_runs_match_lockstep(x0, quotients, states, terminated, rng) -> None:
     assert placed.tail_bounds() == tuple(sorted((Fraction(an, ad), Fraction(bn, bd)))), j
 
 
-def _count_one_end(monkeypatch, gap_bits: int) -> list:
-    """Whether each one-end batch with this gap test held (False: a lockstep
-    batch ran), in order: _GAP_BITS on both exact ends, _WIDTH_BITS on one."""
-    outcomes = []
-    one_end_batch = cf._one_end_batch
-
-    def counted(*args):
-        certified = one_end_batch(*args)
-        if args[-1] == gap_bits:
-            outcomes.append(certified is not None)
-        return certified
-
-    monkeypatch.setattr(cf, "_one_end_batch", counted)
-    return outcomes
-
-
 def _count_width_tests(monkeypatch) -> list:
     """Whether each run that starts on one exact end held there (False: the
     session left it and built both ends), in order."""
@@ -833,6 +820,62 @@ def _gap_window(rng: random.Random, outcomes: list) -> tuple[Fraction, Fraction,
         if Fraction(1, 4) < t < Fraction(3, 4):
             t += Fraction(1 if len(run) % 2 == 0 else -1, 1 << 30)
             return lo, (p1 + t * p0) / (q1 + t * q0), len(run)
+
+
+def _four_number_batch(ln: int, ld: int, un: int, ud: int, limit: int, gap_bits: int):
+    """`cf._one_end_batch` as it was, carrying all four numbers p0, p1, q0, q1 of
+    the cosequence at every step and the tail after a 1 as one division: the oracle."""
+    cut, gap = 1 << cf._CUT_BITS, 2.0**-cf._GAP_BITS
+    batch, tails = [], []
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for _ in range(limit):
+        if not ln or ld < cut:
+            break
+        a, r = divmod(ld, ln)
+        batch.append(a)
+        if a == 1:
+            t = r / ln
+            tails.append((t - gap, t + gap))
+        else:
+            tails.append(None)
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        ln, ld = r, ln
+    N, D = q1 * un - p1 * ud, p0 * ud - q0 * un
+    if len(batch) & 1:
+        N, D = -N, -D
+    if batch and 0 < N < D and abs(N * ld - ln * D) <= (D * ld) >> gap_bits:
+        return batch, tails, p0, p1, q0, q1
+    return None
+
+
+def _one_end_heads(rng: random.Random):
+    """(kind, heads): lower and upper heads of the kinds `_one_end_batch` meets.
+
+    'random' heads of 256 bits with the upper one up to 2**-136 above; a
+    'terminating' lower head g*x/(g*y), g of 200 bits and y of 40, whose
+    remainders reach 0 above the cut; a head 'below' the cut at entry; a
+    'fibonacci' head F_k/F_{k+1} of all 1s; and a 'large' first quotient
+    past 2**100.
+    """
+    kind = rng.choice(("random", "random", "terminating", "below", "fibonacci", "large"))
+    ld = rng.getrandbits(256) | 1 << 255
+    if kind == "terminating":
+        y = rng.getrandbits(40) | 1 << 39
+        g = rng.getrandbits(200) | 1 << 199
+        ln, ld = g * rng.randrange(1, y), g * y
+    elif kind == "below":
+        ld >>= 105
+        ln = rng.randrange(1, ld)
+    elif kind == "fibonacci":
+        ln, ld = 0, 1
+        while ld >> 256 == 0:
+            ln, ld = ld, ln + ld
+    elif kind == "large":
+        ln = rng.getrandbits(155) | 1 << 154
+    else:
+        ln = rng.randrange(ld // 8, ld // 2)
+    un = ln + rng.randrange(1 << rng.randint(0, 120))
+    return kind, (ln, ld, un, ld)
 
 
 class TestWindowEngine:
@@ -1044,7 +1087,7 @@ class TestWindowEngine:
         # both ends are built.  Their one-end batch would then hold without
         # the gap test, and its last pair, 2**-34 around the lower head's
         # tail, would miss the upper end's tail, 2**-30 away
-        lo, hi, j = _gap_window(random.Random(59), _count_one_end(monkeypatch, cf._WIDTH_BITS))
+        lo, hi, j = _gap_window(random.Random(59), count_one_end(monkeypatch, cf._WIDTH_BITS))
         quotients, states, terminated = _lockstep(lo, hi)
         assert len(quotients) > j and quotients[j - 1] == 1
         an, ad, bn, bd = states[j]
@@ -1052,7 +1095,7 @@ class TestWindowEngine:
         x0 = make_decimal(lo, 200, (lo, hi))
         assert lo.denominator >> cf._ONE_END_MIN_BITS and expansion(x0)._one_end
         widths = _count_width_tests(monkeypatch)
-        outcomes = _count_one_end(monkeypatch, cf._GAP_BITS)
+        outcomes = count_one_end(monkeypatch, cf._GAP_BITS)
         _assert_runs_match_lockstep(x0, quotients, states, terminated, _WholeBatches(61))
         assert widths[0] is False and outcomes[0] is False
 
@@ -1060,7 +1103,7 @@ class TestWindowEngine:
         # every batch of a depth-5000 sample holds on one exact end, nearly
         # all on lo's heads alone and a few in lockstep on them; scanned
         # until it is exhausted, a sample builds its other end once
-        heads = _count_one_end(monkeypatch, cf._WIDTH_BITS)
+        heads = count_one_end(monkeypatch, cf._WIDTH_BITS)
         widths = _count_width_tests(monkeypatch)
         samples = sample_thetas(401, 12, auto_precision_bits(5000))
         for spec in samples[:10]:
@@ -1099,7 +1142,7 @@ class TestWindowEngine:
         last = [_last_quotient_window(rng, sign) for sign in (1, -1, 1, -1)]
         assert [_lockstep(*x0.bounds)[0][-1] == A for x0, A in last] == [False, True] * 2
         inputs += [x0 for x0, _ in last]
-        heads = _count_one_end(monkeypatch, cf._WIDTH_BITS)
+        heads = count_one_end(monkeypatch, cf._WIDTH_BITS)
         widths = _count_width_tests(monkeypatch)
         one_end = 0
         for x0 in inputs:
@@ -1110,6 +1153,84 @@ class TestWindowEngine:
             _assert_runs_match_lockstep(x0, quotients, states, terminated, rng)
             assert criterion_scan(x0, 10**9) == per_index_scan(x0, 10**9), x0.value
         assert one_end >= 15 and False in heads and False in widths
+
+    def test_recovered_cosequence_matches_the_four_number_loop(self):
+        # _one_end_batch carries only q_{j-1}, q_j and recovers p_{j-1}, p_j
+        # from Lehmer's identity after the loop: its quotients, the
+        # positions of its pairs, its cosequence and its verdict are the
+        # four-number loop's, and its pairs within a few roundings
+        rng = random.Random(71)
+        certified = {kind: [0, 0] for kind in ("random", "fibonacci", "large")}  # j even, odd
+        terminated = 0  # certified batches whose lower head reached a remainder of 0
+        for _ in range(1500):
+            kind, heads = _one_end_heads(rng)
+            limit = rng.randint(1, 80)
+            for gap_bits in (cf._GAP_BITS, cf._WIDTH_BITS):
+                got = cf._one_end_batch(*heads, limit, gap_bits)
+                want = _four_number_batch(*heads, limit, gap_bits)
+                if kind == "below":
+                    assert want is None
+                if want is None:
+                    assert got is None, (kind, heads, limit)
+                    continue
+                assert got is not None, (kind, heads, limit)
+                batch, tails, p0, p1, q0, q1 = got
+                assert (batch, p0, p1, q0, q1) == (want[0], *want[2:]), (kind, heads, limit)
+                assert abs(p1 * q0 - p0 * q1) == 1
+                assert [t is None for t in tails] == [t is None for t in want[1]]
+                for t, w in zip(tails, want[1]):
+                    assert t is None or max(abs(t[0] - w[0]), abs(t[1] - w[1])) <= 2.0**-50
+                if kind == "fibonacci":
+                    assert set(batch) == {1}
+                if kind == "large":
+                    assert batch[0] >> 100
+                if kind == "terminating":
+                    # the upper head lies in the cylinder of the lower one's
+                    # whole expansion, on the side of an even count
+                    terminated += len(batch) == len(_euclid(Fraction(heads[0], heads[1])))
+                else:
+                    certified[kind][len(batch) & 1] += 1
+        assert all(min(counts) > 0 for counts in certified.values()), certified
+        assert terminated
+
+    def test_pairs_stand_beside_exactly_the_quotients_of_1(self, monkeypatch):
+        # hermite.criterion_scan steps y = 1/(1 + y) wherever a run hands a
+        # pair: on every session kind and batch path, a pair stands beside
+        # each quotient of 1 and None beside every other quotient
+        rng = random.Random(79)
+        outcomes = count_one_end(monkeypatch, cf._WIDTH_BITS)
+        gap_lo, gap_hi, _ = _gap_window(random.Random(59), outcomes)
+        heads = count_one_end(monkeypatch, cf._GAP_BITS)
+        one_end = count_one_end(monkeypatch, cf._WIDTH_BITS)
+        widths = _count_width_tests(monkeypatch)
+        inputs = [
+            *(reduce_theta(spec)[1] for spec in random_quadratic_specs(6, seed=83)),
+            *(reduce_theta(spec)[1] for spec in random_rational_specs(20, 10**12, seed=89)),
+            make_decimal(Fraction(rng.randrange(1, 10**80), 2 * 10**80), 256),
+            make_decimal(Fraction(rng.randrange(1, 10**450), 2 * 10**450), 1500),
+            make_decimal(gap_lo, 200, (gap_lo, gap_hi)),
+            make_decimal(Fraction(rng.randrange(1, 10**900), 2 * 10**900), 3000),
+        ]
+        ones = 0
+        for x0 in inputs:
+            session = expansion(x0)
+            read = 0
+            while read < 2000:
+                run, tails = session.run(rng.choice((1, 7, 10**6)))
+                if not run:
+                    break
+                assert len(tails) == len(run)
+                for a, tail in zip(run, tails):
+                    assert (tail is not None) == (a == 1), (x0, read)
+                    if tail is not None:
+                        assert isinstance(tail[0], float) and tail[0] <= tail[1]
+                ones += run.count(1)
+                read += len(run)
+        assert ones > 1000
+        # one-end batches held on both exact ends and on one, and failed the gap
+        # test; one exact end held and, near exhaustion, left for both ends
+        assert True in heads and False in heads and True in one_end
+        assert True in widths and False in widths
 
     def test_long_window_fallback_takes_one_step(self):
         # x0 = 1/(a + y) with a of 2,000 bits: a Lehmer window's lower head is

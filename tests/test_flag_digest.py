@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from helpers import ARGUMENT_REJECTIONS
+from helpers import ARGUMENT_REJECTIONS, BOUNDARY_DELTAS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,7 +20,7 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     names = [
         "criterion5", "crosscheck", "decimals", "ties", "deep", "sequences", "expansions", "cli",
-        "cli_csv", "long_decimals",
+        "cli_csv", "long_decimals", "boundary",
     ]
     assert [name for name, _, _ in lines] == names
     for name, count, digest in lines:
@@ -37,3 +37,5 @@ def test_tiny_run_prints_one_digest_per_family(monkeypatch, capsys):
     assert flag_digest.digest(families["cli"], flag_digest.cli_record) == lines[7][2]
     assert len(families["long_decimals"]) == int(lines[9][1]) == 10 + 3 * 2
     assert flag_digest.digest(families["long_decimals"]) == lines[9][2]
+    assert len(families["boundary"]) == int(lines[10][1]) == 2 * len(BOUNDARY_DELTAS) * 2
+    assert flag_digest.digest(families["boundary"]) == lines[10][2]

@@ -10,6 +10,10 @@ from itertools import chain
 
 import pytest
 from helpers import (
+    BOUNDARY_DELTAS,
+    boundary_quotients,
+    boundary_theta,
+    count_one_end,
     next_quotient,
     no_two_consecutive_false,
     random_decimal_specs,
@@ -105,6 +109,20 @@ def _count_sessions(monkeypatch) -> list:
 
     monkeypatch.setattr(hermite, "expansion", counted)
     return opened
+
+
+def _spy_exact(monkeypatch) -> list:
+    """The session's denominators at each exact test after a 1, collected as
+    `criterion_scan` makes it."""
+    exact, placed = hermite._region_flag, []
+
+    def spy(session, a):
+        if a is not None:
+            placed.append(session.denominators())
+        return exact(session, a)
+
+    monkeypatch.setattr(hermite, "_region_flag", spy)
+    return placed
 
 
 def decided_agree(a, b) -> bool:
@@ -241,14 +259,7 @@ class TestCriterion:
         cases = [(samples[0], 2), (samples[14], 1)]
         expected = [per_index_scan(spec, 1000) for spec, _ in cases]
         opened = _count_sessions(monkeypatch)
-        exact, placed = hermite._region_flag, []
-
-        def spy(session, a):
-            if a is not None:
-                placed.append(session.denominators())
-            return exact(session, a)
-
-        monkeypatch.setattr(hermite, "_region_flag", spy)
+        placed = _spy_exact(monkeypatch)
         for (spec, sessions), reference in zip(cases, expected):
             opened.clear()
             placed.clear()
@@ -347,6 +358,76 @@ class TestCriterion:
                         seq[k - 1].p + seq[k].p,
                         seq[k - 1].q + seq[k].q,
                     )
+
+
+def _assert_border(monkeypatch, spec, m: int, n: int, delta: float, run_end: bool) -> tuple:
+    """criterion_scan(spec, n) equals per_index_scan, a rational keeps X_m iff
+    delta >= 0, and index m goes to the exact test iff |delta| is inside the
+    float prefilter's margin: once, just after a_m, on the scan's own
+    session at a run's end (`run_end`) or else on a second session placed
+    after the loop.  Returns the flags."""
+    expected = per_index_scan(spec, n)
+    with monkeypatch.context() as patch:
+        opened = _count_sessions(patch)
+        placed = _spy_exact(patch)
+        flags, state = criterion_scan(spec, n)
+    assert (flags, state) == expected, (m, n, delta)
+    if isinstance(spec, RationalSpec):  # skipped iff the tail lies below the border
+        assert flags.flags[m] is (delta >= 0), (m, n, delta)
+    qs = [0, 1]  # q_{-1}, q_0, then q_k at position k + 1
+    for a in state.quotients[:m]:
+        qs.append(a * qs[-1] + qs[-2])
+    exact = abs(delta) <= 1e-10
+    assert placed == ([(qs[m], qs[m + 1])] if exact else []), (m, n, delta)
+    assert len(opened) == 1 + (exact and not run_end), (m, n, delta)
+    return flags.flags
+
+
+class TestSkipBorder:
+    """Index m built on the skip-region border, delta away (`helpers.boundary_theta`)."""
+
+    def test_inside_a_run(self, monkeypatch):
+        # a short window is one run: index m lies inside it, and the
+        # deferred pass decides it; a window around the border leaves it
+        # undecided
+        rng = random.Random(191)
+        ulp = Fraction(1, 1 << 320)
+        for m in (5, 40):
+            quotients = boundary_quotients(rng, m)
+            for delta in BOUNDARY_DELTAS:
+                x0 = boundary_theta(quotients, delta)
+                for spec in (RationalSpec(x0), make_decimal(x0, 320)):
+                    run = expansion(spec).run(10**6)[0]
+                    assert len(run) > m and run[m - 1] == 1
+                    _assert_border(monkeypatch, spec, m, 10**6, delta, run_end=False)
+            x0 = boundary_theta(quotients, 0.0)
+            around = make_decimal(x0, 320, (x0 - ulp, x0 + ulp))
+            assert _assert_border(monkeypatch, around, m, 10**6, 0.0, run_end=False)[m] is None
+
+    def test_at_a_runs_last_quotient(self, monkeypatch):
+        # n = m + 1: the last run ends on a_m, and the scan's own session
+        # decides index m
+        rng = random.Random(193)
+        for m in (5, 40, 400):
+            quotients = boundary_quotients(rng, m)
+            for delta in BOUNDARY_DELTAS:
+                x0 = boundary_theta(quotients, delta)
+                for spec in (RationalSpec(x0), make_decimal(x0, 6 * m + 400)):
+                    _assert_border(monkeypatch, spec, m, m + 1, delta, run_end=True)
+
+    def test_long_window_in_one_end_batches(self, monkeypatch):
+        # m = 2000 on 12,400-bit windows and their rationals: one-end batches
+        # make the run that ends on a_m (n = m + 1) or holds it (n = m + 2)
+        held = count_one_end(monkeypatch, cf._WIDTH_BITS)  # one exact end throughout
+        m = 2000
+        quotients = boundary_quotients(random.Random(197), m)
+        for delta in BOUNDARY_DELTAS:
+            x0 = boundary_theta(quotients, delta)
+            for spec in (RationalSpec(x0), make_decimal(x0, 6 * m + 400)):
+                assert x0.denominator >> cf._ONE_END_MIN_BITS and expansion(spec)._one_end
+                for n, run_end in ((m + 1, True), (m + 2, False)):
+                    _assert_border(monkeypatch, spec, m, n, delta, run_end)
+        assert held.count(True) > 20 * held.count(False)
 
 
 class TestEnvelope:
